@@ -1,5 +1,5 @@
 #!/bin/sh
-# Runs a google-benchmark suite and writes a machine-readable baseline
+# Runs the perf_pipeline google-benchmark harness and writes a machine-readable baseline
 # JSON (repo root by default), for before/after comparison of pipeline
 # optimisations. The output composes google-benchmark's own JSON with
 # the harness's dmm-stats document (docs/OBSERVABILITY.md) under a
@@ -8,8 +8,6 @@
 #
 # Usage: scripts/run_bench.sh [options] [out.json] [extra benchmark args...]
 #   --label <name>     write BENCH_<name>.json instead of BENCH_baseline.json
-#   --suite <bench>    which harness to run: perf_pipeline (default) or
-#                      perf_incremental
 #   --compare <base>   after the run, gate the fresh output against an
 #                      existing baseline via scripts/bench_history.py
 #                      (exit 1 on a stable-benchmark regression)
@@ -31,11 +29,6 @@ while [ $# -gt 0 ]; do
       LABEL="$2"; shift 2 ;;
     --label=*)
       LABEL="${1#--label=}"; shift ;;
-    --suite)
-      [ $# -ge 2 ] || { echo "error: --suite requires a name" >&2; exit 2; }
-      SUITE="$2"; shift 2 ;;
-    --suite=*)
-      SUITE="${1#--suite=}"; shift ;;
     --compare)
       [ $# -ge 2 ] || { echo "error: --compare requires a baseline" >&2; exit 2; }
       COMPARE="$2"; shift 2 ;;

@@ -21,10 +21,6 @@ Subcommands:
                             fields (jobs, start_ns, wall_ns, cpu_ns,
                             mem_*_bytes) -- the cross---jobs
                             determinism contract
-  check-warm-cache FILE     check that a warm --cache-dir run's stats
-                            show one summary.file span per source file,
-                            each marked cached=1 with a cache.lookup
-                            child span carrying hit=1
   check-crash FILE          check a dmm-crash-<pid>.json crash report:
                             dmm-crash schema v1, a non-empty span stack,
                             at least one flight-recorder event with the
@@ -335,33 +331,6 @@ def cmd_compare(path_a, path_b):
           % (path_a, path_b, a["jobs"], b["jobs"]))
 
 
-def cmd_check_warm_cache(path):
-    doc = check_stats_doc(load(path), path)
-    spans = doc["spans"]
-    files = [s for s in spans if s["name"] == "summary.file"]
-    if not files:
-        fail("%s: no summary.file spans (was this a --cache-dir run?)"
-             % path)
-    for s in files:
-        name = s.get("args", {}).get("file", "<unknown>")
-        if s.get("args", {}).get("cached") != 1:
-            fail("%s: summary.file span for %s is not a cache hit"
-                 % (path, name))
-        lookups = [c for c in spans
-                   if c["parent"] == s["id"] and c["name"] == "cache.lookup"]
-        if not lookups:
-            fail("%s: summary.file span for %s has no cache.lookup child"
-                 % (path, name))
-        if any(c.get("args", {}).get("hit") != 1 for c in lookups):
-            fail("%s: cache.lookup under %s did not record hit=1"
-                 % (path, name))
-        if s["mem_peak_bytes"] < 0:
-            fail("%s: summary.file span for %s has negative peak memory"
-                 % (path, name))
-    print("%s: ok (%d cached summary.file spans with hit=1 lookups)"
-          % (path, len(files)))
-
-
 def cmd_check_crash(path):
     doc = load(path)
     if not isinstance(doc, dict):
@@ -426,9 +395,6 @@ def main(argv):
             cmd_validate_trace(path)
     elif len(argv) == 4 and argv[1] == "compare":
         cmd_compare(argv[2], argv[3])
-    elif len(argv) >= 3 and argv[1] == "check-warm-cache":
-        for path in argv[2:]:
-            cmd_check_warm_cache(path)
     elif len(argv) >= 3 and argv[1] == "check-crash":
         for path in argv[2:]:
             cmd_check_crash(path)

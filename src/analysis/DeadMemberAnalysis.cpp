@@ -67,15 +67,15 @@ std::vector<const FieldDecl *> DeadMemberResult::deadMembers() const {
 //===----------------------------------------------------------------------===//
 //
 // The statement/expression walker lives in analysis/Scanner.h
-// (LivenessScanner), shared with the per-file summary extractor.
+// (LivenessScanner).
 
 DeadMemberAnalysis::DeadMemberAnalysis(const ASTContext &Ctx,
                                        const ClassHierarchy &CH,
                                        AnalysisOptions Options)
     : Ctx(Ctx), CH(CH), Options(Options) {}
 
-void DeadMemberAnalysis::beginRun(const FunctionDecl *Main,
-                                  const CallGraphFactsFn *Facts) {
+DeadMemberResult DeadMemberAnalysis::run(const FunctionDecl *Main) {
+  Span Timer("analysis");
   Result = DeadMemberResult();
   MarkVisited.clear();
   ProvLoc = SourceLocation();
@@ -94,16 +94,9 @@ void DeadMemberAnalysis::beginRun(const FunctionDecl *Main,
   if (InjectedGraph) {
     UsedGraph = InjectedGraph;
   } else {
-    OwnedGraph = Facts ? buildCallGraphFromFacts(Ctx, CH, Main,
-                                                 Options.CallGraph, *Facts)
-                       : buildCallGraph(Ctx, CH, Main, Options.CallGraph);
+    OwnedGraph = buildCallGraph(Ctx, CH, Main, Options.CallGraph);
     UsedGraph = &OwnedGraph;
   }
-}
-
-DeadMemberResult DeadMemberAnalysis::run(const FunctionDecl *Main) {
-  Span Timer("analysis");
-  beginRun(Main);
 
   // Lines 6-8, scan side: walk the global initializers and every
   // statement of every reachable function, collecting mark events. The
@@ -141,10 +134,6 @@ DeadMemberResult DeadMemberAnalysis::run(const FunctionDecl *Main) {
     }
   }
 
-  return finishRun();
-}
-
-DeadMemberResult DeadMemberAnalysis::finishRun() {
   // Lines 9-11: union closure. A union must be closed when any member it
   // (transitively) contains is live: a write through one alternative can
   // otherwise change a live member's value unnoticed. Iterate to a fixed

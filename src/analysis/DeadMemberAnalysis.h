@@ -34,10 +34,8 @@
 
 #include <array>
 #include <map>
-#include <optional>
 #include <string>
 #include <set>
-#include <utility>
 #include <vector>
 
 namespace dmm {
@@ -45,7 +43,6 @@ namespace dmm {
 class ASTContext;
 class ClassHierarchy;
 class Expr;
-struct FileSummary;
 struct MarkEvent;
 struct ScanOutput;
 
@@ -217,21 +214,6 @@ public:
   /// union closure.
   DeadMemberResult run(const FunctionDecl *Main);
 
-  /// Link phase of the summary-based pipeline (analysis/Summary.h):
-  /// resolves the name-keyed mark events of per-file summaries back to
-  /// declarations in this compilation and replays them in the same
-  /// deterministic order as run() — globals in decl order, then
-  /// reachable functions by decl ID — producing a byte-identical
-  /// result. Each summary is paired with the FileID its file occupies
-  /// in the current compilation (used to rebind serialized source
-  /// offsets). Returns std::nullopt and sets *Error when a summary
-  /// references a name this program does not define or omits a function
-  /// that now has a body (a stale summary); callers fall back to run().
-  std::optional<DeadMemberResult> runWithSummaries(
-      const FunctionDecl *Main,
-      const std::vector<std::pair<uint32_t, const FileSummary *>> &Summaries,
-      std::string *Error = nullptr);
-
   /// Injects a pre-built call graph (used by ablation benchmarks to
   /// share graphs); must match Options.CallGraph semantics.
   void setCallGraph(const CallGraph *Graph) { InjectedGraph = Graph; }
@@ -240,20 +222,6 @@ public:
   const CallGraph &callGraph() const { return *UsedGraph; }
 
 private:
-  /// \name Shared phase pieces
-  /// run() and runWithSummaries() differ only in where mark events come
-  /// from (fresh AST scans vs. replayed summaries). beginRun resets all
-  /// state, enumerates classifiable members, and builds the call graph —
-  /// from recorded body facts when the summary path supplies \p Facts
-  /// (buildCallGraphFromFacts), else by walking the AST; finishRun
-  /// applies the union closure, flushes telemetry, and returns the
-  /// result.
-  /// @{
-  void beginRun(const FunctionDecl *Main,
-                const CallGraphFactsFn *Facts = nullptr);
-  DeadMemberResult finishRun();
-  /// @}
-
   /// Replays a scan buffer through markLive/markAllContainedMembers.
   void applyScan(const ScanOutput &Scan);
 

@@ -5,10 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The scan side of the paper's Figure 2 algorithm, factored out of
-/// DeadMemberAnalysis so that the monolithic pass and the per-file
-/// summary extractor (analysis/Summary.h) walk statements with the
-/// *same* code and therefore emit the *same* event streams.
+/// The scan side of the paper's Figure 2 algorithm: the read-only
+/// statement/expression walker that DeadMemberAnalysis runs once per
+/// reachable function (and once over the global initializers).
 ///
 /// A Scanner performs a pure read of one function's (or one global
 /// initializer's) AST — it never consults earlier liveness marks; every

@@ -15,7 +15,6 @@
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
-#include <cassert>
 #include <memory>
 #include <unordered_set>
 
@@ -62,9 +61,8 @@ namespace dmm {
 class CallGraphBuilder {
 public:
   CallGraphBuilder(const ASTContext &Ctx, const ClassHierarchy &CH,
-                   CallGraphKind Kind, const PointsToAnalysis *PTA,
-                   const CallGraphFactsFn *FactsFor = nullptr)
-      : Ctx(Ctx), CH(CH), Kind(Kind), PTA(PTA), FactsFor(FactsFor) {}
+                   CallGraphKind Kind, const PointsToAnalysis *PTA)
+      : Ctx(Ctx), CH(CH), Kind(Kind), PTA(PTA) {}
 
   CallGraph build(const FunctionDecl *Main) {
     if (Kind == CallGraphKind::Trivial) {
@@ -372,13 +370,6 @@ private:
     if (!FD->body() && !isa<ConstructorDecl>(FD))
       return;
 
-    // Recorded body facts replace the AST walk when available.
-    if (FactsFor)
-      if (const std::vector<CallGraphBodyFact> *Facts = (*FactsFor)(FD)) {
-        replayFacts(FD, *Facts);
-        return;
-      }
-
     // First pass: identify callee-position expressions so that other
     // uses of function names count as address-taken.
     std::set<const Expr *> CalleePositions;
@@ -545,56 +536,6 @@ private:
     }
   }
 
-  /// Replays a recorded fact transcript through the same operations the
-  /// AST walk of \p FD would perform, in the same order. Receiver
-  /// expressions are unavailable (and unneeded: facts replay is gated to
-  /// the non-PTA kinds, whose dispatch ignores them).
-  void replayFacts(const FunctionDecl *FD,
-                   const std::vector<CallGraphBodyFact> &Facts) {
-    for (const CallGraphBodyFact &F : Facts) {
-      switch (F.K) {
-      case CallGraphBodyFact::Kind::DirectCall:
-        addEdge(FD, F.Callee);
-        break;
-      case CallGraphBodyFact::Kind::VirtualCall:
-        addVirtualSite({FD, cast<MethodDecl>(F.Callee), nullptr, nullptr,
-                        false});
-        break;
-      case CallGraphBodyFact::Kind::AddressTaken:
-        if (G.AddressTaken.insert(F.Callee).second) {
-          enqueue(F.Callee);
-          for (const IndirectSite &Site : IndirectSites)
-            if (F.Callee->params().size() == Site.Arity)
-              addEdge(Site.Caller, F.Callee);
-        }
-        break;
-      case CallGraphBodyFact::Kind::New:
-        addConstructionEdges(FD, F.Class,
-                             dyn_cast_or_null<ConstructorDecl>(F.Callee));
-        break;
-      case CallGraphBodyFact::Kind::DeleteObject:
-        if (F.Class->destructor() && F.Class->destructor()->isVirtual())
-          addVirtualSite({FD, nullptr, F.Class, nullptr, false});
-        else
-          addDestructionEdges(FD, F.Class);
-        break;
-      case CallGraphBodyFact::Kind::VarLifetime:
-        addConstructionEdges(FD, F.Class,
-                             dyn_cast_or_null<ConstructorDecl>(F.Callee));
-        addDestructionEdges(FD, F.Class);
-        break;
-      case CallGraphBodyFact::Kind::IndirectCall: {
-        IndirectSite Site{FD, F.Arity};
-        for (const FunctionDecl *Taken : G.AddressTaken)
-          if (Taken->params().size() == Site.Arity)
-            addEdge(FD, Taken);
-        IndirectSites.push_back(Site);
-        break;
-      }
-      }
-    }
-  }
-
   struct IndirectSite {
     const FunctionDecl *Caller;
     size_t Arity;
@@ -604,7 +545,6 @@ private:
   const ClassHierarchy &CH;
   CallGraphKind Kind;
   const PointsToAnalysis *PTA;
-  const CallGraphFactsFn *FactsFor;
   CallGraph G;
   std::vector<const FunctionDecl *> Worklist;
   std::unordered_set<uint64_t> EdgeSet;
@@ -626,17 +566,5 @@ CallGraph dmm::buildCallGraph(const ASTContext &Ctx,
     PTA->run();
   }
   CallGraphBuilder Builder(Ctx, CH, Kind, PTA.get());
-  return Builder.build(Main);
-}
-
-CallGraph dmm::buildCallGraphFromFacts(const ASTContext &Ctx,
-                                       const ClassHierarchy &CH,
-                                       const FunctionDecl *Main,
-                                       CallGraphKind Kind,
-                                       const CallGraphFactsFn &FactsFor) {
-  Span Timer("callgraph");
-  assert(Kind != CallGraphKind::PTA &&
-         "facts carry no receiver expressions; PTA must walk the AST");
-  CallGraphBuilder Builder(Ctx, CH, Kind, /*PTA=*/nullptr, &FactsFor);
   return Builder.build(Main);
 }

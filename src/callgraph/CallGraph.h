@@ -36,7 +36,6 @@
 #include "ast/Decl.h"
 #include "support/BitVector.h"
 
-#include <functional>
 #include <map>
 #include <set>
 #include <vector>
@@ -98,45 +97,6 @@ private:
 /// Builds the call graph of the program rooted at `main`.
 CallGraph buildCallGraph(const ASTContext &Ctx, const ClassHierarchy &CH,
                          const FunctionDecl *Main, CallGraphKind Kind);
-
-/// One call-graph-relevant action of a function body, pre-resolved to
-/// declarations. A function's fact list is a faithful transcript of
-/// what the builder's AST walk would observe, in the same order
-/// (expression preorder, then local variable lifetimes), so replaying
-/// it yields the identical graph without touching the body again. The
-/// summary-based pipeline records facts at extraction time and replays
-/// them at link time (analysis/Summary.h).
-struct CallGraphBodyFact {
-  enum class Kind : uint8_t {
-    DirectCall,   ///< Non-virtual call; Callee is the target.
-    VirtualCall,  ///< Virtual call; Callee is the *static* method.
-    AddressTaken, ///< Callee's name used as a value.
-    New,          ///< `new Class(...)`; Class + chosen Callee ctor (or null).
-    DeleteObject, ///< `delete p` where *p has class type Class.
-    VarLifetime,  ///< Local of type Class; Callee is its ctor (or null).
-    IndirectCall, ///< Call through a function pointer of arity Arity.
-  };
-  Kind K = Kind::DirectCall;
-  const FunctionDecl *Callee = nullptr;
-  const ClassDecl *Class = nullptr;
-  uint32_t Arity = 0;
-};
-
-/// Supplies the recorded body facts of a function, or null to make the
-/// builder fall back to walking that function's AST (functions the
-/// supplier has no transcript for: builtins, synthesized definitions).
-using CallGraphFactsFn =
-    std::function<const std::vector<CallGraphBodyFact> *(const FunctionDecl *)>;
-
-/// Builds the call graph from recorded body facts, walking the AST only
-/// for functions \p FactsFor cannot supply. Produces the identical
-/// graph to buildCallGraph for the Trivial/CHA/RTA kinds; PTA is not
-/// supported (points-to refinement needs the receiver expressions,
-/// which facts do not carry).
-CallGraph buildCallGraphFromFacts(const ASTContext &Ctx,
-                                  const ClassHierarchy &CH,
-                                  const FunctionDecl *Main, CallGraphKind Kind,
-                                  const CallGraphFactsFn &FactsFor);
 
 } // namespace dmm
 

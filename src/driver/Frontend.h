@@ -27,6 +27,10 @@
 
 namespace dmm {
 
+/// The tool version: reported by --version and recorded in stats
+/// documents and crash reports.
+inline constexpr const char kToolVersion[] = "0.3.0";
+
 /// The result of compiling a program; owns everything.
 class Compilation {
 public:

@@ -14,8 +14,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Report.h"
-#include "cache/IncrementalAnalysis.h"
-#include "cache/SummaryCache.h"
 #include "driver/Frontend.h"
 #include "interp/Interpreter.h"
 #include "profiler/ShadowProfiler.h"
@@ -72,8 +70,6 @@ struct DriverOptions {
   /// --measure/--profile use. Empty until resolved (flag beats the
   /// DMM_ENGINE env var beats the "vm" default).
   std::string Engine;
-  bool Summary = false;      ///< --summary: in-memory summary pipeline.
-  std::string CacheDir;      ///< --cache-dir=<dir> / DMM_CACHE_DIR.
   std::string MetricsFile;   ///< --metrics=<file>; empty = stdout.
   std::string TraceJsonFile; ///< --trace-json=<file>; empty = off.
   std::string StatsJsonFile; ///< --stats-json=<file>; empty = off.
@@ -142,13 +138,6 @@ int usage() {
          "                           read at run time is classified "
          "live)\n"
          "  --dead-functions         also list unreachable functions\n"
-         "  --summary                analyze through per-file summaries\n"
-         "                           and the global link phase (reports\n"
-         "                           are identical to the default path)\n"
-         "  --cache-dir=<dir>        persist per-file summaries in <dir>\n"
-         "                           and reuse them across runs (implies\n"
-         "                           --summary; also: DMM_CACHE_DIR env\n"
-         "                           var; see docs/CACHING.md)\n"
          "  --jobs=<N>               worker threads for the parallel\n"
          "                           pipeline stages (default: all cores;\n"
          "                           also: DMM_THREADS env var). Reports\n"
@@ -164,8 +153,7 @@ int usage() {
          "                           memory peaks, counters; see\n"
          "                           docs/OBSERVABILITY.md)\n"
          "  --report=<file.html>     render a self-contained HTML run\n"
-         "                           report (span waterfall, hot spans,\n"
-         "                           cache table)\n"
+         "                           report (span waterfall, hot spans)\n"
          "  --from-stats=<file>      with --report: render from an\n"
          "                           existing stats file instead of\n"
          "                           running the pipeline\n"
@@ -284,14 +272,6 @@ bool parseArgs(int Argc, char **Argv, DriverOptions &Opts) {
       Opts.DeadFunctions = true;
     } else if (Arg == "--version") {
       Opts.Version = true;
-    } else if (Arg == "--summary") {
-      Opts.Summary = true;
-    } else if (Arg.rfind("--cache-dir=", 0) == 0) {
-      Opts.CacheDir = Arg.substr(12);
-      if (Opts.CacheDir.empty()) {
-        std::cerr << "error: --cache-dir requires a directory\n";
-        return false;
-      }
     } else if (Arg == "--metrics") {
       Opts.Metrics = true;
     } else if (Arg.rfind("--metrics=", 0) == 0) {
@@ -639,38 +619,12 @@ int main(int Argc, char **Argv) {
   if (Opts.Json || !Opts.Explain.empty())
     Opts.Analysis.RecordProvenance = true;
 
-  // --cache-dir flag wins over the DMM_CACHE_DIR env hook.
-  if (Opts.CacheDir.empty())
-    if (const char *CacheEnv = std::getenv("DMM_CACHE_DIR"); CacheEnv && *CacheEnv)
-      Opts.CacheDir = CacheEnv;
-
   auto C = compileProgram(std::move(Opts.Files), &std::cerr);
   if (!C->Success)
     return 1;
 
   DeadMemberAnalysis Analysis(C->context(), C->hierarchy(), Opts.Analysis);
-  DeadMemberResult Result;
-  if (Opts.Summary || !Opts.CacheDir.empty()) {
-    std::optional<SummaryCache> Cache;
-    if (!Opts.CacheDir.empty())
-      Cache.emplace(SummaryCache::Config{Opts.CacheDir});
-    std::string LinkError;
-    std::optional<DeadMemberResult> Linked = runSummaryAnalysis(
-        C->context(), C->SM, Analysis, C->mainFunction(), Opts.Analysis,
-        Cache ? &*Cache : nullptr, &LinkError);
-    if (Cache)
-      Cache->flushTelemetry();
-    if (Linked) {
-      Result = std::move(*Linked);
-    } else {
-      logWarn("summary link failed; falling back to whole-program "
-              "analysis",
-              {kv("detail", LinkError)});
-      Result = Analysis.run(C->mainFunction());
-    }
-  } else {
-    Result = Analysis.run(C->mainFunction());
-  }
+  DeadMemberResult Result = Analysis.run(C->mainFunction());
   logInfo("analysis complete",
           {kv("dead_members", Result.deadSet().size()),
            kv("callgraph", callGraphKindName(Opts.Analysis.CallGraph))});

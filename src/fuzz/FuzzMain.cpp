@@ -6,11 +6,12 @@
 ///
 /// \file
 /// `dmm-fuzz`: generate deterministic random MiniC++ programs and push
-/// each through the semantic/soundness/invariance/cache oracles
-/// (fuzz/Oracles.h). On a failure, a delta-debugging shrinker minimizes
-/// the program while the same oracle keeps failing, and a self-contained
-/// reproducer (.mcc) plus a JSON failure record land in the artifacts
-/// directory. Exit status: 0 when every seed passed, 1 otherwise.
+/// each through the semantics/soundness/invariance/profiler/engine
+/// oracles (fuzz/Oracles.h). On a failure, a delta-debugging shrinker
+/// minimizes the program while the same oracle keeps failing, and a
+/// self-contained reproducer (.mcc) plus a JSON failure record land in
+/// the artifacts directory. Exit status: 0 when every seed passed, 1
+/// otherwise.
 ///
 /// See docs/TESTING.md for the artifacts layout, replay workflow, and
 /// the fault-injection self-validation modes.
@@ -23,7 +24,7 @@
 #include "fuzz/ProgramGenerator.h"
 #include "fuzz/Shrinker.h"
 
-#include "cache/IncrementalAnalysis.h"
+#include "driver/Frontend.h"
 #include "support/ThreadPool.h"
 #include "telemetry/CrashHandler.h"
 #include "telemetry/FlightRecorder.h"
@@ -87,14 +88,13 @@ bool applyOracleSelection(const std::string &Kind, FuzzOptions &Opts) {
   Opts.Oracles.Semantics = Kind == "all" || Kind == "semantics";
   Opts.Oracles.Soundness = Kind == "all" || Kind == "soundness";
   Opts.Oracles.Invariance = Kind == "all" || Kind == "invariance";
-  Opts.Oracles.Cache = Kind == "all" || Kind == "cache";
   Opts.Oracles.Profiler = Kind == "all" || Kind == "profiler";
   Opts.Oracles.Engine = Kind == "all" || Kind == "engine";
   if (Kind == "none")
     return true;
   return Opts.Oracles.Semantics || Opts.Oracles.Soundness ||
-         Opts.Oracles.Invariance || Opts.Oracles.Cache ||
-         Opts.Oracles.Profiler || Opts.Oracles.Engine;
+         Opts.Oracles.Invariance || Opts.Oracles.Profiler ||
+         Opts.Oracles.Engine;
 }
 
 int usage() {
@@ -102,18 +102,18 @@ int usage() {
       << "usage: dmm-fuzz [options]\n"
          "\n"
          "Differential fuzzing for the dead-member pipeline: random\n"
-         "MiniC++ programs are run through six oracles (differential\n"
+         "MiniC++ programs are run through five oracles (differential\n"
          "semantics of the eliminated program, dynamic soundness of the\n"
          "analysis, configuration invariance across --jobs levels and\n"
-         "call-graph precision, cache equivalence, shadow-profiler\n"
-         "agreement with the trace replay, and bytecode-VM equivalence\n"
-         "with the tree-walking interpreter). Failures are shrunk to\n"
+         "call-graph precision, shadow-profiler agreement with the\n"
+         "trace replay, and bytecode-VM equivalence with the\n"
+         "tree-walking interpreter). Failures are shrunk to\n"
          "minimal reproducers. Everything is deterministic in the seed.\n"
          "\n"
          "options:\n"
          "  --seeds <N>|<A>..<B>     seed range, inclusive (default "
          "1..100)\n"
-         "  --oracle <all|none|semantics|soundness|invariance|cache"
+         "  --oracle <all|none|semantics|soundness|invariance"
          "|profiler|engine>\n"
          "                           which oracle family to run "
          "(default all)\n"
@@ -210,7 +210,7 @@ bool parseArgs(int Argc, char **Argv, FuzzOptions &Opts) {
       if (!applyOracleSelection(V, Opts)) {
         std::cerr << "error: invalid --oracle value '" << V
                   << "' (valid choices: all, none, semantics, soundness, "
-                     "invariance, cache, profiler, engine)\n";
+                     "invariance, profiler, engine)\n";
         return false;
       }
       Opts.OracleExplicit = true;

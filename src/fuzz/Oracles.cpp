@@ -7,8 +7,6 @@
 #include "fuzz/Oracles.h"
 
 #include "analysis/Report.h"
-#include "cache/IncrementalAnalysis.h"
-#include "cache/SummaryCache.h"
 #include "driver/Frontend.h"
 #include "interp/Interpreter.h"
 #include "profiler/ShadowProfiler.h"
@@ -17,19 +15,9 @@
 #include "trace/DynamicMetrics.h"
 #include "vm/VM.h"
 
-#include <atomic>
-#include <filesystem>
 #include <optional>
 #include <set>
 #include <sstream>
-
-#ifdef _WIN32
-#include <process.h>
-#define DMM_FUZZ_GETPID _getpid
-#else
-#include <unistd.h>
-#define DMM_FUZZ_GETPID getpid
-#endif
 
 using namespace dmm;
 using namespace dmm::fuzz;
@@ -76,34 +64,6 @@ bool renderReport(const std::string &Source, const AnalysisOptions &Base,
   DeadMemberResult R = A.run(C->mainFunction());
   std::ostringstream OS;
   printJsonReport(OS, C->context(), R, &C->SM);
-  Report = OS.str();
-  return true;
-}
-
-/// Like renderReport, but through the summary pipeline — optionally
-/// backed by \p Cache. The cache oracle compares its output against the
-/// monolithic rendering byte-for-byte.
-bool renderSummaryReport(const std::string &Source,
-                         const AnalysisOptions &Base, SummaryCache *Cache,
-                         std::string &Report, std::string &Error) {
-  std::ostringstream Diag;
-  auto C = compileString(Source, &Diag);
-  if (!C->Success) {
-    Error = "does not compile: " + Diag.str();
-    return false;
-  }
-  AnalysisOptions Opts = Base;
-  Opts.RecordProvenance = true;
-  DeadMemberAnalysis A(C->context(), C->hierarchy(), Opts);
-  std::string LinkError;
-  std::optional<DeadMemberResult> R = runSummaryAnalysis(
-      C->context(), C->SM, A, C->mainFunction(), Opts, Cache, &LinkError);
-  if (!R) {
-    Error = "summary link failed: " + LinkError;
-    return false;
-  }
-  std::ostringstream OS;
-  printJsonReport(OS, C->context(), *R, &C->SM);
   Report = OS.str();
   return true;
 }
@@ -261,15 +221,6 @@ std::optional<std::string> firstEngineDivergence(const EngineObservation &T,
   return std::nullopt;
 }
 
-/// A fresh scratch directory for one cache-oracle trip; unique across
-/// processes (pid) and within one (counter).
-std::filesystem::path freshCacheDir() {
-  static std::atomic<uint64_t> Counter{0};
-  return std::filesystem::temp_directory_path() /
-         ("dmm-fuzz-cache-" + std::to_string(DMM_FUZZ_GETPID()) + "-" +
-          std::to_string(Counter.fetch_add(1)));
-}
-
 } // namespace
 
 OracleOutcome fuzz::runOracles(const std::string &Source,
@@ -305,7 +256,7 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
   if (!Original.Completed)
     return fail("runtime", "original program aborted: " + Original.Error);
 
-  // Oracle 5: profiler agreement. The shadow profiler's online
+  // Oracle 4: profiler agreement. The shadow profiler's online
   // accounting and the trace replay compute the paper's dynamic
   // measurements by independent mechanisms; any divergence is a bug in
   // one of them.
@@ -330,7 +281,7 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
     }
   }
 
-  // Oracle 6: engine equivalence. The bytecode VM must reproduce the
+  // Oracle 5: engine equivalence. The bytecode VM must reproduce the
   // tree-walker's full observable surface — output, exit code, error,
   // first-read order, read/write sets, heat, allocation trace, and
   // shadow-profiler summary — byte for byte. Steps is exempt (the
@@ -465,65 +416,6 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
         return fail("invariance-monotonic",
                     Name + " is dead under the write-as-live baseline "
                            "but live under the paper algorithm");
-  }
-
-  // Oracle 4: cache equivalence. Summary-linked, cold-cache, and
-  // warm-cache reports must be byte-identical to the monolithic one,
-  // and the warm pass must actually replay the stored summary.
-  if (Config.Cache) {
-    std::string Reference, Error;
-    if (!renderReport(Source, Config.Analysis, Reference, Error))
-      return fail("cache", "reference render failed: the program " + Error);
-    std::string Linked;
-    if (!renderSummaryReport(Source, Config.Analysis, nullptr, Linked,
-                             Error))
-      return fail("cache", Error);
-    if (Linked != Reference)
-      return fail("cache", "summary-linked report differs from the "
-                           "monolithic report");
-
-    const std::filesystem::path Dir = freshCacheDir();
-    auto Cleanup = [&Dir] {
-      std::error_code EC;
-      std::filesystem::remove_all(Dir, EC);
-    };
-    {
-      SummaryCache Cold(SummaryCache::Config{Dir.string()});
-      std::string ColdReport;
-      if (!renderSummaryReport(Source, Config.Analysis, &Cold, ColdReport,
-                               Error)) {
-        Cleanup();
-        return fail("cache", "cold cache: " + Error);
-      }
-      if (ColdReport != Reference) {
-        Cleanup();
-        return fail("cache", "cold-cache report differs from the "
-                             "monolithic report");
-      }
-    }
-    {
-      SummaryCache Warm(SummaryCache::Config{Dir.string()});
-      std::string WarmReport;
-      if (!renderSummaryReport(Source, Config.Analysis, &Warm, WarmReport,
-                               Error)) {
-        Cleanup();
-        return fail("cache", "warm cache: " + Error);
-      }
-      const SummaryCache::Stats S = Warm.stats();
-      if (WarmReport != Reference) {
-        Cleanup();
-        return fail("cache", "warm-cache report differs from the "
-                             "monolithic report");
-      }
-      if (S.Hits == 0) {
-        Cleanup();
-        return fail("cache",
-                    "warm run replayed nothing: " +
-                        std::to_string(S.Lookups) + " lookups, " +
-                        std::to_string(S.Misses) + " misses, 0 hits");
-      }
-    }
-    Cleanup();
   }
 
   return {};

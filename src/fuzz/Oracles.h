@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The six correctness oracles the fuzzing harness runs every
+/// The five correctness oracles the fuzzing harness runs every
 /// generated (or replayed) program through:
 ///
 ///  1. *Differential semantics* — the dead-member-eliminated program
@@ -20,16 +20,12 @@
 ///     pipeline's determinism guarantee), and the dead set must grow
 ///     monotonically with call-graph precision
 ///     (baseline ⊆ paper, Trivial ⊆ CHA ⊆ RTA ⊆ PTA).
-///  4. *Cache equivalence* — the summary-linked pipeline, a cold
-///     on-disk cache, and a warm on-disk cache (cache/SummaryCache.h)
-///     must each reproduce the monolithic JSON report byte-for-byte,
-///     and the warm run must actually hit the cache (docs/CACHING.md).
-///  5. *Profiler agreement* — the shadow-memory profiler's online
+///  4. *Profiler agreement* — the shadow-memory profiler's online
 ///     dynamic measurements (profiler/ShadowProfiler.h) must equal the
 ///     allocation-trace replay (trace/DynamicMetrics.h) exactly on the
 ///     same execution; the two compute the paper's Table 2 numbers by
 ///     independent mechanisms.
-///  6. *Engine equivalence* — the bytecode VM (vm/VM.h) must reproduce
+///  5. *Engine equivalence* — the bytecode VM (vm/VM.h) must reproduce
 ///     the tree-walking interpreter exactly on the same program:
 ///     byte-identical output, exit code, error message, ReadTrace
 ///     first-read order, read/write sets, heat counts, allocation
@@ -60,7 +56,6 @@ struct OracleConfig {
   bool Semantics = true;
   bool Soundness = true;
   bool Invariance = true;
-  bool Cache = true;
   bool Profiler = true;
   bool Engine = true;
 
@@ -93,7 +88,7 @@ struct OracleOutcome {
   bool Passed = true;
   /// Empty when Passed; otherwise one of "frontend", "runtime",
   /// "semantics", "soundness", "invariance-jobs",
-  /// "invariance-monotonic", "cache", "profiler", "engine".
+  /// "invariance-monotonic", "profiler", "engine".
   std::string FailedOracle;
   /// Human-readable failure description (first violation wins).
   std::string Detail;

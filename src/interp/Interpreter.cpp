@@ -1148,11 +1148,13 @@ Value Interpreter::evalBinary(const BinaryExpr *E) {
     }
     if (R.asInt() == 0)
       fail("integer division by zero");
+    if (intDivOverflows(L.asInt(), R.asInt()))
+      fail("integer division overflow");
     return Value::ofInt(L.asInt() / R.asInt());
   case BinaryOpKind::Rem:
     if (R.asInt() == 0)
       fail("integer remainder by zero");
-    return Value::ofInt(L.asInt() % R.asInt());
+    return Value::ofInt(intRem(L.asInt(), R.asInt()));
   case BinaryOpKind::Shl:
     return Value::ofInt(L.asInt() << (R.asInt() & 63));
   case BinaryOpKind::Shr:
@@ -1276,13 +1278,15 @@ Value Interpreter::evalAssign(const AssignExpr *E) {
       } else {
         if (R.asInt() == 0)
           fail("integer division by zero");
+        if (intDivOverflows(Old.asInt(), R.asInt()))
+          fail("integer division overflow");
         New = Value::ofInt(Old.asInt() / R.asInt());
       }
       break;
     case AssignOpKind::RemAssign:
       if (R.asInt() == 0)
         fail("integer remainder by zero");
-      New = Value::ofInt(Old.asInt() % R.asInt());
+      New = Value::ofInt(intRem(Old.asInt(), R.asInt()));
       break;
     case AssignOpKind::Assign:
       fail("unreachable plain assignment");

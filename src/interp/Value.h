@@ -15,6 +15,7 @@
 #ifndef DMM_INTERP_VALUE_H
 #define DMM_INTERP_VALUE_H
 
+#include <climits>
 #include <cstdint>
 
 namespace dmm {
@@ -120,6 +121,19 @@ struct Value {
     return IntVal != 0;
   }
 };
+
+/// \name Guest integer division (shared by both engines)
+/// Callers reject a zero divisor first. LLONG_MIN / -1 does not fit in
+/// a long long (the host traps on it), so callers report it as a guest
+/// runtime error; LLONG_MIN % -1 is 0, like every remainder by -1.
+/// @{
+inline bool intDivOverflows(long long A, long long B) {
+  return B == -1 && A == LLONG_MIN;
+}
+inline long long intRem(long long A, long long B) {
+  return B == -1 ? 0 : A % B;
+}
+/// @}
 
 } // namespace dmm
 

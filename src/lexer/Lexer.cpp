@@ -11,6 +11,7 @@
 
 #include <cassert>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <unordered_map>
 
@@ -234,10 +235,15 @@ Token Lexer::lexNumber() {
                                : TokenKind::IntLiteral,
                       Begin);
   std::string Spelling(T.Text);
-  if (IsDouble)
+  if (IsDouble) {
     T.DoubleValue = std::strtod(Spelling.c_str(), nullptr);
-  else
-    T.IntValue = std::strtoll(Spelling.c_str(), nullptr, 10);
+    return T;
+  }
+  errno = 0;
+  T.IntValue = std::strtoll(Spelling.c_str(), nullptr, 10);
+  if (errno == ERANGE)
+    Diags.error(SourceLocation(FileID, Begin),
+                "integer literal '" + Spelling + "' is out of range");
   return T;
 }
 

@@ -20,7 +20,7 @@ using namespace dmm::stats;
 namespace {
 
 /// Rows rendered in the waterfall before truncating (keeps the page
-/// readable and small for span-heavy warm-cache runs).
+/// readable and small for span-heavy runs).
 constexpr size_t kMaxWaterfallRows = 600;
 constexpr size_t kTopHotSpans = 10;
 /// Dead-byte heat rows rendered before truncating.
@@ -82,22 +82,6 @@ std::vector<uint64_t> selfTimes(const StatsDocument &D) {
     Self[I] = Dur > ChildNanos[I] ? Dur - ChildNanos[I] : 0;
   }
   return Self;
-}
-
-uint64_t counterOrZero(const StatsDocument &D, std::string_view Name) {
-  for (const auto &[K, V] : D.Counters)
-    if (K == Name)
-      return V;
-  return 0;
-}
-
-bool hasCounterPrefix(const StatsDocument &D, std::string_view Prefix) {
-  for (const auto &[K, V] : D.Counters) {
-    (void)V;
-    if (K.size() > Prefix.size() && K.compare(0, Prefix.size(), Prefix) == 0)
-      return true;
-  }
-  return false;
 }
 
 } // namespace
@@ -195,39 +179,6 @@ void stats::renderHtmlReport(const StatsDocument &D, std::ostream &OS) {
     OS << " &middot; " << ms(S.DurNanos) << " ms</span></div>\n";
   }
   OS << "</div>\n";
-
-  // --- Cache hit table ---------------------------------------------------
-  if (hasCounterPrefix(D, "cache.")) {
-    OS << "<h2>Summary cache</h2>\n<table>\n"
-          "<tr><th>metric</th><th class=\"num\">value</th></tr>\n";
-    for (const char *Key :
-         {"cache.lookups", "cache.hits", "cache.misses", "cache.stores",
-          "cache.evictions", "cache.bytes"})
-      OS << "<tr><td>" << Key << "</td><td class=\"num\">"
-         << counterOrZero(D, Key) << "</td></tr>\n";
-    OS << "</table>\n";
-
-    // Per-file rows from the summary.file spans, when present.
-    bool Header = false;
-    for (const SpanStat &S : D.Spans) {
-      if (S.Name != "summary.file")
-        continue;
-      if (!Header) {
-        OS << "<h2>Per-file summaries</h2>\n<table>\n"
-              "<tr><th>file</th><th>cache</th><th class=\"num\">wall ms"
-              "</th><th class=\"num\">peak mem</th></tr>\n";
-        Header = true;
-      }
-      OS << "<tr><td>";
-      escape(OS, S.strArg("file"));
-      OS << "</td><td>" << (S.intArg("cached") ? "hit" : "miss")
-         << "</td><td class=\"num\">" << ms(S.DurNanos)
-         << "</td><td class=\"num\">" << bytes(S.MemPeakBytes)
-         << "</td></tr>\n";
-    }
-    if (Header)
-      OS << "</table>\n";
-  }
 
   // --- Shadow profiler ---------------------------------------------------
   if (D.Profiler.Present) {

@@ -8,7 +8,7 @@
 /// Renders a stats document (telemetry/Stats.h) as a single
 /// self-contained HTML page — no external assets, no script
 /// dependencies — with a span waterfall, the top-N hot spans by self
-/// time, the cache hit table, and all counters. Driven by the driver's
+/// time, and all counters. Driven by the driver's
 /// `--report=FILE.html` flag, either from the live run or from a
 /// previously written stats file (`--from-stats=FILE`).
 ///

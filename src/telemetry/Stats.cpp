@@ -18,20 +18,6 @@
 using namespace dmm;
 using namespace dmm::stats;
 
-uint64_t SpanStat::intArg(std::string_view Key, uint64_t Default) const {
-  for (const auto &[K, V] : IntArgs)
-    if (K == Key)
-      return V;
-  return Default;
-}
-
-std::string SpanStat::strArg(std::string_view Key) const {
-  for (const auto &[K, V] : StrArgs)
-    if (K == Key)
-      return V;
-  return std::string();
-}
-
 namespace {
 
 std::pair<std::string_view, std::string_view>

@@ -17,7 +17,7 @@
 /// consumers must ignore unknown fields. A breaking change increments
 /// "version". Timing/memory fields (start_ns, wall_ns, cpu_ns,
 /// mem_net_bytes, mem_peak_bytes, and "jobs") vary run to run; all
-/// other fields are deterministic for a given input and cache state.
+/// other fields are deterministic for a given input.
 ///
 /// StatsDocument is deliberately decoupled from the live Telemetry
 /// registry: it can be built from a registry (buildStats) or parsed
@@ -66,11 +66,6 @@ struct SpanStat {
   unsigned Depth = 0;
   std::vector<std::pair<std::string, uint64_t>> IntArgs;
   std::vector<std::pair<std::string, std::string>> StrArgs;
-
-  /// Integer arg lookup; \p Default when absent.
-  uint64_t intArg(std::string_view Key, uint64_t Default = 0) const;
-  /// String arg lookup; empty when absent.
-  std::string strArg(std::string_view Key) const;
 };
 
 /// One row of the flat phase aggregate.

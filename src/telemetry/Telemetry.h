@@ -39,7 +39,7 @@
 /// Span names are part of the tool's observable interface (benches and
 /// tests grep for them): "lex", "parse", "sema", "callgraph",
 /// "analysis", "eliminate", "interp", and the dotted sub-spans
-/// ("analysis.scan", "summary.file", "cache.lookup", ...). Counter
+/// ("analysis.scan", "analysis.replay", "vm.compile", ...). Counter
 /// names are dotted, prefixed by their namespace (e.g.
 /// "analysis.exprs_visited").
 ///

@@ -594,11 +594,13 @@ Value VM::binaryOp(const Value &L, unsigned OpKRaw, const Value &R) {
     }
     if (R.asInt() == 0)
       fail("integer division by zero");
+    if (intDivOverflows(L.asInt(), R.asInt()))
+      fail("integer division overflow");
     return Value::ofInt(L.asInt() / R.asInt());
   case BinaryOpKind::Rem:
     if (R.asInt() == 0)
       fail("integer remainder by zero");
-    return Value::ofInt(L.asInt() % R.asInt());
+    return Value::ofInt(intRem(L.asInt(), R.asInt()));
   case BinaryOpKind::Shl:
     return Value::ofInt(L.asInt() << (R.asInt() & 63));
   case BinaryOpKind::Shr:
@@ -669,11 +671,13 @@ Value VM::compoundCompute(const Value &Old, unsigned OpKRaw, const Value &R) {
     }
     if (R.asInt() == 0)
       fail("integer division by zero");
+    if (intDivOverflows(Old.asInt(), R.asInt()))
+      fail("integer division overflow");
     return Value::ofInt(Old.asInt() / R.asInt());
   case AssignOpKind::RemAssign:
     if (R.asInt() == 0)
       fail("integer remainder by zero");
-    return Value::ofInt(Old.asInt() % R.asInt());
+    return Value::ofInt(intRem(Old.asInt(), R.asInt()));
   case AssignOpKind::Assign:
     break;
   }
@@ -1462,6 +1466,8 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
         (I->C & 1) ? Mod.Consts[I->X].IntVal : R[I->D].IntVal;
     if (B == 0)
       fail("integer division by zero");
+    if (intDivOverflows(R[I->B].IntVal, B))
+      fail("integer division overflow");
     long long V = R[I->B].IntVal / B;
     Value &Dv = R[I->A];
     Dv.Kind = Value::VK::Int;
@@ -1474,7 +1480,7 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
         (I->C & 1) ? Mod.Consts[I->X].IntVal : R[I->D].IntVal;
     if (B == 0)
       fail("integer remainder by zero");
-    long long V = R[I->B].IntVal % B;
+    long long V = intRem(R[I->B].IntVal, B);
     Value &Dv = R[I->A];
     Dv.Kind = Value::VK::Int;
     Dv.IntVal = V;

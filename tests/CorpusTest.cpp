@@ -6,17 +6,15 @@
 ///
 /// \file
 /// Golden-corpus regression tests: every program under tests/corpus/
-/// has a checked-in expected JSON report, and the monolithic,
-/// summary-linked, cold-cache, and warm-cache pipelines must all
-/// reproduce it byte-for-byte. Regenerate goldens after an intentional
-/// report change with DMM_UPDATE_GOLDEN=1 (then review the diff).
+/// has a checked-in expected JSON report, and the analysis must
+/// reproduce it byte-for-byte at --jobs 1 and 4. Regenerate goldens
+/// after an intentional report change with DMM_UPDATE_GOLDEN=1 (then
+/// review the diff).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/DeadMemberAnalysis.h"
 #include "analysis/Report.h"
-#include "cache/IncrementalAnalysis.h"
-#include "cache/SummaryCache.h"
 #include "driver/Frontend.h"
 #include "interp/Interpreter.h"
 #include "support/ThreadPool.h"
@@ -46,6 +44,12 @@ struct CorpusEntry {
   const char *Name;
   std::vector<CorpusFile> Files;
 };
+
+/// Without this, gtest prints the parameter as raw bytes, pointer
+/// values included, so the listed test names change from run to run.
+void PrintTo(const CorpusEntry &Entry, std::ostream *OS) {
+  *OS << '"' << Entry.Name << '"';
+}
 
 const CorpusEntry kCorpus[] = {
     {"basics", {{"basics.mcc"}}},
@@ -88,28 +92,13 @@ std::unique_ptr<Compilation> compileEntry(const CorpusEntry &Entry) {
 
 /// Renders the report exactly like the CLI's --json path (provenance
 /// recorded, locations resolved through the SourceManager).
-std::string renderMonolithic(Compilation &C) {
+std::string renderReport(Compilation &C) {
   AnalysisOptions Opts;
   Opts.RecordProvenance = true;
   DeadMemberAnalysis A(C.context(), C.hierarchy(), Opts);
   DeadMemberResult R = A.run(C.mainFunction());
   std::ostringstream OS;
   printJsonReport(OS, C.context(), R, &C.SM);
-  return OS.str();
-}
-
-std::string renderSummary(Compilation &C, SummaryCache *Cache) {
-  AnalysisOptions Opts;
-  Opts.RecordProvenance = true;
-  DeadMemberAnalysis A(C.context(), C.hierarchy(), Opts);
-  std::string Error;
-  std::optional<DeadMemberResult> R = runSummaryAnalysis(
-      C.context(), C.SM, A, C.mainFunction(), Opts, Cache, &Error);
-  EXPECT_TRUE(R.has_value()) << "summary link failed: " << Error;
-  if (!R)
-    return "";
-  std::ostringstream OS;
-  printJsonReport(OS, C.context(), *R, &C.SM);
   return OS.str();
 }
 
@@ -133,14 +122,18 @@ std::string firstDifference(const std::string &Expected,
   }
 }
 
-class CorpusTest : public ::testing::TestWithParam<CorpusEntry> {};
+class CorpusTest : public ::testing::TestWithParam<CorpusEntry> {
+protected:
+  void TearDown() override { setGlobalJobs(1); }
+};
 
 TEST_P(CorpusTest, AllPipelinesMatchGolden) {
   const CorpusEntry &Entry = GetParam();
   auto C = compileEntry(Entry);
   ASSERT_TRUE(C->Success);
 
-  const std::string Monolithic = renderMonolithic(*C);
+  setGlobalJobs(1);
+  const std::string Report = renderReport(*C);
   const std::filesystem::path GoldenPath =
       corpusDir() / (std::string(Entry.Name) + ".expected.json");
 
@@ -148,46 +141,18 @@ TEST_P(CorpusTest, AllPipelinesMatchGolden) {
   if (Update && *Update && std::string(Update) != "0") {
     std::ofstream Out(GoldenPath, std::ios::binary);
     ASSERT_TRUE(Out.good()) << "cannot write " << GoldenPath;
-    Out << Monolithic;
+    Out << Report;
   }
 
   const std::string Golden = readFile(GoldenPath);
-  EXPECT_EQ(Golden, Monolithic)
-      << "monolithic report diverges from golden "
-      << GoldenPath.filename() << "\n"
-      << firstDifference(Golden, Monolithic);
+  EXPECT_EQ(Golden, Report)
+      << "report diverges from golden " << GoldenPath.filename() << "\n"
+      << firstDifference(Golden, Report);
 
-  const std::string Linked = renderSummary(*C, /*Cache=*/nullptr);
-  EXPECT_EQ(Golden, Linked) << "summary-linked report diverges from golden\n"
-                            << firstDifference(Golden, Linked);
-
-  const std::filesystem::path CacheDir =
-      std::filesystem::path(::testing::TempDir()) /
-      (std::string("dmm-corpus-cache-") + Entry.Name);
-  std::filesystem::remove_all(CacheDir);
-
-  const uint64_t NumFiles = Entry.Files.size();
-  {
-    SummaryCache Cache(SummaryCache::Config{CacheDir.string()});
-    const std::string Cold = renderSummary(*C, &Cache);
-    EXPECT_EQ(Golden, Cold) << "cold-cache report diverges from golden\n"
-                            << firstDifference(Golden, Cold);
-    SummaryCache::Stats S = Cache.stats();
-    EXPECT_EQ(S.Hits, 0u);
-    EXPECT_EQ(S.Misses, NumFiles);
-    EXPECT_EQ(S.Lookups, S.Hits + S.Misses);
-  }
-  {
-    SummaryCache Cache(SummaryCache::Config{CacheDir.string()});
-    const std::string Warm = renderSummary(*C, &Cache);
-    EXPECT_EQ(Golden, Warm) << "warm-cache report diverges from golden\n"
-                            << firstDifference(Golden, Warm);
-    SummaryCache::Stats S = Cache.stats();
-    EXPECT_EQ(S.Hits, NumFiles);
-    EXPECT_EQ(S.Misses, 0u);
-    EXPECT_EQ(S.Lookups, S.Hits + S.Misses);
-  }
-  std::filesystem::remove_all(CacheDir);
+  setGlobalJobs(4);
+  const std::string Parallel = renderReport(*C);
+  EXPECT_EQ(Golden, Parallel) << "report diverges from golden at --jobs 4\n"
+                              << firstDifference(Golden, Parallel);
 }
 
 INSTANTIATE_TEST_SUITE_P(Programs, CorpusTest, ::testing::ValuesIn(kCorpus),
@@ -202,9 +167,9 @@ INSTANTIATE_TEST_SUITE_P(Programs, CorpusTest, ::testing::ValuesIn(kCorpus),
 // tests/corpus/fuzzed/ holds the coverage-distilled programs picked by
 // `dmm-fuzz --coverage-sweep --distill` (docs/TESTING.md §liveness-
 // driven generation). They are single-file programs with no goldens;
-// the contract is *internal agreement*: all four analysis pipelines at
-// --jobs 1 and 4 must produce one identical report, and both execution
-// engines must produce one identical observable run.
+// the contract is *internal agreement*: the analysis at --jobs 1 and 4
+// must produce one identical report, and both execution engines must
+// produce one identical observable run.
 
 std::vector<std::string> fuzzedCorpusFiles() {
   std::vector<std::string> Names;
@@ -237,45 +202,16 @@ TEST_P(FuzzedCorpusTest, PipelinesAgreeAcrossJobs) {
   auto C = compileFuzzed(GetParam());
   ASSERT_TRUE(C->Success);
 
-  const std::filesystem::path CacheDir =
-      std::filesystem::path(::testing::TempDir()) /
-      ("dmm-fuzzed-cache-" + GetParam());
-
   std::string Reference;
   for (unsigned Jobs : {1u, 4u}) {
     setGlobalJobs(Jobs);
-    const std::string Mono = renderMonolithic(*C);
+    const std::string Report = renderReport(*C);
     if (Reference.empty())
-      Reference = Mono; // jobs=1 monolithic is the reference.
-    EXPECT_EQ(Reference, Mono)
-        << "monolithic report diverges at --jobs " << Jobs << "\n"
-        << firstDifference(Reference, Mono);
-
-    const std::string Linked = renderSummary(*C, /*Cache=*/nullptr);
-    EXPECT_EQ(Reference, Linked)
-        << "summary-linked report diverges at --jobs " << Jobs << "\n"
-        << firstDifference(Reference, Linked);
-
-    std::filesystem::remove_all(CacheDir);
-    {
-      SummaryCache Cache(SummaryCache::Config{CacheDir.string()});
-      const std::string Cold = renderSummary(*C, &Cache);
-      EXPECT_EQ(Reference, Cold)
-          << "cold-cache report diverges at --jobs " << Jobs << "\n"
-          << firstDifference(Reference, Cold);
-    }
-    {
-      SummaryCache Cache(SummaryCache::Config{CacheDir.string()});
-      const std::string Warm = renderSummary(*C, &Cache);
-      EXPECT_EQ(Reference, Warm)
-          << "warm-cache report diverges at --jobs " << Jobs << "\n"
-          << firstDifference(Reference, Warm);
-      SummaryCache::Stats S = Cache.stats();
-      EXPECT_EQ(S.Hits, 1u);
-      EXPECT_EQ(S.Misses, 0u);
-    }
+      Reference = Report; // The jobs=1 report is the reference.
+    EXPECT_EQ(Reference, Report)
+        << "report diverges at --jobs " << Jobs << "\n"
+        << firstDifference(Reference, Report);
   }
-  std::filesystem::remove_all(CacheDir);
 }
 
 TEST_P(FuzzedCorpusTest, EnginesAgreeByteForByte) {

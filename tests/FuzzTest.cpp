@@ -16,12 +16,12 @@
 
 #include "TestUtil.h"
 
-#include "cache/Hash.h"
 #include "fuzz/Coverage.h"
 #include "fuzz/Feedback.h"
 #include "fuzz/Oracles.h"
 #include "fuzz/ProgramGenerator.h"
 #include "fuzz/Shrinker.h"
+#include "support/Hash.h"
 
 using namespace dmm;
 using namespace dmm::test;
@@ -527,7 +527,7 @@ class LivenessOracleSweep : public ::testing::TestWithParam<int> {};
 TEST_P(LivenessOracleSweep, LiveDrivenProgramsPassAllOracles) {
   // The planner's rewiring (retargeted address-taken/pointer-to-member
   // sites, suppressed reads, cast gating) must never produce a program
-  // the six oracles reject.
+  // the five oracles reject.
   for (double Target : {0.0, 0.5, 0.9}) {
     fuzz::GeneratorOptions Opts;
     Opts.TargetDeadRatio = Target;

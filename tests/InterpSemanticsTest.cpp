@@ -430,6 +430,46 @@ TEST_P(InterpSemantics, MemberAccessThroughNullObjectPointer) {
                      "null", "5\n");
 }
 
+// LLONG_MIN / -1 overflows (the host CPU traps on it), so it is a guest
+// runtime error; LLONG_MIN % -1 is 0. Each form is pinned: register
+// operands (the VM's DivII/RemII fast path), a member operand (the
+// generic binary operator), and compound assignment to a local and to
+// a member.
+const char *const kIntMinPrelude = R"(
+    class O { public: int v; };
+    int main() {
+      O o;
+      o.v = -9223372036854775807 - 1;
+      int m = -9223372036854775807 - 1;
+      int d = -1;
+      int r = m;
+      print_int(1);
+)";
+
+TEST_P(InterpSemantics, IntMinDividedByMinusOneIsARuntimeError) {
+  for (const char *Form :
+       {"r = m / d;", "r = o.v / d;", "r /= d;", "o.v /= d;"}) {
+    SCOPED_TRACE(Form);
+    expectRuntimeError(std::string(kIntMinPrelude) + Form +
+                           "\n print_int(2);\n return 0;\n }\n",
+                       "integer division overflow", "1\n");
+  }
+}
+
+TEST_P(InterpSemantics, IntMinRemainderMinusOneIsZero) {
+  EXPECT_EQ(outputOf(std::string(kIntMinPrelude) + R"(
+      print_int(m % d);
+      print_int(o.v % d);
+      r %= d;
+      print_int(r);
+      o.v %= d;
+      print_int(o.v);
+      return 0;
+    }
+  )"),
+            "1\n0\n0\n0\n0\n");
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Engines, InterpSemantics,
     ::testing::Values(EngineKind::Tree, EngineKind::Vm),

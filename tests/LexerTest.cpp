@@ -66,6 +66,24 @@ TEST(Lexer, IntegerLiterals) {
   EXPECT_EQ(Tokens[2].IntValue, 123456789);
 }
 
+TEST(Lexer, OutOfRangeIntegerLiteralIsAnError) {
+  unsigned Errors = 0;
+  auto Tokens = lexAll("9223372036854775807", &Errors);
+  EXPECT_EQ(Errors, 0u);
+  EXPECT_EQ(Tokens[0].IntValue, INT64_MAX);
+
+  for (const char *Text : {"9223372036854775808", "99999999999999999999"}) {
+    SourceManager SM;
+    uint32_t ID = SM.addBuffer("test.mcc", Text);
+    DiagnosticsEngine Diags(SM);
+    Lexer L(SM, ID, Diags);
+    L.lexAll();
+    ASSERT_EQ(Diags.errorCount(), 1u) << Text;
+    EXPECT_EQ(Diags.diagnostics()[0].Message,
+              std::string("integer literal '") + Text + "' is out of range");
+  }
+}
+
 TEST(Lexer, DoubleLiterals) {
   auto Tokens = lexAll("3.25 1e3 2.5e-2");
   EXPECT_EQ(Tokens[0].Kind, TokenKind::DoubleLiteral);

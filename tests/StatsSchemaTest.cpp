@@ -379,8 +379,8 @@ stats::StatsDocument syntheticDoc() {
   D.Tool = "deadmember test";
   D.Jobs = 2;
   D.MemAccounting = true;
-  const char *Names[] = {"pipeline", "lex", "analysis", "summary.file",
-                         "cache.lookup"};
+  const char *Names[] = {"pipeline", "lex", "analysis", "analysis.scan",
+                         "analysis.replay"};
   for (uint64_t I = 0; I != 5; ++I) {
     stats::SpanStat S;
     S.Id = I + 1;
@@ -391,27 +391,24 @@ stats::StatsDocument syntheticDoc() {
     S.DurNanos = (5 - I) * 1000000;
     S.CpuNanos = S.DurNanos / 2;
     S.MemPeakBytes = static_cast<int64_t>((I + 1) * 4096);
-    if (S.Name == std::string("summary.file")) {
+    if (S.Name == std::string("analysis.scan")) {
       S.StrArgs.emplace_back("file", "suite/a.mcc");
-      S.IntArgs.emplace_back("cached", 1);
+      S.IntArgs.emplace_back("functions", 1);
     }
     D.Spans.push_back(std::move(S));
   }
   D.Phases.push_back({"analysis", 3000000, 1});
-  D.Counters.emplace_back("cache.hits", 1);
-  D.Counters.emplace_back("cache.lookups", 1);
+  D.Counters.emplace_back("analysis.exprs_visited", 1);
   return D;
 }
 
-TEST(HtmlReport, ContainsTopHotSpansWaterfallAndCacheTable) {
+TEST(HtmlReport, ContainsTopHotSpansAndWaterfall) {
   std::ostringstream OS;
   stats::renderHtmlReport(syntheticDoc(), OS);
   const std::string Html = OS.str();
   EXPECT_NE(Html.find("<!DOCTYPE html>"), std::string::npos);
   EXPECT_NE(Html.find("Top 5 hot spans"), std::string::npos);
   EXPECT_NE(Html.find("Span waterfall"), std::string::npos);
-  EXPECT_NE(Html.find("Summary cache"), std::string::npos);
-  EXPECT_NE(Html.find("cache.hits"), std::string::npos);
   EXPECT_NE(Html.find("suite/a.mcc"), std::string::npos);
   EXPECT_NE(Html.find("pipeline"), std::string::npos);
   // Self-contained: no external references.

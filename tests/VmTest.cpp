@@ -668,6 +668,12 @@ struct CorpusEntry {
   std::vector<CorpusFile> Files;
 };
 
+/// Without this, gtest prints the parameter as raw bytes, pointer
+/// values included, so the listed test names change from run to run.
+void PrintTo(const CorpusEntry &Entry, std::ostream *OS) {
+  *OS << '"' << Entry.Name << '"';
+}
+
 const CorpusEntry kCorpus[] = {
     {"basics", {{"basics.mcc"}}},
     {"inheritance", {{"inheritance.mcc"}}},
