@@ -16,7 +16,6 @@
 #ifndef DMM_BENCH_BENCHSTATS_H
 #define DMM_BENCH_BENCHSTATS_H
 
-#include "support/ThreadPool.h"
 #include "telemetry/Stats.h"
 #include "telemetry/Telemetry.h"
 
@@ -79,8 +78,7 @@ inline void foldBenchStats(const Telemetry &Tel) {
 inline bool writeBenchStats(const std::string &File, const char *Suite) {
   if (File.empty())
     return true;
-  stats::StatsDocument D = stats::buildStats(benchStatsRegistry(), Suite,
-                                             globalThreadPool().jobs());
+  stats::StatsDocument D = stats::buildStats(benchStatsRegistry(), Suite);
   std::ofstream OS(File, std::ios::binary | std::ios::trunc);
   if (!OS) {
     std::fprintf(stderr, "error: cannot write stats file '%s'\n",

@@ -19,7 +19,6 @@
 #include "benchgen/Synthesizer.h"
 #include "driver/Frontend.h"
 #include "interp/Interpreter.h"
-#include "support/ThreadPool.h"
 #include "telemetry/Telemetry.h"
 #include "trace/DynamicMetrics.h"
 
@@ -42,71 +41,43 @@ struct BenchmarkRun {
   bool ExecutedOK = false;
 };
 
-/// Compiles, analyzes, and executes every benchmark of the suite. The
-/// eleven pipelines are independent, so they fan out across the global
-/// ThreadPool; the result vector stays in suite order. Exits with an
-/// error message if any program fails to compile or run (the harness
-/// must never silently report partial results) — failures are collected
-/// per benchmark and reported in suite order on the calling thread.
+/// Compiles, analyzes, and executes every benchmark of the suite, in
+/// suite order. Exits with an error message if any program fails to
+/// compile or run (the harness must never silently report partial
+/// results).
 inline std::vector<BenchmarkRun> runSuite(double Scale = 1.0,
                                           AnalysisOptions Options = {}) {
-  std::vector<GeneratedBenchmark> Programs = paperBenchmarkPrograms(Scale);
-
-  struct Outcome {
-    BenchmarkRun Run;
-    std::string Error;
-  };
-  std::vector<Outcome> Outcomes =
-      globalThreadPool().parallelMap<Outcome>(
-          Programs.size(), [&](size_t I) {
-            GeneratedBenchmark &G = Programs[I];
-            Outcome Out;
-            // Counters tallied inside the pipeline merge once at scope
-            // exit instead of contending on the telemetry lock.
-            TelemetryShard Shard(Telemetry::active());
-            Out.Run.Spec = G.Spec;
-            Out.Run.Comp = compileProgram(G.Files, nullptr);
-            if (!Out.Run.Comp->Success) {
-              Out.Error = "failed to compile";
-              return Out;
-            }
-            DeadMemberAnalysis A(Out.Run.Comp->context(),
-                                 Out.Run.Comp->hierarchy(), Options);
-            Out.Run.Analysis = A.run(Out.Run.Comp->mainFunction());
-            Out.Run.Stats = computeProgramStats(
-                Out.Run.Comp->context(), Out.Run.Analysis, &Out.Run.Comp->SM,
-                Out.Run.Comp->UserFileIDs);
-
-            AllocationTrace Trace;
-            InterpOptions IO;
-            IO.Trace = &Trace;
-            Interpreter Interp(Out.Run.Comp->context(),
-                               Out.Run.Comp->hierarchy(), IO);
-            ExecResult E = Interp.run(Out.Run.Comp->mainFunction());
-            if (!E.Completed) {
-              Out.Error = "failed to run: " + E.Error;
-              return Out;
-            }
-            Out.Run.ExecutedOK = true;
-            LayoutEngine Layout(Out.Run.Comp->hierarchy());
-            Out.Run.Dynamic = computeDynamicMetrics(
-                Trace, Layout, Out.Run.Analysis.deadSet());
-            return Out;
-          });
-
   std::vector<BenchmarkRun> Runs;
-  bool Failed = false;
-  for (Outcome &Out : Outcomes) {
-    if (!Out.Error.empty()) {
+  for (GeneratedBenchmark &G : paperBenchmarkPrograms(Scale)) {
+    BenchmarkRun Run;
+    Run.Spec = G.Spec;
+    auto Fail = [&](const std::string &Error) {
       std::fprintf(stderr, "error: benchmark '%s' %s\n",
-                   Out.Run.Spec.Name.c_str(), Out.Error.c_str());
-      Failed = true;
-      continue;
-    }
-    Runs.push_back(std::move(Out.Run));
+                   Run.Spec.Name.c_str(), Error.c_str());
+      std::exit(1);
+    };
+    Run.Comp = compileProgram(G.Files, nullptr);
+    if (!Run.Comp->Success)
+      Fail("failed to compile");
+    DeadMemberAnalysis A(Run.Comp->context(), Run.Comp->hierarchy(),
+                         Options);
+    Run.Analysis = A.run(Run.Comp->mainFunction());
+    Run.Stats = computeProgramStats(Run.Comp->context(), Run.Analysis,
+                                    &Run.Comp->SM, Run.Comp->UserFileIDs);
+
+    AllocationTrace Trace;
+    InterpOptions IO;
+    IO.Trace = &Trace;
+    Interpreter Interp(Run.Comp->context(), Run.Comp->hierarchy(), IO);
+    ExecResult E = Interp.run(Run.Comp->mainFunction());
+    if (!E.Completed)
+      Fail("failed to run: " + E.Error);
+    Run.ExecutedOK = true;
+    LayoutEngine Layout(Run.Comp->hierarchy());
+    Run.Dynamic = computeDynamicMetrics(Trace, Layout,
+                                        Run.Analysis.deadSet());
+    Runs.push_back(std::move(Run));
   }
-  if (Failed)
-    std::exit(1);
   return Runs;
 }
 

@@ -12,7 +12,6 @@
 #                      existing baseline via scripts/bench_history.py
 #                      (exit 1 on a stable-benchmark regression)
 #   --threshold <r>    relative slowdown tolerated by --compare
-#   DMM_THREADS=N      worker threads for the parallel pipeline stages
 set -e
 cd "$(dirname "$0")/.."
 

@@ -19,7 +19,7 @@ Subcommands:
   compare A B               check that two stats files agree on
                             everything except the run-varying timing
                             fields (jobs, start_ns, wall_ns, cpu_ns,
-                            mem_*_bytes) -- the cross---jobs
+                            mem_*_bytes) -- the run-to-run
                             determinism contract
   check-crash FILE          check a dmm-crash-<pid>.json crash report:
                             dmm-crash schema v1, a non-empty span stack,
@@ -46,9 +46,9 @@ DIAGNOSTICS_FIELDS = (
     "log_error", "log_warn", "log_info", "log_debug", "log_trace",
     "recorder_events", "recorder_dropped", "crashes",
 )
-# Flight-recorder totals depend on how work distributed across threads
-# (ring wrap-around is per-thread), so the cross---jobs compare skips
-# them; the log counters and crash count must still match.
+# Flight-recorder totals count every span and log event, so they move
+# with the span set (ring wrap-around is per-thread); compare skips
+# them, but the log counters and crash count must still match.
 DIAGNOSTICS_RUN_VARYING = frozenset(("recorder_events", "recorder_dropped"))
 
 CRASH_COUNTER_FIELDS = DIAGNOSTICS_FIELDS[:-1]  # No "crashes" key.
@@ -74,8 +74,8 @@ SPAN_NUMERIC_FIELDS = (
     "id", "parent", "depth", "start_ns", "wall_ns", "cpu_ns",
     "mem_net_bytes", "mem_peak_bytes",
 )
-# Fields expected to differ between otherwise-identical runs (different
-# --jobs, different machine load). Everything else must be bit-equal.
+# Fields expected to differ between otherwise-identical runs (machine
+# load, allocator state). Everything else must be bit-equal.
 TIMING_FIELDS = frozenset(
     ("start_ns", "wall_ns", "cpu_ns", "mem_net_bytes", "mem_peak_bytes"))
 
@@ -275,8 +275,8 @@ def cmd_validate_trace(path):
 
 def span_paths(doc):
     """Order-independent span identities: the name path from the root
-    plus non-timing args. Span record order varies run to run when
-    workers interleave, so ids cannot be compared directly."""
+    plus non-timing args, so records compare independently of their
+    order and ids."""
     by_id = {s["id"]: s for s in doc["spans"]}
     paths = []
     for s in doc["spans"]:
@@ -299,7 +299,7 @@ def normalized(doc):
         "phases": [(p["name"], p["calls"]) for p in doc["phases"]],
         "counters": sorted(doc["counters"].items()),
         # The whole profiler section is deterministic (counts and byte
-        # totals, no timing), so it must be bit-equal across --jobs.
+        # totals, no timing), so it must be bit-equal across runs.
         "profiler": doc.get("profiler"),
         "diagnostics": diagnostics_normalized(doc.get("diagnostics")),
         "spans": span_paths(doc),

@@ -9,7 +9,6 @@
 #include "analysis/Scanner.h"
 #include "ast/ASTContext.h"
 #include "hierarchy/ClassHierarchy.h"
-#include "support/ThreadPool.h"
 #include "telemetry/Telemetry.h"
 
 #include <cassert>
@@ -63,7 +62,7 @@ std::vector<const FieldDecl *> DeadMemberResult::deadMembers() const {
 }
 
 //===----------------------------------------------------------------------===//
-// DeadMemberAnalysis: replay + closure
+// DeadMemberAnalysis: marking + closure
 //===----------------------------------------------------------------------===//
 //
 // The statement/expression walker lives in analysis/Scanner.h
@@ -98,40 +97,19 @@ DeadMemberResult DeadMemberAnalysis::run(const FunctionDecl *Main) {
     UsedGraph = &OwnedGraph;
   }
 
-  // Lines 6-8, scan side: walk the global initializers and every
-  // statement of every reachable function, collecting mark events. The
-  // per-function scans are independent pure reads, so they fan out
-  // across the pool.
-  ScanOutput GlobalScan;
-  std::vector<const FunctionDecl *> Fns;
-  std::vector<ScanOutput> Scans;
+  // Lines 6-8: walk the global initializers and every statement of
+  // every reachable function (decl-ID order), marking as we go.
   {
     Span ScanSpan("analysis.scan");
-    LivenessScanner GlobalScanner(Options);
+    LivenessScanner Scanner(*this);
     for (const VarDecl *GV : Ctx.globals())
-      GlobalScanner.scanGlobal(GV);
-    GlobalScan = GlobalScanner.take();
-
-    Fns = UsedGraph->reachableFunctions();
-    Scans = globalThreadPool().parallelMap<ScanOutput>(
-        Fns.size(), [&](size_t I) {
-          LivenessScanner S(Options);
-          S.scanFunction(Fns[I]);
-          return S.take();
-        });
+      Scanner.scanGlobal(GV);
+    const std::vector<const FunctionDecl *> Fns =
+        UsedGraph->reachableFunctions();
+    for (const FunctionDecl *FD : Fns)
+      Scanner.scanFunction(FD);
+    NumFunctionsProcessed = Fns.size();
     ScanSpan.arg("functions", Fns.size());
-  }
-
-  // Replay in deterministic order — globals first, then functions in
-  // the (decl-ID sorted) reachable order — so first-cause-wins marks,
-  // sweep dedup, and provenance are identical at any --jobs level.
-  {
-    Span ReplaySpan("analysis.replay");
-    applyScan(GlobalScan);
-    for (const ScanOutput &Scan : Scans) {
-      ++NumFunctionsProcessed;
-      applyScan(Scan);
-    }
   }
 
   // Lines 9-11: union closure. A union must be closed when any member it
@@ -178,25 +156,6 @@ DeadMemberResult DeadMemberAnalysis::run(const FunctionDecl *Main) {
   }
 
   return Result;
-}
-
-void DeadMemberAnalysis::applyScan(const ScanOutput &Scan) {
-  NumExprsVisited += Scan.ExprsVisited;
-  for (const MarkEvent &E : Scan.Events) {
-    if (Options.RecordProvenance) {
-      ProvLoc = E.Loc;
-      ProvVia = nullptr;
-      ProvTrigger = nullptr;
-    }
-    if (E.Field) {
-      markLive(E.Field, E.Reason);
-      continue;
-    }
-    if (Options.RecordProvenance)
-      ProvVia = E.Sweep;
-    markAllContainedMembers(E.Sweep, E.Reason);
-    ProvVia = nullptr;
-  }
 }
 
 const FieldDecl *

@@ -43,8 +43,6 @@ namespace dmm {
 class ASTContext;
 class ClassHierarchy;
 class Expr;
-struct MarkEvent;
-struct ScanOutput;
 
 /// How `sizeof` affects liveness (paper §3.2).
 enum class SizeofPolicy {
@@ -195,15 +193,10 @@ private:
 
 /// Runs the detection algorithm of paper Figure 2.
 ///
-/// Execution model: the per-function statement scan is a pure read of
-/// the AST (it never consults earlier marks), so scans fan out across
-/// the global ThreadPool, each producing an ordered buffer of mark
-/// events. The buffers are then replayed on the calling thread in
-/// deterministic order (globals, then reachable functions by decl ID),
-/// where first-cause-wins marking, sweep dedup, and provenance
-/// recording happen exactly as in a sequential walk — so reports,
-/// `--explain` chains, and telemetry totals are byte-identical at any
-/// `--jobs` level.
+/// The scan (analysis/Scanner.h) visits the global initializers, then
+/// the reachable functions in decl-ID order, and marks each member as
+/// it finds the first cause; that fixed order makes first-cause-wins
+/// reasons, sweep dedup and provenance deterministic.
 class DeadMemberAnalysis {
 public:
   DeadMemberAnalysis(const ASTContext &Ctx, const ClassHierarchy &CH,
@@ -222,8 +215,7 @@ public:
   const CallGraph &callGraph() const { return *UsedGraph; }
 
 private:
-  /// Replays a scan buffer through markLive/markAllContainedMembers.
-  void applyScan(const ScanOutput &Scan);
+  friend class LivenessScanner;
 
   /// The first live member transitively contained in \p CD (the union
   /// closure trigger), or null.
@@ -243,7 +235,7 @@ private:
   BitVector MarkVisited; ///< MarkAllContainedMembers dedup, by declID.
 
   /// \name Provenance context (valid only while RecordProvenance)
-  /// The location of the event being replayed, and the sweep edge
+  /// The location of the mark being applied, and the sweep edge
   /// (class + triggering member) during a MarkAllContainedMembers
   /// cascade; markLive() snapshots them.
   /// @{

@@ -5,17 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The scan side of the paper's Figure 2 algorithm: the read-only
-/// statement/expression walker that DeadMemberAnalysis runs once per
-/// reachable function (and once over the global initializers).
-///
-/// A Scanner performs a pure read of one function's (or one global
-/// initializer's) AST — it never consults earlier liveness marks; every
-/// decision depends only on the AST and the immutable AnalysisOptions —
-/// so one Scanner per function can run on any thread. Causes are
-/// emitted as an ordered MarkEvent buffer; first-cause-wins resolution,
-/// sweep dedup, and provenance recording happen later, during the
-/// deterministic replay in DeadMemberAnalysis.
+/// The scan side of the paper's Figure 2 algorithm: the
+/// statement/expression walker that DeadMemberAnalysis runs over the
+/// global initializers and every reachable function. Each liveness
+/// cause is marked on the analysis as soon as it is found, with the
+/// marking expression's location as provenance.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,34 +20,13 @@
 #include "ast/ASTWalker.h"
 #include "ast/Expr.h"
 
-#include <utility>
-#include <vector>
-
 namespace dmm {
 
-/// One liveness cause observed by a function scan, in scan order.
-/// Direct marks carry the field; sweep marks (unsafe cast / sizeof)
-/// carry the root class whose contained members are marked at replay.
-struct MarkEvent {
-  const FieldDecl *Field = nullptr; ///< Direct mark target, or null.
-  const ClassDecl *Sweep = nullptr; ///< Sweep root, or null.
-  LivenessReason Reason = LivenessReason::NotAccessed;
-  SourceLocation Loc; ///< The marking expression's location.
-};
-
-/// Output of scanning one function (or one global's initializers).
-struct ScanOutput {
-  std::vector<MarkEvent> Events;
-  uint64_t ExprsVisited = 0;
-};
-
-/// The read-only statement/expression walker (paper Fig. 2, scan side).
+/// The statement/expression walker (paper Fig. 2, scan side).
 class LivenessScanner {
 public:
-  explicit LivenessScanner(const AnalysisOptions &Options)
-      : Options(Options) {}
-
-  ScanOutput take() { return std::move(Out); }
+  explicit LivenessScanner(DeadMemberAnalysis &A)
+      : A(A), Options(A.Options) {}
 
   void scanFunction(const FunctionDecl *FD) {
     // Constructor initializer lists: targets are writes; arguments are
@@ -105,13 +78,14 @@ private:
     return E;
   }
 
-  void emitMark(const FieldDecl *F, LivenessReason Reason) {
-    Out.Events.push_back({F, nullptr, Reason, CurLoc});
+  void markField(const FieldDecl *F, LivenessReason Reason) {
+    A.ProvLoc = CurLoc;
+    A.markLive(F, Reason);
   }
 
-  /// Emits a contained-member sweep of the class named by \p Ty
+  /// Marks every member contained in the class named by \p Ty
   /// (stripping pointers/references/arrays), if any.
-  void emitSweepOfType(const Type *Ty, LivenessReason Reason) {
+  void markContainedMembersOf(const Type *Ty, LivenessReason Reason) {
     // Strip indirections: an unsafe cast of a C* exposes C's members.
     for (;;) {
       if (const auto *PT = dyn_cast<PointerType>(Ty)) {
@@ -128,18 +102,22 @@ private:
       }
       break;
     }
-    if (const ClassDecl *CD = Ty->asClassDecl())
-      Out.Events.push_back({nullptr, CD, Reason, CurLoc});
+    if (const ClassDecl *CD = Ty->asClassDecl()) {
+      A.ProvLoc = CurLoc;
+      A.ProvVia = CD;
+      A.markAllContainedMembers(CD, Reason);
+      A.ProvVia = nullptr;
+    }
   }
 
   /// Records a write to \p F (ctor initializers and assignment LHS).
   void noteWrite(const FieldDecl *F) {
     if (F->isVolatile()) {
-      emitMark(F, LivenessReason::VolatileWrite);
+      markField(F, LivenessReason::VolatileWrite);
       return;
     }
     if (Options.TreatWritesAsLive)
-      emitMark(F, LivenessReason::Written);
+      markField(F, LivenessReason::Written);
   }
 
   /// Visits the outermost node of an assignment target (plain `=`).
@@ -168,7 +146,7 @@ private:
                      !Options.AssumeDowncastsSafe);
       if (Unsafe) {
         CurLoc = CE->location();
-        emitSweepOfType(CE->sub()->type(), LivenessReason::UnsafeCast);
+        markContainedMembersOf(CE->sub()->type(), LivenessReason::UnsafeCast);
       }
     }
     const Expr *Stripped = stripCasts(E);
@@ -183,20 +161,20 @@ private:
 
   /// Visits \p E in read context.
   void visit(const Expr *E) {
-    ++Out.ExprsVisited;
+    ++A.NumExprsVisited;
     CurLoc = E->location();
     switch (E->kind()) {
     case Expr::Kind::Member: {
       const auto *ME = cast<MemberExpr>(E);
       if (const auto *F = dyn_cast_or_null<FieldDecl>(ME->member()))
-        emitMark(F, LivenessReason::Read);
+        markField(F, LivenessReason::Read);
       visit(ME->base());
       return;
     }
     case Expr::Kind::DeclRef: {
       const auto *DRE = cast<DeclRefExpr>(E);
       if (const auto *F = dyn_cast_or_null<FieldDecl>(DRE->referent()))
-        emitMark(F, LivenessReason::Read);
+        markField(F, LivenessReason::Read);
       return;
     }
     case Expr::Kind::MemberPointerConstant: {
@@ -204,7 +182,7 @@ private:
       // may be accessed anywhere.
       const auto *MPC = cast<MemberPointerConstantExpr>(E);
       if (const FieldDecl *F = MPC->member())
-        emitMark(F, LivenessReason::PointerToMember);
+        markField(F, LivenessReason::PointerToMember);
       return;
     }
     case Expr::Kind::Unary: {
@@ -212,7 +190,7 @@ private:
       if (UE->op() == UnaryOpKind::AddrOf) {
         if (const FieldDecl *F = directFieldAccess(UE->sub())) {
           // &e.m: conservatively live; we do not trace the address.
-          emitMark(F, LivenessReason::AddressTaken);
+          markField(F, LivenessReason::AddressTaken);
           if (const auto *ME = dyn_cast<MemberExpr>(UE->sub()))
             visit(ME->base());
           return;
@@ -264,7 +242,7 @@ private:
                     (CE->safety() == CastSafety::Downcast &&
                      !Options.AssumeDowncastsSafe);
       if (Unsafe)
-        emitSweepOfType(CE->sub()->type(), LivenessReason::UnsafeCast);
+        markContainedMembersOf(CE->sub()->type(), LivenessReason::UnsafeCast);
       visit(CE->sub());
       return;
     }
@@ -273,7 +251,7 @@ private:
         const auto *SE = cast<SizeofExpr>(E);
         const Type *Ty =
             SE->typeOperand() ? SE->typeOperand() : SE->exprOperand()->type();
-        emitSweepOfType(Ty, LivenessReason::SizeofConservative);
+        markContainedMembersOf(Ty, LivenessReason::SizeofConservative);
       }
       // The operand of sizeof is unevaluated: no reads occur.
       return;
@@ -284,12 +262,11 @@ private:
     }
   }
 
+  DeadMemberAnalysis &A;
   const AnalysisOptions &Options;
-  /// Mirrors the sequential analysis's provenance location: the
-  /// expression currently being visited (or a ctor-initializer field's
-  /// location). Every emitted event snapshots it.
+  /// Provenance location of the next mark: the expression being
+  /// visited, or a ctor-initializer field's location.
   SourceLocation CurLoc;
-  ScanOutput Out;
 };
 
 } // namespace dmm

@@ -69,6 +69,12 @@ public:
   bool isLValue() const { return LValue; }
   void setLValue(bool B = true) { LValue = B; }
 
+  /// Height of this expression tree: 1 for a leaf, else one more than
+  /// its tallest operand. Set by the parser, which bounds it by
+  /// Parser::kMaxNestingDepth.
+  unsigned height() const { return Height; }
+  void setHeight(unsigned H) { Height = H; }
+
 protected:
   Expr(Kind K, SourceLocation Loc) : K(K), Loc(Loc) {}
   ~Expr() = default;
@@ -76,6 +82,7 @@ protected:
 private:
   Kind K;
   SourceLocation Loc;
+  unsigned Height = 1;
   const Type *Ty = nullptr;
   bool LValue = false;
 };

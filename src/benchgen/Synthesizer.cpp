@@ -445,8 +445,8 @@ std::string Emitter::emit() {
 /// and character literals and comments). The concatenation of the parts
 /// is the original text verbatim, and files parse in order sharing one
 /// name table, so a split program is semantically identical to the
-/// single-file form — it just gives the per-file parallel lex stage
-/// units of work.
+/// single-file form, but reaches the frontend as several buffers, as a
+/// multi-file project would.
 std::vector<SourceFile> splitTopLevel(const std::string &BaseName,
                                       std::string Text, size_t Parts = 8) {
   std::vector<size_t> Boundaries;
@@ -782,10 +782,11 @@ dmm::paperBenchmarkPrograms(double Scale) {
     } else {
       G = synthesizeBenchmark(Spec, Scale);
     }
-    // Split each program at top-level boundaries so the per-file
-    // parallel lex stage has units of work (semantically identical:
-    // the parts concatenate back to the original text and parse in
-    // order into one name table).
+    // Split each program at top-level boundaries so it reaches the
+    // frontend as a multi-file project would: several buffers, one
+    // `lex.file` span each (semantically identical: the parts
+    // concatenate back to the original text and parse in order into
+    // one name table).
     G.Files = splitTopLevel(G.Spec.Name, std::move(G.Files[0].Text));
     Result.push_back(std::move(G));
   }

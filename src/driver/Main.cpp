@@ -18,7 +18,6 @@
 #include "interp/Interpreter.h"
 #include "profiler/ShadowProfiler.h"
 #include "vm/VM.h"
-#include "support/ThreadPool.h"
 #include "telemetry/CrashHandler.h"
 #include "telemetry/FlightRecorder.h"
 #include "telemetry/HtmlReport.h"
@@ -138,10 +137,9 @@ int usage() {
          "                           read at run time is classified "
          "live)\n"
          "  --dead-functions         also list unreachable functions\n"
-         "  --jobs=<N>               worker threads for the parallel\n"
-         "                           pipeline stages (default: all cores;\n"
-         "                           also: DMM_THREADS env var). Reports\n"
-         "                           are identical at every value\n"
+         "  --jobs=<N>               accepted for compatibility; the\n"
+         "                           pipeline runs on one thread, so N\n"
+         "                           (a positive integer) has no effect\n"
          "  --metrics[=<file>]       print the pipeline phase/counter\n"
          "                           table (also: DMM_METRICS=1 env var,\n"
          "                           which prints to stderr)\n"
@@ -319,7 +317,6 @@ bool parseArgs(int Argc, char **Argv, DriverOptions &Opts) {
                   << Value << "'\n";
         return false;
       }
-      setGlobalJobs(static_cast<unsigned>(Jobs));
     } else if (Arg.rfind("--log-level=", 0) == 0) {
       std::string Value = Arg.substr(12);
       LogLevel Level;
@@ -408,9 +405,8 @@ struct TelemetryEmitter {
     }
     if (Opts.StatsJsonFile.empty() && Opts.ReportFile.empty())
       return;
-    stats::StatsDocument Doc = stats::buildStats(
-        Tel, std::string("deadmember ") + kToolVersion,
-        globalThreadPool().jobs());
+    stats::StatsDocument Doc =
+        stats::buildStats(Tel, std::string("deadmember ") + kToolVersion);
     if (Profiler && Profiler->Present)
       Doc.Profiler = *Profiler;
     if (!Opts.StatsJsonFile.empty()) {

@@ -25,7 +25,6 @@
 #include "fuzz/Shrinker.h"
 
 #include "driver/Frontend.h"
-#include "support/ThreadPool.h"
 #include "telemetry/CrashHandler.h"
 #include "telemetry/FlightRecorder.h"
 #include "telemetry/Json.h"
@@ -104,11 +103,11 @@ int usage() {
          "Differential fuzzing for the dead-member pipeline: random\n"
          "MiniC++ programs are run through five oracles (differential\n"
          "semantics of the eliminated program, dynamic soundness of the\n"
-         "analysis, configuration invariance across --jobs levels and\n"
-         "call-graph precision, shadow-profiler agreement with the\n"
-         "trace replay, and bytecode-VM equivalence with the\n"
-         "tree-walking interpreter). Failures are shrunk to\n"
-         "minimal reproducers. Everything is deterministic in the seed.\n"
+         "analysis, monotonicity in call-graph precision, shadow-\n"
+         "profiler agreement with the trace replay, and bytecode-VM\n"
+         "equivalence with the tree-walking interpreter). Failures are\n"
+         "shrunk to minimal reproducers. Everything is deterministic in\n"
+         "the seed.\n"
          "\n"
          "options:\n"
          "  --seeds <N>|<A>..<B>     seed range, inclusive (default "
@@ -151,8 +150,6 @@ int usage() {
          "                           the read exemption / the bytecode\n"
          "                           compiler to validate that the\n"
          "                           oracles catch it\n"
-         "  --jobs=<N>               base worker threads (the invariance\n"
-         "                           oracle still sweeps its own levels)\n"
          "  --metrics                print the fuzz counter table at "
          "exit\n"
          "  --verbose                log every seed, not just failures\n"
@@ -251,16 +248,6 @@ bool parseArgs(int Argc, char **Argv, FuzzOptions &Opts) {
                      "count-dealloc-reads, vm-miscompile)\n";
         return false;
       }
-    } else if (Arg.rfind("--jobs=", 0) == 0) {
-      std::string V = Arg.substr(7);
-      char *End = nullptr;
-      unsigned long Jobs = std::strtoul(V.c_str(), &End, 10);
-      if (V.empty() || *End || Jobs == 0) {
-        std::cerr << "error: --jobs expects a positive integer, got '"
-                  << V << "'\n";
-        return false;
-      }
-      setGlobalJobs(static_cast<unsigned>(Jobs));
     } else if (Arg.rfind("--target-dead-ratio=", 0) == 0) {
       std::string V = Arg.substr(20);
       char *End = nullptr;

@@ -6,11 +6,9 @@
 
 #include "fuzz/Oracles.h"
 
-#include "analysis/Report.h"
 #include "driver/Frontend.h"
 #include "interp/Interpreter.h"
 #include "profiler/ShadowProfiler.h"
-#include "support/ThreadPool.h"
 #include "telemetry/Telemetry.h"
 #include "trace/DynamicMetrics.h"
 #include "vm/VM.h"
@@ -46,26 +44,6 @@ OracleOutcome fail(const char *Oracle, std::string Detail) {
   Out.FailedOracle = Oracle;
   Out.Detail = std::move(Detail);
   return Out;
-}
-
-/// Compiles, analyzes (with provenance) and renders the JSON report —
-/// the byte-compared unit of the jobs-invariance oracle.
-bool renderReport(const std::string &Source, const AnalysisOptions &Base,
-                  std::string &Report, std::string &Error) {
-  std::ostringstream Diag;
-  auto C = compileString(Source, &Diag);
-  if (!C->Success) {
-    Error = "does not compile: " + Diag.str();
-    return false;
-  }
-  AnalysisOptions Opts = Base;
-  Opts.RecordProvenance = true;
-  DeadMemberAnalysis A(C->context(), C->hierarchy(), Opts);
-  DeadMemberResult R = A.run(C->mainFunction());
-  std::ostringstream OS;
-  printJsonReport(OS, C->context(), R, &C->SM);
-  Report = OS.str();
-  return true;
 }
 
 /// Everything one engine exposes through the InterpOptions hook surface
@@ -349,43 +327,6 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
   }
 
   if (Config.Invariance) {
-    // Jobs invariance: the JSON report (classification, reasons,
-    // provenance, locations) must be byte-identical at every worker
-    // count.
-    if (Config.JobsLevels.size() > 1) {
-      unsigned SavedJobs = globalThreadPool().jobs();
-      std::string Reference, ReferenceError;
-      bool JobsFailed = false;
-      OracleOutcome JobsOutcome;
-      for (size_t I = 0; I != Config.JobsLevels.size(); ++I) {
-        setGlobalJobs(Config.JobsLevels[I]);
-        std::string Report, Error;
-        if (!renderReport(Source, Config.Analysis, Report, Error)) {
-          JobsOutcome = fail("invariance-jobs",
-                             "at --jobs=" +
-                                 std::to_string(Config.JobsLevels[I]) +
-                                 " the program " + Error);
-          JobsFailed = true;
-          break;
-        }
-        if (I == 0) {
-          Reference = Report;
-        } else if (Report != Reference) {
-          JobsOutcome = fail(
-              "invariance-jobs",
-              "JSON report differs between --jobs=" +
-                  std::to_string(Config.JobsLevels[0]) + " and --jobs=" +
-                  std::to_string(Config.JobsLevels[I]));
-          JobsFailed = true;
-          break;
-        }
-      }
-      setGlobalJobs(SavedJobs);
-      if (JobsFailed)
-        return JobsOutcome;
-      (void)ReferenceError;
-    }
-
     // Monotonic precision: a more precise call graph never loses a
     // dead member, and the write-as-live baseline never beats the
     // paper's algorithm.

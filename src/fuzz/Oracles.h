@@ -15,9 +15,7 @@
 ///  2. *Dynamic soundness* — every member whose value is read during
 ///     interpretation must be classified live by the analysis
 ///     (DESIGN.md §6; the paper's central invariant).
-///  3. *Configuration invariance* — the JSON classification report must
-///     be byte-identical at every `--jobs` level (the parallel
-///     pipeline's determinism guarantee), and the dead set must grow
+///  3. *Configuration invariance* — the dead set must grow
 ///     monotonically with call-graph precision
 ///     (baseline ⊆ paper, Trivial ⊆ CHA ⊆ RTA ⊆ PTA).
 ///  4. *Profiler agreement* — the shadow-memory profiler's online
@@ -46,7 +44,6 @@
 #include "transform/DeadMemberEliminator.h"
 
 #include <string>
-#include <vector>
 
 namespace dmm {
 namespace fuzz {
@@ -62,10 +59,6 @@ struct OracleConfig {
   /// Base analysis configuration (defaults reproduce the paper's:
   /// RTA call graph, deallocation exemption, union closure).
   AnalysisOptions Analysis;
-
-  /// Worker counts the invariance oracle compares; reports must be
-  /// byte-identical across all of them.
-  std::vector<unsigned> JobsLevels = {1, 4};
 
   /// \name Fault injection (harness self-validation; docs/TESTING.md)
   /// @{
@@ -87,8 +80,8 @@ struct OracleConfig {
 struct OracleOutcome {
   bool Passed = true;
   /// Empty when Passed; otherwise one of "frontend", "runtime",
-  /// "semantics", "soundness", "invariance-jobs",
-  /// "invariance-monotonic", "profiler", "engine".
+  /// "semantics", "soundness", "invariance-monotonic", "profiler",
+  /// "engine".
   std::string FailedOracle;
   /// Human-readable failure description (first violation wins).
   std::string Detail;

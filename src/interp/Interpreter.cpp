@@ -834,7 +834,7 @@ Storage *Interpreter::evalLValue(const Expr *E) {
         return P.Ptr.Pointee;
       fail("pointer arithmetic on non-array pointer");
     }
-    long long Absolute = P.Ptr.Index + Index;
+    long long Absolute = intAdd(P.Ptr.Index, Index);
     if (Absolute < 0 ||
         static_cast<size_t>(Absolute) >= P.Ptr.Array->Elems.size())
       fail("pointer subscript out of bounds");
@@ -987,7 +987,7 @@ Value Interpreter::loadOrDecay(Storage *S) {
 static Pointer advancePointer(Pointer P, long long Delta) {
   if (!P.Array)
     return P; // Arithmetic on a non-array pointer: only +0 is meaningful.
-  P.Index += Delta;
+  P.Index = intAdd(P.Index, Delta);
   P.Pointee = (P.Index >= 0 &&
                static_cast<size_t>(P.Index) < P.Array->Elems.size())
                   ? P.Array->Elems[static_cast<size_t>(P.Index)]
@@ -1001,7 +1001,7 @@ Value Interpreter::evalUnary(const UnaryExpr *E) {
     Value V = evalRValue(E->sub());
     if (V.Kind == Value::VK::Double)
       return Value::ofDouble(-V.asDouble());
-    return Value::ofInt(-V.asInt());
+    return Value::ofInt(intNeg(V.asInt()));
   }
   case UnaryOpKind::Not:
     return Value::ofBool(!evalRValue(E->sub()).asBool());
@@ -1027,7 +1027,7 @@ Value Interpreter::evalUnary(const UnaryExpr *E) {
         Value BaseV = evalRValue(SE->base());
         if (BaseV.Kind != Value::VK::Ptr)
           fail("subscript of non-pointer");
-        Index = BaseV.Ptr.Index + evalRValue(SE->index()).asInt();
+        Index = intAdd(BaseV.Ptr.Index, evalRValue(SE->index()).asInt());
         P.Array = BaseV.Ptr.Array;
         if (!P.Array)
           return Value::ofPtr({BaseV.Ptr.Pointee});
@@ -1063,7 +1063,7 @@ Value Interpreter::evalUnary(const UnaryExpr *E) {
     else if (Old.Kind == Value::VK::Double)
       New = Value::ofDouble(Old.asDouble() + Delta);
     else
-      New = Value::ofInt(Old.asInt() + Delta);
+      New = Value::ofInt(intAdd(Old.asInt(), Delta));
     storeScalar(S, New, E->sub()->type());
     bool IsPre = E->op() == UnaryOpKind::PreInc ||
                  E->op() == UnaryOpKind::PreDec;
@@ -1096,10 +1096,10 @@ Value Interpreter::evalBinary(const BinaryExpr *E) {
     case BinaryOpKind::Sub:
       if (L.Kind == Value::VK::Ptr && R.Kind == Value::VK::Ptr) {
         if (L.Ptr.Array && L.Ptr.Array == R.Ptr.Array)
-          return Value::ofInt(L.Ptr.Index - R.Ptr.Index);
+          return Value::ofInt(intSub(L.Ptr.Index, R.Ptr.Index));
         fail("difference of pointers into different arrays");
       }
-      return Value::ofPtr(advancePointer(L.Ptr, -R.asInt()));
+      return Value::ofPtr(advancePointer(L.Ptr, intNeg(R.asInt())));
     case BinaryOpKind::EQ:
       if (L.Kind == Value::VK::FnPtr || R.Kind == Value::VK::FnPtr)
         return Value::ofBool(L.Fn == R.Fn);
@@ -1133,13 +1133,13 @@ Value Interpreter::evalBinary(const BinaryExpr *E) {
   switch (E->op()) {
   case BinaryOpKind::Add:
     return UseDouble ? Value::ofDouble(L.asDouble() + R.asDouble())
-                     : Value::ofInt(L.asInt() + R.asInt());
+                     : Value::ofInt(intAdd(L.asInt(), R.asInt()));
   case BinaryOpKind::Sub:
     return UseDouble ? Value::ofDouble(L.asDouble() - R.asDouble())
-                     : Value::ofInt(L.asInt() - R.asInt());
+                     : Value::ofInt(intSub(L.asInt(), R.asInt()));
   case BinaryOpKind::Mul:
     return UseDouble ? Value::ofDouble(L.asDouble() * R.asDouble())
-                     : Value::ofInt(L.asInt() * R.asInt());
+                     : Value::ofInt(intMul(L.asInt(), R.asInt()));
   case BinaryOpKind::Div:
     if (UseDouble) {
       if (R.asDouble() == 0.0)
@@ -1250,7 +1250,7 @@ Value Interpreter::evalAssign(const AssignExpr *E) {
   if (Old.Kind == Value::VK::Ptr) {
     long long Delta = R.asInt();
     if (E->op() == AssignOpKind::SubAssign)
-      Delta = -Delta;
+      Delta = intNeg(Delta);
     else if (E->op() != AssignOpKind::AddAssign)
       fail("invalid compound assignment on pointer");
     New = Value::ofPtr(advancePointer(Old.Ptr, Delta));
@@ -1260,15 +1260,15 @@ Value Interpreter::evalAssign(const AssignExpr *E) {
     switch (E->op()) {
     case AssignOpKind::AddAssign:
       New = UseDouble ? Value::ofDouble(Old.asDouble() + R.asDouble())
-                      : Value::ofInt(Old.asInt() + R.asInt());
+                      : Value::ofInt(intAdd(Old.asInt(), R.asInt()));
       break;
     case AssignOpKind::SubAssign:
       New = UseDouble ? Value::ofDouble(Old.asDouble() - R.asDouble())
-                      : Value::ofInt(Old.asInt() - R.asInt());
+                      : Value::ofInt(intSub(Old.asInt(), R.asInt()));
       break;
     case AssignOpKind::MulAssign:
       New = UseDouble ? Value::ofDouble(Old.asDouble() * R.asDouble())
-                      : Value::ofInt(Old.asInt() * R.asInt());
+                      : Value::ofInt(intMul(Old.asInt(), R.asInt()));
       break;
     case AssignOpKind::DivAssign:
       if (UseDouble) {

@@ -135,6 +135,27 @@ inline long long intRem(long long A, long long B) {
 }
 /// @}
 
+/// \name Guest integer + - * and negation (shared by both engines)
+/// Guest integers wrap in two's complement: INT64_MAX + 1 is INT64_MIN.
+/// The operation runs on unsigned values, where wrapping is defined,
+/// and converts back, which C++20 defines as modular; a signed host
+/// overflow would be undefined behaviour.
+/// @{
+inline long long intAdd(long long A, long long B) {
+  return static_cast<long long>(static_cast<unsigned long long>(A) +
+                                static_cast<unsigned long long>(B));
+}
+inline long long intSub(long long A, long long B) {
+  return static_cast<long long>(static_cast<unsigned long long>(A) -
+                                static_cast<unsigned long long>(B));
+}
+inline long long intMul(long long A, long long B) {
+  return static_cast<long long>(static_cast<unsigned long long>(A) *
+                                static_cast<unsigned long long>(B));
+}
+inline long long intNeg(long long A) { return intSub(0, A); }
+/// @}
+
 } // namespace dmm
 
 #endif // DMM_INTERP_VALUE_H

@@ -398,10 +398,14 @@ Token Lexer::lex() {
 
 std::vector<Token> Lexer::lexAll() {
   std::vector<Token> Tokens;
+  // Real sources average more than two bytes per token (the benchmark
+  // programs about 2.5), so this usually holds every token. Growing by
+  // doubling instead touches about twice the pages, and page faults
+  // dominate lexing time.
+  Tokens.reserve(Text.size() / 2 + 1);
   for (;;) {
-    Token T = lex();
-    Tokens.push_back(T);
-    if (T.is(TokenKind::EndOfFile))
+    Tokens.push_back(lex());
+    if (Tokens.back().is(TokenKind::EndOfFile))
       return Tokens;
   }
 }

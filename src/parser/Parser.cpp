@@ -6,18 +6,45 @@
 
 #include "parser/Parser.h"
 
+#include "ast/ASTWalker.h"
 #include "lexer/Lexer.h"
 #include "support/Diagnostics.h"
 #include "support/SourceManager.h"
 #include "telemetry/Telemetry.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace dmm;
 
+namespace {
+/// Thrown when the input nests deeper than Parser::kMaxNestingDepth.
+struct NestingTooDeep {
+  SourceLocation Loc;
+};
+} // namespace
+
 Parser::Parser(ASTContext &Ctx, const SourceManager &SM,
                DiagnosticsEngine &Diags)
     : Ctx(Ctx), SM(SM), Diags(Diags) {}
+
+Parser::NestingGuard::NestingGuard(Parser &P) : P(P) {
+  if (++P.Nesting > kMaxNestingDepth) {
+    --P.Nesting;
+    throw NestingTooDeep{P.cur().Loc};
+  }
+}
+
+Expr *Parser::nest(Expr *E) {
+  unsigned Tallest = 0;
+  forEachChildExpr(E, [&](const Expr *Child) {
+    Tallest = std::max(Tallest, Child->height());
+  });
+  if (Tallest >= kMaxNestingDepth)
+    throw NestingTooDeep{E->location()};
+  E->setHeight(Tallest + 1);
+  return E;
+}
 
 //===----------------------------------------------------------------------===//
 // Token stream helpers
@@ -248,8 +275,15 @@ bool Parser::parseTokens(std::vector<Token> NewTokens) {
   Tokens = std::move(NewTokens);
   Pos = 0;
   unsigned ErrorsBefore = Diags.errorCount();
-  while (cur().isNot(TokenKind::EndOfFile))
-    parseTopLevelDecl();
+  try {
+    while (cur().isNot(TokenKind::EndOfFile))
+      parseTopLevelDecl();
+  } catch (const NestingTooDeep &E) {
+    // The rest of the buffer is abandoned; declarations parsed so far
+    // stay, so Sema still reports what it can.
+    Diags.error(E.Loc, "nesting too deep (the limit is " +
+                           std::to_string(kMaxNestingDepth) + " levels)");
+  }
   return Diags.errorCount() == ErrorsBefore;
 }
 
@@ -732,6 +766,7 @@ CompoundStmt *Parser::parseCompoundStmt() {
 }
 
 Stmt *Parser::parseStmt() {
+  NestingGuard Guard(*this);
   switch (cur().Kind) {
   case TokenKind::LBrace:
     return parseCompoundStmt();
@@ -883,7 +918,7 @@ Expr *Parser::parseExpr() {
     SourceLocation Loc = cur().Loc;
     consume();
     Expr *RHS = parseAssign();
-    LHS = Ctx.create<CommaExpr>(LHS, RHS, Loc);
+    LHS = nest(Ctx.create<CommaExpr>(LHS, RHS, Loc));
   }
   return LHS;
 }
@@ -906,16 +941,18 @@ Expr *Parser::parseAssign() {
   if (isAssignOp(cur().Kind, Op)) {
     SourceLocation Loc = cur().Loc;
     consume();
+    NestingGuard Guard(*this);
     Expr *RHS = parseAssign(); // Right-associative.
-    return Ctx.create<AssignExpr>(Op, LHS, RHS, Loc);
+    return nest(Ctx.create<AssignExpr>(Op, LHS, RHS, Loc));
   }
   if (cur().is(TokenKind::Question)) {
     SourceLocation Loc = cur().Loc;
     consume();
+    NestingGuard Guard(*this);
     Expr *Then = parseExpr();
     expect(TokenKind::Colon, "in conditional expression");
     Expr *Else = parseAssign();
-    return Ctx.create<ConditionalExpr>(LHS, Then, Else, Loc);
+    return nest(Ctx.create<ConditionalExpr>(LHS, Then, Else, Loc));
   }
   return LHS;
 }
@@ -960,31 +997,37 @@ Expr *Parser::parseBinary(int MinPrec) {
     SourceLocation Loc = cur().Loc;
     consume();
     Expr *RHS = parseBinary(Info.Prec + 1);
-    LHS = Ctx.create<BinaryExpr>(Info.Op, LHS, RHS, Loc);
+    LHS = nest(Ctx.create<BinaryExpr>(Info.Op, LHS, RHS, Loc));
   }
 }
 
 Expr *Parser::parseUnary() {
+  NestingGuard Guard(*this);
   SourceLocation Loc = cur().Loc;
   switch (cur().Kind) {
   case TokenKind::Minus:
     consume();
-    return Ctx.create<UnaryExpr>(UnaryOpKind::Minus, parseUnary(), Loc);
+    return nest(Ctx.create<UnaryExpr>(UnaryOpKind::Minus, parseUnary(), Loc));
   case TokenKind::Exclaim:
     consume();
-    return Ctx.create<UnaryExpr>(UnaryOpKind::Not, parseUnary(), Loc);
+    return nest(
+        Ctx.create<UnaryExpr>(UnaryOpKind::Not, parseUnary(), Loc));
   case TokenKind::Tilde:
     consume();
-    return Ctx.create<UnaryExpr>(UnaryOpKind::BitNot, parseUnary(), Loc);
+    return nest(
+        Ctx.create<UnaryExpr>(UnaryOpKind::BitNot, parseUnary(), Loc));
   case TokenKind::Star:
     consume();
-    return Ctx.create<UnaryExpr>(UnaryOpKind::Deref, parseUnary(), Loc);
+    return nest(
+        Ctx.create<UnaryExpr>(UnaryOpKind::Deref, parseUnary(), Loc));
   case TokenKind::PlusPlus:
     consume();
-    return Ctx.create<UnaryExpr>(UnaryOpKind::PreInc, parseUnary(), Loc);
+    return nest(
+        Ctx.create<UnaryExpr>(UnaryOpKind::PreInc, parseUnary(), Loc));
   case TokenKind::MinusMinus:
     consume();
-    return Ctx.create<UnaryExpr>(UnaryOpKind::PreDec, parseUnary(), Loc);
+    return nest(
+        Ctx.create<UnaryExpr>(UnaryOpKind::PreDec, parseUnary(), Loc));
   case TokenKind::Amp: {
     consume();
     // Pointer-to-member constant `&C::m`.
@@ -1000,7 +1043,8 @@ Expr *Parser::parseUnary() {
                                                    std::move(MemberName),
                                                    Loc);
     }
-    return Ctx.create<UnaryExpr>(UnaryOpKind::AddrOf, parseUnary(), Loc);
+    return nest(
+        Ctx.create<UnaryExpr>(UnaryOpKind::AddrOf, parseUnary(), Loc));
   }
   case TokenKind::KwNew:
     return parseNew();
@@ -1011,7 +1055,7 @@ Expr *Parser::parseUnary() {
       expect(TokenKind::RBracket, "in 'delete[]'");
       IsArray = true;
     }
-    return Ctx.create<DeleteExpr>(parseUnary(), IsArray, Loc);
+    return nest(Ctx.create<DeleteExpr>(parseUnary(), IsArray, Loc));
   }
   case TokenKind::KwSizeof: {
     consume();
@@ -1022,7 +1066,7 @@ Expr *Parser::parseUnary() {
       Result = Ctx.create<SizeofExpr>(Ty, nullptr, Loc);
     } else {
       Expr *Operand = parseExpr();
-      Result = Ctx.create<SizeofExpr>(nullptr, Operand, Loc);
+      Result = nest(Ctx.create<SizeofExpr>(nullptr, Operand, Loc));
     }
     expect(TokenKind::RParen, "after 'sizeof' operand");
     return Result;
@@ -1041,7 +1085,7 @@ Expr *Parser::parseUnary() {
     expect(TokenKind::RParen, "in named cast");
     if (!Ty)
       return Sub;
-    return Ctx.create<CastExpr>(Style, Ty, Sub, Loc);
+    return nest(Ctx.create<CastExpr>(Style, Ty, Sub, Loc));
   }
   case TokenKind::LParen:
     // C-style cast: `(T)unary`.
@@ -1052,7 +1096,7 @@ Expr *Parser::parseUnary() {
       Expr *Sub = parseUnary();
       if (!Ty)
         return Sub;
-      return Ctx.create<CastExpr>(CastStyle::CStyle, Ty, Sub, Loc);
+      return nest(Ctx.create<CastExpr>(CastStyle::CStyle, Ty, Sub, Loc));
     }
     return parsePostfix();
   default:
@@ -1085,8 +1129,8 @@ Expr *Parser::parsePostfix() {
         Name = std::string(cur().Text);
         consume();
       }
-      E = Ctx.create<MemberExpr>(E, IsArrow, std::move(Name),
-                                 std::move(Qualifier), Loc);
+      E = nest(Ctx.create<MemberExpr>(E, IsArrow, std::move(Name),
+                                      std::move(Qualifier), Loc));
       break;
     }
     case TokenKind::PeriodStar:
@@ -1094,28 +1138,28 @@ Expr *Parser::parsePostfix() {
       bool IsArrow = cur().is(TokenKind::ArrowStar);
       consume();
       Expr *Pointer = parseUnary();
-      E = Ctx.create<MemberPointerAccessExpr>(E, Pointer, IsArrow, Loc);
+      E = nest(Ctx.create<MemberPointerAccessExpr>(E, Pointer, IsArrow, Loc));
       break;
     }
     case TokenKind::LBracket: {
       consume();
       Expr *Index = parseExpr();
       expect(TokenKind::RBracket, "after subscript");
-      E = Ctx.create<SubscriptExpr>(E, Index, Loc);
+      E = nest(Ctx.create<SubscriptExpr>(E, Index, Loc));
       break;
     }
     case TokenKind::LParen: {
       std::vector<Expr *> Args = parseCallArgs();
-      E = Ctx.create<CallExpr>(E, std::move(Args), Loc);
+      E = nest(Ctx.create<CallExpr>(E, std::move(Args), Loc));
       break;
     }
     case TokenKind::PlusPlus:
       consume();
-      E = Ctx.create<UnaryExpr>(UnaryOpKind::PostInc, E, Loc);
+      E = nest(Ctx.create<UnaryExpr>(UnaryOpKind::PostInc, E, Loc));
       break;
     case TokenKind::MinusMinus:
       consume();
-      E = Ctx.create<UnaryExpr>(UnaryOpKind::PostDec, E, Loc);
+      E = nest(Ctx.create<UnaryExpr>(UnaryOpKind::PostDec, E, Loc));
       break;
     default:
       return E;
@@ -1171,7 +1215,7 @@ Expr *Parser::parseNew() {
   } else if (cur().is(TokenKind::LParen)) {
     CtorArgs = parseCallArgs();
   }
-  return Ctx.create<NewExpr>(Ty, std::move(CtorArgs), ArraySize, Loc);
+  return nest(Ctx.create<NewExpr>(Ty, std::move(CtorArgs), ArraySize, Loc));
 }
 
 Expr *Parser::parsePrimary() {

@@ -36,17 +36,25 @@ class SourceManager;
 /// unit.
 class Parser {
 public:
+  /// Deepest nesting the parser accepts, counted both as open
+  /// statements, parentheses, prefix operators and assignments on the
+  /// parser's own stack, and as the height of any expression tree (a
+  /// left-associative chain such as `1+1+...+1` is built without
+  /// recursion but is as deep as it is long). Sema, the analysis, the
+  /// printer and both engines recurse over the AST, so a deeper input is
+  /// rejected with a "nesting too deep" error instead of overflowing the
+  /// host stack.
+  static constexpr unsigned kMaxNestingDepth = 1000;
+
   Parser(ASTContext &Ctx, const SourceManager &SM, DiagnosticsEngine &Diags);
 
   /// Parses buffer \p FileID, appending top-level declarations to the
   /// translation unit. Returns false if any syntax error was reported.
   bool parseBuffer(uint32_t FileID);
 
-  /// Parses a pre-lexed token stream (the lexer runs per-file in
-  /// parallel; parsing stays sequential because it appends to the
-  /// shared ASTContext and accumulates the class-name table across
-  /// files). \p Tokens must end with EndOfFile. Returns false if any
-  /// syntax error was reported.
+  /// Parses a pre-lexed token stream (the frontend lexes every file
+  /// before parsing any). \p Tokens must end with EndOfFile. Returns
+  /// false if any syntax error was reported.
   bool parseTokens(std::vector<Token> Tokens);
 
 private:
@@ -60,6 +68,26 @@ private:
   bool expect(TokenKind K, const char *Context);
   /// Skips tokens until a likely statement/declaration boundary.
   void synchronize();
+  /// @}
+
+  /// \name Nesting budget (kMaxNestingDepth)
+  /// @{
+  /// RAII: one level of parser recursion. Throws once the budget is
+  /// spent; parseTokens catches that and abandons the buffer.
+  class NestingGuard {
+  public:
+    explicit NestingGuard(Parser &P);
+    ~NestingGuard() { --P.Nesting; }
+    NestingGuard(const NestingGuard &) = delete;
+    NestingGuard &operator=(const NestingGuard &) = delete;
+
+  private:
+    Parser &P;
+  };
+  /// Sets \p E's height from its operands, throwing like NestingGuard
+  /// when it exceeds the budget. Every expression with operands the
+  /// parser builds passes through here.
+  Expr *nest(Expr *E);
   /// @}
 
   /// \name Type-name tracking
@@ -132,6 +160,7 @@ private:
   std::vector<Token> Tokens;
   size_t Pos = 0;
   unsigned StartErrors = 0;
+  unsigned Nesting = 0; ///< Open NestingGuards.
 
   /// Class names visible so far (forward declarations included).
   std::unordered_map<std::string, ClassDecl *> ClassNames;

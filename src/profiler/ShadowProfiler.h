@@ -154,7 +154,7 @@ public:
 
   /// Emits profiler.* counters into the active telemetry registry.
   /// Every value is deterministic for a given program, so stats
-  /// documents compare equal across --jobs levels.
+  /// documents compare equal across runs.
   void emitCounters() const;
 
 private:

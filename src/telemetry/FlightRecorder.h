@@ -11,8 +11,8 @@
 /// can be dumped by the async-signal-safe crash handler
 /// (telemetry/CrashHandler.h) without taking locks or allocating.
 ///
-/// Design mirrors the TelemetryShard pattern from PR-5: per-thread
-/// single-writer state registered in a global table. Each ring is
+/// Each thread owns single-writer state registered in a global table,
+/// so a crash on any thread can be dumped. Each ring is
 /// written only by its owning thread (a plain store plus a release
 /// store of the head index), so recording is wait-free and never
 /// contends. All ring memory is allocated once at install() time; after

@@ -53,11 +53,10 @@ void printEscaped(std::ostream &OS, std::string_view S) {
 
 } // namespace
 
-StatsDocument stats::buildStats(const Telemetry &T, std::string Tool,
-                                unsigned Jobs) {
+StatsDocument stats::buildStats(const Telemetry &T, std::string Tool) {
   StatsDocument D;
   D.Tool = std::move(Tool);
-  D.Jobs = Jobs;
+  D.Jobs = 1;
   D.MemAccounting = memacct::available();
 
   // The v3 diagnostics section reflects process-wide observability

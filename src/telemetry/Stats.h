@@ -16,8 +16,9 @@
 /// version, fields are only ever added, never removed or retyped;
 /// consumers must ignore unknown fields. A breaking change increments
 /// "version". Timing/memory fields (start_ns, wall_ns, cpu_ns,
-/// mem_net_bytes, mem_peak_bytes, and "jobs") vary run to run; all
-/// other fields are deterministic for a given input.
+/// mem_net_bytes, mem_peak_bytes) vary run to run; all other fields are
+/// deterministic for a given input. "jobs" is always 1: the pipeline
+/// runs on one thread, and the key stays for schema compatibility.
 ///
 /// StatsDocument is deliberately decoupled from the live Telemetry
 /// registry: it can be built from a registry (buildStats) or parsed
@@ -100,7 +101,7 @@ struct ProfilerSiteRow {
 
 /// The optional "profiler" object introduced in schema version 2. All
 /// fields are deterministic for a given program (no timing), so whole
-/// sections compare equal across --jobs levels.
+/// sections compare equal across runs.
 struct ProfilerSection {
   bool Present = false; ///< Section exists in the document.
   uint64_t ObjectSpace = 0;
@@ -140,7 +141,7 @@ struct DiagnosticsSection {
 struct StatsDocument {
   int Version = kSchemaVersion;
   std::string Tool; ///< e.g. "deadmember 0.3.0".
-  unsigned Jobs = 0;
+  unsigned Jobs = 0; ///< buildStats always writes 1.
   bool MemAccounting = false; ///< Platform supports heap accounting.
   ProfilerSection Profiler; ///< Present only when --profile ran (v2).
   DiagnosticsSection Diagnostics; ///< Filled by buildStats (v3).
@@ -149,10 +150,8 @@ struct StatsDocument {
   std::vector<SpanStat> Spans; ///< In begin order; Spans[I].Id == I+1.
 };
 
-/// Snapshots \p T into a document. Call after parallel regions have
-/// completed.
-StatsDocument buildStats(const Telemetry &T, std::string Tool,
-                         unsigned Jobs);
+/// Snapshots \p T into a document.
+StatsDocument buildStats(const Telemetry &T, std::string Tool);
 
 /// Writes the document as schema-versioned JSON.
 void printStats(const StatsDocument &D, std::ostream &OS);

@@ -6,7 +6,6 @@
 
 #include "telemetry/Telemetry.h"
 
-#include "support/ThreadPool.h"
 #include "telemetry/FlightRecorder.h"
 #include "telemetry/MemoryAccounting.h"
 
@@ -24,13 +23,10 @@
 using namespace dmm;
 
 Telemetry *Telemetry::Active = nullptr;
-thread_local TelemetryShard *TelemetryShard::ActiveShard = nullptr;
 
 namespace {
 
-/// The calling thread's innermost open span. Worker threads get the
-/// submitting thread's value installed for the duration of a
-/// parallelFor via the pool context hooks below.
+/// The calling thread's innermost open span.
 thread_local uint64_t CurrentSpanTL = 0;
 
 uint64_t threadCpuNanos() {
@@ -72,23 +68,6 @@ Telemetry::Telemetry()
   // "memory accounting reported zero" from "platform cannot measure".
   // merge() treats it as a gauge (max), not a sum.
   Counters["telemetry.memacct.enabled"] = memacct::available() ? 1 : 0;
-  // Register the span-context propagation hooks with the thread pool
-  // once per process: workers inherit the submitting thread's current
-  // span for the duration of a parallel loop, so spans opened inside
-  // worker tasks attach to the spawning span. With no registry ever
-  // constructed the pool carries no hooks and no per-task cost.
-  static std::once_flag Once;
-  std::call_once(Once, [] {
-    PoolTaskContext Hooks;
-    Hooks.Capture = [] { return CurrentSpanTL; };
-    Hooks.Install = [](uint64_t Ctx) {
-      uint64_t Saved = CurrentSpanTL;
-      CurrentSpanTL = Ctx;
-      return Saved;
-    };
-    Hooks.Restore = [](uint64_t Saved) { CurrentSpanTL = Saved; };
-    setPoolTaskContext(Hooks);
-  });
 }
 
 uint64_t Telemetry::currentSpanId() { return CurrentSpanTL; }
@@ -106,13 +85,8 @@ void Telemetry::setSpanLimit(size_t Limit) {
 
 void Telemetry::count(const char *Name, uint64_t Delta) {
   Telemetry *T = Active;
-  if (!T)
-    return;
-  if (TelemetryShard *S = TelemetryShard::ActiveShard; S && S->T == T) {
-    S->Local[Name] += Delta;
-    return;
-  }
-  T->addCounter(Name, Delta);
+  if (T)
+    T->addCounter(Name, Delta);
 }
 
 void Telemetry::addCounter(const std::string &Name, uint64_t Delta) {
@@ -213,20 +187,6 @@ void Telemetry::merge(const Telemetry &Other) {
   }
 }
 
-TelemetryShard::TelemetryShard(Telemetry *T)
-    : T(T), Prev(ActiveShard) {
-  ActiveShard = this;
-}
-
-TelemetryShard::~TelemetryShard() {
-  ActiveShard = Prev;
-  if (!T || Local.empty())
-    return;
-  std::lock_guard<std::mutex> Lock(T->Mu);
-  for (const auto &[Name, Delta] : Local)
-    T->Counters[Name] += Delta;
-}
-
 const PhaseStat *Telemetry::phase(const std::string &Name) const {
   auto It = PhaseIndex.find(Name);
   return It == PhaseIndex.end() ? nullptr : &Phases[It->second];
@@ -301,8 +261,7 @@ void Telemetry::printMetrics(std::ostream &OS) const {
   auto Flags = OS.flags();
 
   // Documented stable sort: (namespace, key), where the namespace is
-  // the dotted prefix. First-activation order would vary with worker
-  // interleaving at --jobs > 1.
+  // the dotted prefix.
   std::vector<const PhaseStat *> Sorted;
   Sorted.reserve(Phases.size());
   for (const PhaseStat &P : Phases)

@@ -19,27 +19,18 @@
 /// branch.
 ///
 /// Spans form a tree. Each thread tracks its innermost open span; a new
-/// Span attaches to it as a child. The parent link survives
-/// ThreadPool::parallelFor/parallelMap fan-out: the pool captures the
-/// submitting thread's current span and installs it on workers for the
-/// duration of the loop (see support/ThreadPool.h), so spans opened
-/// inside worker tasks attach to the spawning span rather than
-/// floating as orphans. While a span is open, allocations on its thread
-/// are charged to it (telemetry/MemoryAccounting.h): completed spans
-/// report net and peak heap bytes, inclusive of child spans on the same
-/// thread.
+/// Span attaches to it as a child. While a span is open, allocations on
+/// its thread are charged to it (telemetry/MemoryAccounting.h):
+/// completed spans report net and peak heap bytes, inclusive of child
+/// spans on the same thread.
 ///
-/// The registry is thread-safe: the pipeline's parallel stages may open
-/// spans and bump counters from worker threads. Central state is
-/// mutex-guarded; hot worker loops should install a TelemetryShard,
-/// which batches counter increments in thread-local storage and folds
-/// them into the registry once when the shard scope ends — counter
-/// totals are sums, so sharded aggregation is deterministic.
+/// The registry's central state is mutex-guarded, so spans and counters
+/// may be recorded from any thread.
 ///
 /// Span names are part of the tool's observable interface (benches and
 /// tests grep for them): "lex", "parse", "sema", "callgraph",
 /// "analysis", "eliminate", "interp", and the dotted sub-spans
-/// ("analysis.scan", "analysis.replay", "vm.compile", ...). Counter
+/// ("analysis.scan", "analysis.closure", "vm.compile", ...). Counter
 /// names are dotted, prefixed by their namespace (e.g.
 /// "analysis.exprs_visited").
 ///
@@ -57,8 +48,6 @@
 #include <vector>
 
 namespace dmm {
-
-class TelemetryShard;
 
 /// Accumulated cost of one span name (the flat per-phase view kept for
 /// the --metrics table and the benchmark counter exports).
@@ -105,13 +94,10 @@ public:
   static Telemetry *active() { return Active; }
 
   /// Adds \p Delta to counter \p Name on the active sink, if any. The
-  /// null test is the entire disabled-path cost. Routes through the
-  /// calling thread's TelemetryShard when one is installed.
+  /// null test is the entire disabled-path cost.
   static void count(const char *Name, uint64_t Delta = 1);
 
-  /// The calling thread's innermost open span id (0 if none). Worker
-  /// threads inherit the submitting thread's span for the duration of a
-  /// parallelFor (support/ThreadPool.h).
+  /// The calling thread's innermost open span id (0 if none).
   static uint64_t currentSpanId();
 
   void addCounter(const std::string &Name, uint64_t Delta);
@@ -147,8 +133,7 @@ public:
   void merge(const Telemetry &Other);
 
   /// \name Aggregate accessors
-  /// Read the registry after parallel regions have completed (the
-  /// returned references are not snapshots).
+  /// The returned references are not snapshots.
   /// @{
   /// Phase aggregates in first-activation order.
   const std::vector<PhaseStat> &phases() const { return Phases; }
@@ -168,7 +153,7 @@ public:
 
   /// Writes the human-readable phase/counter table. Rows are sorted by
   /// (namespace, key) — the namespace is the dotted prefix before the
-  /// first '.' — so output is deterministic at any --jobs level.
+  /// first '.'.
   void printMetrics(std::ostream &OS) const;
   /// Writes Chrome trace-event JSON ({"traceEvents": [...]}) with span
   /// ids, parent links, and memory/attribute args.
@@ -176,7 +161,6 @@ public:
 
 private:
   friend class TelemetryScope;
-  friend class TelemetryShard;
   friend class Span;
   static Telemetry *Active;
 
@@ -203,29 +187,6 @@ public:
 
 private:
   Telemetry *Saved;
-};
-
-/// Thread-local counter shard: while alive on a thread, counter
-/// increments against \p T accumulate in a local map and merge into the
-/// registry (one lock acquisition) at scope end. Install one per worker
-/// task in parallel regions so hot counters don't contend on the
-/// registry mutex. Shards nest; the inner shard wins.
-class TelemetryShard {
-public:
-  /// \p T must be the active registry (or null, making the shard a
-  /// no-op).
-  explicit TelemetryShard(Telemetry *T);
-  ~TelemetryShard();
-  TelemetryShard(const TelemetryShard &) = delete;
-  TelemetryShard &operator=(const TelemetryShard &) = delete;
-
-private:
-  friend class Telemetry;
-  static thread_local TelemetryShard *ActiveShard;
-
-  Telemetry *T;
-  TelemetryShard *Prev;
-  std::map<std::string, uint64_t> Local;
 };
 
 /// RAII span: records the enclosed interval (wall and thread-cpu time,

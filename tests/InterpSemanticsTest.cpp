@@ -470,6 +470,62 @@ TEST_P(InterpSemantics, IntMinRemainderMinusOneIsZero) {
             "1\n0\n0\n0\n0\n");
 }
 
+// Integer + - * and negation wrap in two's complement (docs/
+// LANGUAGE.md). Each edge is pinned through register operands (the
+// VM's AddII/SubII/MulII fast paths, with a folded literal and with two
+// registers), a member operand (the generic operator), compound
+// assignment, and ++/-- on a local and on a member.
+TEST_P(InterpSemantics, IntegerArithmeticWrapsInTwosComplement) {
+  EXPECT_EQ(outputOf(R"(
+    class O { public: int v; };
+    int main() {
+      int max = 9223372036854775807;
+      int min = -9223372036854775807 - 1;
+      int one = 1;
+      int three = 3;
+      O o;
+      o.v = max;
+      print_int(max + 1);
+      print_int(max + one);
+      print_int(min - 1);
+      print_int(min - one);
+      print_int(max * 3);
+      print_int(max * three);
+      print_int(-min);
+      print_int(o.v + 1);
+      print_int(o.v * 3);
+      int x = max;
+      x += 1;
+      print_int(x);
+      x = min;
+      x -= 1;
+      print_int(x);
+      x = max;
+      x *= 3;
+      print_int(x);
+      x = max;
+      x++;
+      print_int(x);
+      ++o.v;
+      print_int(o.v);
+      o.v--;
+      print_int(o.v);
+      o.v = min;
+      print_int(-o.v);
+      return 0;
+    }
+  )"),
+            "-9223372036854775808\n-9223372036854775808\n"
+            "9223372036854775807\n9223372036854775807\n"
+            "9223372036854775805\n9223372036854775805\n"
+            "-9223372036854775808\n"
+            "-9223372036854775808\n9223372036854775805\n"
+            "-9223372036854775808\n9223372036854775807\n"
+            "9223372036854775805\n-9223372036854775808\n"
+            "-9223372036854775808\n9223372036854775807\n"
+            "-9223372036854775808\n");
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Engines, InterpSemantics,
     ::testing::Values(EngineKind::Tree, EngineKind::Vm),

@@ -9,15 +9,13 @@
 /// exact-agreement contract with the allocation-trace replay
 /// (trace/DynamicMetrics.h), per-site dead-byte attribution, the
 /// massif-style snapshot schedule, address-taken and deallocation-read
-/// marking, and byte-identical numbers on every golden-corpus program
-/// at several --jobs levels.
+/// marking, and agreement on every golden-corpus program.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
 #include "profiler/ShadowProfiler.h"
-#include "support/ThreadPool.h"
 #include "telemetry/Stats.h"
 
 #include <filesystem>
@@ -364,7 +362,7 @@ TEST(Profiler, ConvertsToStatsSection) {
 }
 
 //===----------------------------------------------------------------------===//
-// Golden corpus: byte-identical agreement at several --jobs levels
+// Golden corpus: byte-identical agreement with the trace replay
 //===----------------------------------------------------------------------===//
 
 struct CorpusProgram {
@@ -406,23 +404,12 @@ TEST(ProfilerCorpus, MatchesTraceReplayOnEveryProgramAndJobsLevel) {
     ASSERT_TRUE(C->Success) << Entry.Name << ": " << Diag.str();
     DeadMemberResult R = analyze(*C);
 
-    std::optional<DynamicMetrics> Reference;
-    for (unsigned Jobs : {1u, 4u}) {
-      const unsigned Prev = globalThreadPool().jobs();
-      setGlobalJobs(Jobs);
-      // Some corpus programs (casts) abort mid-run by design; the
-      // trace and the profiler still saw the same event prefix, so
-      // the agreement contract holds regardless.
-      ProfiledRun Run = runProfiled(*C, R, /*ExpectCompletion=*/false);
-      setGlobalJobs(Prev);
-      EXPECT_EQ(Run.Prof->metrics(), Run.Replayed)
-          << Entry.Name << " diverges at --jobs=" << Jobs;
-      if (!Reference)
-        Reference = Run.Prof->metrics();
-      else
-        EXPECT_EQ(*Reference, Run.Prof->metrics())
-            << Entry.Name << ": metrics differ across jobs levels";
-    }
+    // Some corpus programs (casts) abort mid-run by design; the trace
+    // and the profiler still saw the same event prefix, so the
+    // agreement contract holds regardless.
+    ProfiledRun Run = runProfiled(*C, R, /*ExpectCompletion=*/false);
+    EXPECT_EQ(Run.Prof->metrics(), Run.Replayed)
+        << Entry.Name << " diverges from the trace replay";
   }
 }
 

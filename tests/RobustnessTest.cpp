@@ -15,6 +15,7 @@
 #include "TestUtil.h"
 
 #include "benchgen/Synthesizer.h"
+#include "parser/Parser.h"
 
 using namespace dmm;
 using namespace dmm::test;
@@ -148,6 +149,51 @@ TEST(Robustness, DeeplyNestedExpressionsDoNotOverflowTheParser) {
   std::ostringstream Diag;
   auto C = compileString("int main() { return " + Expr + "; }", &Diag);
   EXPECT_TRUE(C->Success) << Diag.str();
+}
+
+/// Compiles \p Source and expects the nesting-budget diagnostic.
+void expectNestingTooDeep(const std::string &Source) {
+  std::ostringstream Diag;
+  auto C = compileString(Source, &Diag);
+  EXPECT_FALSE(C->Success);
+  EXPECT_NE(Diag.str().find("nesting too deep"), std::string::npos)
+      << Diag.str().substr(0, 400);
+}
+
+TEST(Robustness, DeepParenthesesAreADiagnostic) {
+  for (size_t N : {size_t(20000), size_t(100000)})
+    expectNestingTooDeep("int main() { return " + std::string(N, '(') +
+                         "1" + std::string(N, ')') + "; }");
+}
+
+// A left-associative chain is built by a loop, not by recursion, yet
+// its AST is as deep as it is long.
+TEST(Robustness, LongOperatorChainsAreADiagnostic) {
+  for (size_t N : {size_t(20000), size_t(100000)}) {
+    std::string Chain = "1";
+    for (size_t I = 1; I != N; ++I)
+      Chain += "+1";
+    expectNestingTooDeep("int main() { return " + Chain + "; }");
+  }
+}
+
+TEST(Robustness, DeepStatementNestingIsADiagnostic) {
+  for (size_t N : {size_t(20000), size_t(100000)})
+    expectNestingTooDeep("int main() { " + std::string(N, '{') +
+                         std::string(N, '}') + " return 0; }");
+}
+
+TEST(Robustness, NestingWithinTheBudgetCompilesAndRuns) {
+  std::string Chain = "x";
+  for (unsigned I = 1; I != Parser::kMaxNestingDepth - 1; ++I)
+    Chain += "+x";
+  auto C = compileOK("int main() { int x = 1; return (" + Chain +
+                     ") - " +
+                     std::to_string(Parser::kMaxNestingDepth - 1) + "; }");
+  Interpreter I(C->context(), C->hierarchy(), {});
+  ExecResult R = I.run(C->mainFunction());
+  EXPECT_TRUE(R.Completed) << R.Error;
+  EXPECT_EQ(R.ExitCode, 0);
 }
 
 TEST(Robustness, DeepRecursionInGuestHitsStackGuard) {

@@ -7,13 +7,12 @@
 /// \file
 /// Covers the JSON parser, the versioned dmm-stats document
 /// (build → print → parse round trip, strict validation, parent-id
-/// resolution at every --jobs level), and the HTML report renderer.
+/// resolution), and the HTML report renderer.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
-#include "support/ThreadPool.h"
 #include "telemetry/HtmlReport.h"
 #include "telemetry/Json.h"
 #include "telemetry/Stats.h"
@@ -92,20 +91,17 @@ void runPipeline(Telemetry &Tel) {
   analyze(*C);
 }
 
-std::string statsJsonForJobs(unsigned Jobs) {
-  const unsigned Prev = globalThreadPool().jobs();
-  setGlobalJobs(Jobs);
+std::string liveStatsJson() {
   Telemetry Tel;
   runPipeline(Tel);
-  setGlobalJobs(Prev);
-  stats::StatsDocument D = stats::buildStats(Tel, "deadmember test", Jobs);
+  stats::StatsDocument D = stats::buildStats(Tel, "deadmember test");
   std::ostringstream OS;
   stats::printStats(D, OS);
   return OS.str();
 }
 
 TEST(StatsSchema, RoundTripFromLivePipeline) {
-  std::string Text = statsJsonForJobs(2);
+  std::string Text = liveStatsJson();
 
   // Strict JSON first, then the schema-aware parse.
   json::Value Raw;
@@ -117,7 +113,7 @@ TEST(StatsSchema, RoundTripFromLivePipeline) {
   ASSERT_TRUE(stats::parseStats(Text, D, Error)) << Error;
   EXPECT_EQ(D.Version, stats::kSchemaVersion);
   EXPECT_EQ(D.Tool, "deadmember test");
-  EXPECT_EQ(D.Jobs, 2u);
+  EXPECT_EQ(D.Jobs, 1u);
   EXPECT_FALSE(D.Spans.empty());
 
   // The driver-stable phase names survive the round trip.
@@ -140,26 +136,22 @@ TEST(StatsSchema, RoundTripFromLivePipeline) {
 }
 
 TEST(StatsSchema, NoOrphanSpansAtAnyJobsLevel) {
-  for (unsigned Jobs : {1u, 4u}) {
-    std::string Text = statsJsonForJobs(Jobs);
-    stats::StatsDocument D;
-    std::string Error;
-    // parseStats enforces dense begin-ordered ids and parent-precedes-
-    // child, so a successful parse proves every parent resolves.
-    ASSERT_TRUE(stats::parseStats(Text, D, Error))
-        << "jobs=" << Jobs << ": " << Error;
-    for (const stats::SpanStat &S : D.Spans) {
-      EXPECT_LT(S.Parent, S.Id) << "jobs=" << Jobs;
-      if (S.Name != "pipeline") {
-        EXPECT_NE(S.Parent, 0u)
-            << "orphan span '" << S.Name << "' at jobs=" << Jobs;
-      }
+  std::string Text = liveStatsJson();
+  stats::StatsDocument D;
+  std::string Error;
+  // parseStats enforces dense begin-ordered ids and parent-precedes-
+  // child, so a successful parse proves every parent resolves.
+  ASSERT_TRUE(stats::parseStats(Text, D, Error)) << Error;
+  for (const stats::SpanStat &S : D.Spans) {
+    EXPECT_LT(S.Parent, S.Id);
+    if (S.Name != "pipeline") {
+      EXPECT_NE(S.Parent, 0u) << "orphan span '" << S.Name << "'";
     }
   }
 }
 
 TEST(StatsSchema, ValidationRejectsSchemaViolations) {
-  std::string Good = statsJsonForJobs(1);
+  std::string Good = liveStatsJson();
   stats::StatsDocument D;
   std::string Error;
   ASSERT_TRUE(stats::parseStats(Good, D, Error)) << Error;
@@ -191,7 +183,7 @@ TEST(StatsSchema, AcceptsOlderVersionDocuments) {
   // downgrading the version.
   Telemetry Tel;
   runPipeline(Tel);
-  stats::StatsDocument D = stats::buildStats(Tel, "deadmember test", 1);
+  stats::StatsDocument D = stats::buildStats(Tel, "deadmember test");
   D.Diagnostics.Present = false;
   std::ostringstream OS;
   stats::printStats(D, OS);
@@ -216,7 +208,7 @@ TEST(StatsSchema, DiagnosticsSectionRoundTrips) {
   // counters survive print -> parse unchanged.
   Telemetry Tel;
   runPipeline(Tel);
-  stats::StatsDocument D = stats::buildStats(Tel, "deadmember test", 1);
+  stats::StatsDocument D = stats::buildStats(Tel, "deadmember test");
   ASSERT_TRUE(D.Diagnostics.Present);
 
   std::ostringstream OS;
@@ -239,7 +231,7 @@ TEST(StatsSchema, DiagnosticsSectionRoundTrips) {
 TEST(StatsSchema, DiagnosticsSectionRejectsInvalidDocuments) {
   Telemetry Tel;
   runPipeline(Tel);
-  stats::StatsDocument D = stats::buildStats(Tel, "deadmember test", 1);
+  stats::StatsDocument D = stats::buildStats(Tel, "deadmember test");
   ASSERT_TRUE(D.Diagnostics.Present);
   std::ostringstream OS;
   stats::printStats(D, OS);
@@ -288,7 +280,7 @@ stats::ProfilerSection syntheticProfiler() {
 TEST(StatsSchema, ProfilerSectionRoundTrips) {
   Telemetry Tel;
   runPipeline(Tel);
-  stats::StatsDocument D = stats::buildStats(Tel, "deadmember test", 1);
+  stats::StatsDocument D = stats::buildStats(Tel, "deadmember test");
   D.Profiler = syntheticProfiler();
   std::ostringstream OS;
   stats::printStats(D, OS);
@@ -318,7 +310,7 @@ TEST(StatsSchema, ProfilerSectionRoundTrips) {
 TEST(StatsSchema, ProfilerSectionRejectsInvalidDocuments) {
   Telemetry Tel;
   runPipeline(Tel);
-  stats::StatsDocument D = stats::buildStats(Tel, "deadmember test", 1);
+  stats::StatsDocument D = stats::buildStats(Tel, "deadmember test");
   D.Profiler = syntheticProfiler();
   std::ostringstream OS;
   stats::printStats(D, OS);
@@ -380,7 +372,7 @@ stats::StatsDocument syntheticDoc() {
   D.Jobs = 2;
   D.MemAccounting = true;
   const char *Names[] = {"pipeline", "lex", "analysis", "analysis.scan",
-                         "analysis.replay"};
+                         "analysis.closure"};
   for (uint64_t I = 0; I != 5; ++I) {
     stats::SpanStat S;
     S.Id = I + 1;

@@ -6,22 +6,20 @@
 ///
 /// \file
 /// Covers the telemetry registry (spans, counters, scope
-/// install/restore, disabled-path no-op), the span tree across
-/// ThreadPool fan-out, per-span memory accounting, the Chrome
-/// trace-event JSON emitter, and liveness provenance: direct marks
-/// carry a source location, propagated marks carry the propagation
-/// edge, and the --explain report renders the full cause chain.
+/// install/restore, disabled-path no-op), per-span memory accounting,
+/// the Chrome trace-event JSON emitter, and liveness provenance: direct
+/// marks carry a source location, propagated marks carry the
+/// propagation edge, and the --explain report renders the full cause
+/// chain.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
 #include "analysis/Report.h"
-#include "support/ThreadPool.h"
 #include "telemetry/MemoryAccounting.h"
 #include "telemetry/Telemetry.h"
 
-#include <atomic>
 #include <vector>
 
 using namespace dmm;
@@ -112,54 +110,6 @@ TEST(Telemetry, SpanArgsAreRecorded) {
   EXPECT_EQ(R.Args[1].Key, "bytes");
   EXPECT_FALSE(R.Args[1].IsString);
   EXPECT_EQ(R.Args[1].IntValue, 123u);
-}
-
-TEST(Telemetry, SpanIdsSurviveParallelForFanOut) {
-  Telemetry Tel;
-  uint64_t OuterId = 0;
-  {
-    TelemetryScope Scope(Tel);
-    ThreadPool Pool(4);
-    Span Outer("fanout");
-    OuterId = Outer.id();
-    Pool.parallelFor(16, [&](size_t) {
-      Span Task("task");
-      (void)Task;
-    });
-  }
-  ASSERT_NE(OuterId, 0u);
-  size_t Tasks = 0;
-  for (const SpanRecord &R : Tel.spans()) {
-    if (R.Name != "task")
-      continue;
-    ++Tasks;
-    // Every worker task attaches to the spawning span, at depth 1 —
-    // no orphans, regardless of which pool thread ran it.
-    EXPECT_EQ(R.Parent, OuterId);
-    EXPECT_EQ(R.Depth, 1u);
-  }
-  EXPECT_EQ(Tasks, 16u);
-  const PhaseStat *Task = Tel.phase("task");
-  ASSERT_NE(Task, nullptr);
-  EXPECT_EQ(Task->Invocations, 16u);
-}
-
-TEST(Telemetry, WorkerContextIsRestoredAfterLoop) {
-  Telemetry Tel;
-  TelemetryScope Scope(Tel);
-  ThreadPool Pool(2);
-  {
-    Span Outer("first");
-    Pool.parallelFor(4, [&](size_t) { Span Task("one"); });
-  }
-  // No span open now; tasks of a second loop must be roots, not
-  // children of a stale context left installed on the workers.
-  Pool.parallelFor(4, [&](size_t) { Span Task("two"); });
-  for (const SpanRecord &R : Tel.spans()) {
-    if (R.Name == "two") {
-      EXPECT_EQ(R.Parent, 0u);
-    }
-  }
 }
 
 TEST(Telemetry, SpanLimitDropsRecordsButKeepsAggregates) {

@@ -16,15 +16,13 @@
 ///    full shadow-profiler summary. ExecResult::Steps is deliberately
 ///    NOT compared: the VM counts bytecode instructions, the tree
 ///    counts AST visits.
-///  - a sweep of the tests/corpus/ programs through both engines at
-///    --jobs 1 and 4.
+///  - a sweep of the tests/corpus/ programs through both engines.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
 #include "profiler/ShadowProfiler.h"
-#include "support/ThreadPool.h"
 #include "vm/VM.h"
 
 #include <filesystem>
@@ -655,7 +653,7 @@ TEST(VmDifferentialError, NullVirtualCall) {
 }
 
 //===----------------------------------------------------------------------===//
-// Corpus sweep: every tests/corpus/ program, both engines, --jobs 1 & 4
+// Corpus sweep: every tests/corpus/ program, both engines
 //===----------------------------------------------------------------------===//
 
 struct CorpusFile {
@@ -711,19 +709,13 @@ TEST_P(VmCorpusTest, EnginesAgreeAtEveryJobsLevel) {
   ASSERT_TRUE(C->Success) << Entry.Name
                           << " does not compile: " << Diag.str();
 
-  const unsigned SavedJobs = globalThreadPool().jobs();
-  for (unsigned Jobs : {1u, 4u}) {
-    SCOPED_TRACE("--jobs=" + std::to_string(Jobs));
-    setGlobalJobs(Jobs);
-    DeadMemberResult Dead = analyze(*C);
-    EngineRun T = runEngine(*C, Engine::Tree, Dead.deadSet());
-    EngineRun V = runEngine(*C, Engine::Vm, Dead.deadSet());
-    // Some corpus programs abort at run time by design (casts exercises
-    // an invalid downcast); the engines must still agree byte-for-byte
-    // on everything up to and including the error.
-    expectSameRun(T, V);
-  }
-  setGlobalJobs(SavedJobs);
+  DeadMemberResult Dead = analyze(*C);
+  EngineRun T = runEngine(*C, Engine::Tree, Dead.deadSet());
+  EngineRun V = runEngine(*C, Engine::Vm, Dead.deadSet());
+  // Some corpus programs abort at run time by design (casts exercises
+  // an invalid downcast); the engines must still agree byte-for-byte on
+  // everything up to and including the error.
+  expectSameRun(T, V);
 }
 
 INSTANTIATE_TEST_SUITE_P(Programs, VmCorpusTest, ::testing::ValuesIn(kCorpus),
