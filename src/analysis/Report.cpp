@@ -10,8 +10,8 @@
 #include "callgraph/CallGraph.h"
 #include "hierarchy/ObjectLayout.h"
 #include "support/SourceManager.h"
+#include "telemetry/Json.h"
 
-#include <cstdio>
 #include <iomanip>
 
 using namespace dmm;
@@ -75,27 +75,6 @@ void dmm::printStatsReport(std::ostream &OS, const ProgramStats &Stats) {
 // JSON report
 //===----------------------------------------------------------------------===//
 
-static void printJsonString(std::ostream &OS, const std::string &S) {
-  OS << '"';
-  for (char C : S) {
-    switch (C) {
-    case '"': OS << "\\\""; break;
-    case '\\': OS << "\\\\"; break;
-    case '\n': OS << "\\n"; break;
-    case '\t': OS << "\\t"; break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        OS << Buf;
-      } else {
-        OS << C;
-      }
-    }
-  }
-  OS << '"';
-}
-
 void dmm::printJsonReport(std::ostream &OS, const ASTContext &Ctx,
                           const DeadMemberResult &Result,
                           const SourceManager *SM) {
@@ -115,21 +94,21 @@ void dmm::printJsonReport(std::ostream &OS, const ASTContext &Ctx,
         OS << ",\n";
       First = false;
       OS << "    {\"class\": ";
-      printJsonString(OS, CD->name());
+      json::writeString(OS, CD->name());
       OS << ", \"name\": ";
-      printJsonString(OS, F->name());
+      json::writeString(OS, F->name());
       OS << ", \"type\": ";
-      printJsonString(OS, F->type()->str());
+      json::writeString(OS, F->type()->str());
       OS << ", \"dead\": " << (IsDead ? "true" : "false");
       if (!IsDead) {
         OS << ", \"reason\": ";
-        printJsonString(OS, livenessReasonName(Result.reason(F)));
+        json::writeString(OS, livenessReasonName(Result.reason(F)));
       }
       if (SM) {
         PresumedLoc P = SM->presumedLoc(F->location());
         if (P.isValid()) {
           OS << ", \"file\": ";
-          printJsonString(OS, std::string(P.Filename));
+          json::writeString(OS, P.Filename);
           OS << ", \"line\": " << P.Line << ", \"column\": " << P.Column;
         }
       }
@@ -138,18 +117,18 @@ void dmm::printJsonReport(std::ostream &OS, const ASTContext &Ctx,
           PresumedLoc P = SM->presumedLoc(Prov->Loc);
           if (P.isValid()) {
             OS << ", \"causeFile\": ";
-            printJsonString(OS, std::string(P.Filename));
+            json::writeString(OS, P.Filename);
             OS << ", \"causeLine\": " << P.Line
                << ", \"causeColumn\": " << P.Column;
           }
         }
         if (Prov->Via) {
           OS << ", \"via\": ";
-          printJsonString(OS, Prov->Via->name());
+          json::writeString(OS, Prov->Via->name());
         }
         if (Prov->Trigger) {
           OS << ", \"propagatedFrom\": ";
-          printJsonString(OS, Prov->Trigger->qualifiedName());
+          json::writeString(OS, Prov->Trigger->qualifiedName());
         }
       }
       OS << "}";

@@ -368,8 +368,20 @@ bool parseArgs(int Argc, char **Argv, DriverOptions &Opts) {
   return Opts.Version || !Opts.FromStatsFile.empty() || !Opts.Files.empty();
 }
 
+/// Writes one telemetry output to \p Path via \p Render, logging an
+/// error (not failing the run) when the file cannot be opened.
+template <typename RenderFn>
+void writeOutputFile(const std::string &Path, RenderFn Render) {
+  std::ofstream Out(Path);
+  if (!Out)
+    logError("cannot write output file", {kv("path", Path)});
+  else
+    Render(Out);
+}
+
 /// Emits the collected telemetry at scope exit (so early-error paths
-/// still report whatever phases completed).
+/// still report whatever phases completed). Every output is rendered
+/// from one stats document, built once.
 struct TelemetryEmitter {
   const Telemetry &Tel;
   const DriverOptions &Opts;
@@ -380,50 +392,35 @@ struct TelemetryEmitter {
   const stats::ProfilerSection *Profiler = nullptr;
 
   ~TelemetryEmitter() {
-    if (Opts.Metrics) {
-      if (Opts.MetricsFile.empty()) {
-        std::cout << "\n";
-        Tel.printMetrics(std::cout);
-      } else {
-        std::ofstream Out(Opts.MetricsFile);
-        if (!Out)
-          logError("cannot write output file",
-                   {kv("path", Opts.MetricsFile)});
-        else
-          Tel.printMetrics(Out);
-      }
-    }
-    if (ToStderr)
-      Tel.printMetrics(std::cerr);
-    if (!Opts.TraceJsonFile.empty()) {
-      std::ofstream Out(Opts.TraceJsonFile);
-      if (!Out)
-        logError("cannot write output file",
-                 {kv("path", Opts.TraceJsonFile)});
-      else
-        Tel.printChromeTrace(Out);
-    }
-    if (Opts.StatsJsonFile.empty() && Opts.ReportFile.empty())
+    if (!Opts.Metrics && !ToStderr && Opts.TraceJsonFile.empty() &&
+        Opts.StatsJsonFile.empty() && Opts.ReportFile.empty())
       return;
     stats::StatsDocument Doc =
         stats::buildStats(Tel, std::string("deadmember ") + kToolVersion);
     if (Profiler && Profiler->Present)
       Doc.Profiler = *Profiler;
-    if (!Opts.StatsJsonFile.empty()) {
-      std::ofstream Out(Opts.StatsJsonFile);
-      if (!Out)
-        logError("cannot write output file",
-                 {kv("path", Opts.StatsJsonFile)});
-      else
-        stats::printStats(Doc, Out);
+    auto Metrics = [&](std::ostream &OS) { stats::printMetrics(Doc, OS); };
+    if (Opts.Metrics) {
+      if (Opts.MetricsFile.empty()) {
+        std::cout << "\n";
+        Metrics(std::cout);
+      } else {
+        writeOutputFile(Opts.MetricsFile, Metrics);
+      }
     }
-    if (!Opts.ReportFile.empty()) {
-      std::ofstream Out(Opts.ReportFile);
-      if (!Out)
-        logError("cannot write output file", {kv("path", Opts.ReportFile)});
-      else
-        stats::renderHtmlReport(Doc, Out);
-    }
+    if (ToStderr)
+      Metrics(std::cerr);
+    if (!Opts.TraceJsonFile.empty())
+      writeOutputFile(Opts.TraceJsonFile, [&](std::ostream &OS) {
+        stats::printChromeTrace(Doc, OS);
+      });
+    if (!Opts.StatsJsonFile.empty())
+      writeOutputFile(Opts.StatsJsonFile,
+                      [&](std::ostream &OS) { stats::printStats(Doc, OS); });
+    if (!Opts.ReportFile.empty())
+      writeOutputFile(Opts.ReportFile, [&](std::ostream &OS) {
+        stats::renderHtmlReport(Doc, OS);
+      });
   }
 };
 

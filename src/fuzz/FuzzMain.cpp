@@ -29,6 +29,7 @@
 #include "telemetry/FlightRecorder.h"
 #include "telemetry/Json.h"
 #include "telemetry/Log.h"
+#include "telemetry/Stats.h"
 #include "telemetry/Telemetry.h"
 
 #include <cstdlib>
@@ -331,39 +332,6 @@ bool parseArgs(int Argc, char **Argv, FuzzOptions &Opts) {
   return true;
 }
 
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 8);
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
 /// One failure's on-disk record set.
 struct FailureArtifacts {
   std::string Stem; ///< e.g. "fuzz-artifacts/seed000017"
@@ -407,10 +375,13 @@ writeArtifacts(const FuzzOptions &Opts, const std::string &Stem,
   J << "{\n"
     << "  \"schema\": 2,\n"
     << "  \"seed\": " << Seed << ",\n"
-    << "  \"oracle\": \"" << jsonEscape(Outcome.FailedOracle) << "\",\n"
-    << "  \"detail\": \"" << jsonEscape(Outcome.Detail) << "\",\n"
-    << "  \"oracle_selection\": \"" << jsonEscape(Opts.OracleName)
-    << "\",\n"
+    << "  \"oracle\": ";
+  json::writeString(J, Outcome.FailedOracle);
+  J << ",\n  \"detail\": ";
+  json::writeString(J, Outcome.Detail);
+  J << ",\n  \"oracle_selection\": ";
+  json::writeString(J, Opts.OracleName);
+  J << ",\n"
     << "  \"injected_faults\": {\"drop_live_stores\": "
     << (Opts.Oracles.Fault.DropLiveMemberStores ? "true" : "false")
     << ", \"count_dealloc_reads\": "
@@ -419,15 +390,16 @@ writeArtifacts(const FuzzOptions &Opts, const std::string &Stem,
     << (Opts.Oracles.VmMiscompile ? "true" : "false") << "},\n"
     << "  \"generator\": {\"target_dead_ratio\": " << TargetDeadRatio
     << "},\n"
-    << "  \"reproducer\": \"" << jsonEscape(Art.Stem)
-    << ".reproducer.mcc\",\n"
+    << "  \"reproducer\": ";
+  json::writeString(J, Art.Stem + ".reproducer.mcc");
+  J << ",\n"
     << "  \"shrink\": {\"lines_before\": " << Shrink.LinesBefore
     << ", \"lines_after\": " << Shrink.LinesAfter
     << ", \"attempts\": " << Shrink.Attempts
     << ", \"accepted\": " << Shrink.Accepted << "},\n"
-    << "  \"replay\": \"dmm-fuzz --replay " << jsonEscape(Art.Stem)
-    << ".json\"\n"
-    << "}\n";
+    << "  \"replay\": ";
+  json::writeString(J, "dmm-fuzz --replay " + Art.Stem + ".json");
+  J << "\n}\n";
   if (!writeFile(Art.Stem + ".json", J.str()))
     return std::nullopt;
   return Art;
@@ -575,8 +547,9 @@ bool writeCoverageJson(const FuzzOptions &Opts, const FeedbackLoop &Loop,
     << "  \"coverage\": {";
   bool First = true;
   for (const auto &[Key, N] : Loop.coverage().keys()) {
-    J << (First ? "\n" : ",\n") << "    \"" << jsonEscape(Key)
-      << "\": " << N;
+    J << (First ? "\n" : ",\n") << "    ";
+    json::writeString(J, Key);
+    J << ": " << N;
     First = false;
   }
   J << "\n  },\n"
@@ -624,7 +597,8 @@ bool writeDistilledCorpus(const FuzzOptions &Opts,
              << ", \"achieved_dead_ratio\": "
              << formatRatio(C.AchievedDeadRatio) << ", \"keys\": [";
     for (size_t K = 0; K != C.Keys.size(); ++K) {
-      Manifest << (K ? ", " : "") << "\"" << jsonEscape(C.Keys[K]) << "\"";
+      Manifest << (K ? ", " : "");
+      json::writeString(Manifest, C.Keys[K]);
       Covered.add(C.Keys[K]);
     }
     Manifest << "]}";
@@ -753,9 +727,8 @@ int main(int Argc, char **Argv) {
         !writeDistilledCorpus(Opts, Candidates))
       return 2;
   }
-  if (Opts.Metrics)
-    Tel.printMetrics(std::cout);
-  if (MetricsToStderr)
-    Tel.printMetrics(std::cerr);
+  if (Opts.Metrics || MetricsToStderr)
+    stats::printMetrics(stats::buildStats(Tel, "dmm-fuzz"),
+                        Opts.Metrics ? std::cout : std::cerr);
   return Failures ? 1 : 0;
 }

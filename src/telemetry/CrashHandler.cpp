@@ -83,7 +83,8 @@ public:
       put(Digits[--N]);
   }
 
-  /// JSON string literal with conservative escaping.
+  /// JSON string literal with conservative escaping. A copy of
+  /// json::writeString because a signal handler cannot use an ostream.
   void quoted(const char *S) {
     static const char *Hex = "0123456789abcdef";
     put('"');
@@ -343,11 +344,22 @@ void dmm::installCrashHandler(int Argc, const char *const *Argv,
     if (*Dir)
       copyBounded(CrashDir, Dir, sizeof(CrashDir));
 
+  // A host stack overflow leaves no room on the faulting stack for the
+  // handler, so it runs on a stack of its own. sigaltstack is
+  // per-thread; this covers the installing thread, which runs the
+  // whole pipeline.
+  static char AltStack[64 * 1024];
+  stack_t Alt;
+  memset(&Alt, 0, sizeof(Alt));
+  Alt.ss_sp = AltStack;
+  Alt.ss_size = sizeof(AltStack);
+  sigaltstack(&Alt, nullptr);
+
   struct sigaction SA;
   memset(&SA, 0, sizeof(SA));
   SA.sa_handler = crashSignalHandler;
   sigemptyset(&SA.sa_mask);
-  SA.sa_flags = SA_RESETHAND;
+  SA.sa_flags = SA_RESETHAND | SA_ONSTACK;
   for (int Sig : {SIGSEGV, SIGBUS, SIGABRT, SIGFPE, SIGILL})
     sigaction(Sig, &SA, nullptr);
   PrevTerminate = std::set_terminate(crashTerminateHandler);

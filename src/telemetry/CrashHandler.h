@@ -17,9 +17,10 @@
 /// The handler allocates nothing, takes no locks, and uses only
 /// async-signal-safe calls (open/write/close plus reads of plain
 /// atomics and the preallocated ring memory); the JSON is emitted
-/// through a small fixed-buffer writer. After the dump the original
-/// signal is re-raised with default disposition so the exit status
-/// still reports the crash.
+/// through a small fixed-buffer writer. The signal handlers run on an
+/// alternate stack (sigaltstack), so a host stack overflow is reported
+/// too. After the dump the original signal is re-raised with default
+/// disposition so the exit status still reports the crash.
 ///
 /// The report lands in the current directory, or in $DMM_CRASH_DIR if
 /// set at install time. `scripts/validate_stats.py check-crash FILE`

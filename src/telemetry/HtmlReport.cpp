@@ -73,7 +73,7 @@ std::string bytes(int64_t B) {
 /// Self time = wall time minus the wall time of direct children.
 std::vector<uint64_t> selfTimes(const StatsDocument &D) {
   std::vector<uint64_t> ChildNanos(D.Spans.size(), 0);
-  for (const SpanStat &S : D.Spans)
+  for (const SpanRecord &S : D.Spans)
     if (S.Parent)
       ChildNanos[S.Parent - 1] += S.DurNanos;
   std::vector<uint64_t> Self(D.Spans.size(), 0);
@@ -131,7 +131,7 @@ void stats::renderHtmlReport(const StatsDocument &D, std::ostream &OS) {
         "<th class=\"num\">wall ms</th><th class=\"num\">cpu ms</th>"
         "<th class=\"num\">peak mem</th><th>detail</th></tr>\n";
   for (size_t I = 0; I != TopN; ++I) {
-    const SpanStat &S = D.Spans[Order[I]];
+    const SpanRecord &S = D.Spans[Order[I]];
     OS << "<tr><td>";
     escape(OS, S.Name);
     OS << "</td><td class=\"num\">" << ms(Self[Order[I]])
@@ -158,7 +158,7 @@ void stats::renderHtmlReport(const StatsDocument &D, std::ostream &OS) {
 
   // --- Waterfall ---------------------------------------------------------
   uint64_t End = 0;
-  for (const SpanStat &S : D.Spans)
+  for (const SpanRecord &S : D.Spans)
     End = std::max(End, S.StartNanos + S.DurNanos);
   size_t Rows = std::min(kMaxWaterfallRows, D.Spans.size());
   OS << "<h2>Span waterfall</h2>\n";
@@ -167,7 +167,7 @@ void stats::renderHtmlReport(const StatsDocument &D, std::ostream &OS) {
        << D.Spans.size() << " spans.</p>\n";
   OS << "<div class=\"wf\">\n";
   for (size_t I = 0; I != Rows; ++I) {
-    const SpanStat &S = D.Spans[I];
+    const SpanRecord &S = D.Spans[I];
     double Left = End ? 100.0 * S.StartNanos / End : 0;
     double Width = End ? 100.0 * S.DurNanos / End : 0;
     OS << "<div class=\"wfrow\"><div class=\"wfbar d"
@@ -297,7 +297,7 @@ void stats::renderHtmlReport(const StatsDocument &D, std::ostream &OS) {
   // --- Phases and counters ----------------------------------------------
   OS << "<h2>Phases</h2>\n<table>\n<tr><th>phase</th>"
         "<th class=\"num\">wall ms</th><th class=\"num\">calls</th></tr>\n";
-  for (const PhaseRow &P : D.Phases) {
+  for (const PhaseStat &P : D.Phases) {
     OS << "<tr><td>";
     escape(OS, P.Name);
     OS << "</td><td class=\"num\">" << ms(P.Nanos) << "</td><td class=\"num\">"

@@ -32,6 +32,25 @@ std::string Value::getString(std::string_view Key,
   return V && V->isString() ? V->str() : std::move(Default);
 }
 
+void json::writeString(std::ostream &OS, std::string_view S) {
+  static const char *Hex = "0123456789abcdef";
+  OS << '"';
+  for (char C : S) {
+    unsigned char U = static_cast<unsigned char>(C);
+    if (C == '"' || C == '\\')
+      OS << '\\' << C;
+    else if (C == '\n')
+      OS << "\\n";
+    else if (C == '\t')
+      OS << "\\t";
+    else if (U < 0x20)
+      OS << "\\u00" << Hex[U >> 4] << Hex[U & 0xf];
+    else
+      OS << C;
+  }
+  OS << '"';
+}
+
 namespace dmm {
 namespace json {
 

@@ -8,6 +8,7 @@
 /// A small, strict JSON parser producing an immutable DOM. Used to read
 /// back the tool's own machine-readable outputs (--stats-json files for
 /// --report, schema-validation tests) without external dependencies.
+/// It also holds the string escaper the ostream-based JSON writers share.
 ///
 /// Strictness: the full input must be exactly one JSON value (trailing
 /// non-whitespace rejected), escapes must be legal, strings must be
@@ -23,6 +24,7 @@
 #define DMM_TELEMETRY_JSON_H
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -75,6 +77,11 @@ private:
 /// Parses \p Text into \p Out. On failure returns false and sets
 /// \p Error to "offset N: message".
 bool parse(std::string_view Text, Value &Out, std::string &Error);
+
+/// Writes \p S as a JSON string literal: quotes and backslashes are
+/// escaped, newline and tab as \n and \t, other control characters as
+/// \u00XX; all other bytes pass through.
+void writeString(std::ostream &OS, std::string_view S);
 
 } // namespace json
 } // namespace dmm

@@ -7,6 +7,7 @@
 #include "telemetry/Log.h"
 
 #include "telemetry/FlightRecorder.h"
+#include "telemetry/Json.h"
 
 #include <chrono>
 #include <cstdlib>
@@ -80,21 +81,6 @@ bool fieldValueIsBare(const std::string &S) {
   return true;
 }
 
-void printQuoted(std::ostream &OS, const std::string &S) {
-  static const char *Hex = "0123456789abcdef";
-  OS << '"';
-  for (char C : S) {
-    unsigned char U = static_cast<unsigned char>(C);
-    if (C == '"' || C == '\\')
-      OS << '\\' << C;
-    else if (U < 0x20)
-      OS << "\\u00" << Hex[U >> 4] << Hex[U & 0xf];
-    else
-      OS << C;
-  }
-  OS << '"';
-}
-
 } // namespace
 
 Logger::Logger()
@@ -159,7 +145,7 @@ void Logger::emit(LogLevel L, const char *Msg, const LogField *Fields,
       else if (fieldValueIsBare(F.Str))
         OS << F.Str;
       else
-        printQuoted(OS, F.Str);
+        json::writeString(OS, F.Str);
     }
     OS << '\n';
   }
@@ -167,19 +153,19 @@ void Logger::emit(LogLevel L, const char *Msg, const LogField *Fields,
     std::ostream &OS = *Json;
     OS << "{\"ts_ns\":" << (steadyNowNanos() - EpochNanos)
        << ",\"level\":\"" << logLevelName(L) << "\",\"msg\":";
-    printQuoted(OS, Msg);
+    json::writeString(OS, Msg);
     if (NumFields) {
       OS << ",\"fields\":{";
       for (size_t I = 0; I < NumFields; ++I) {
         const LogField &F = Fields[I];
         if (I)
           OS << ',';
-        printQuoted(OS, F.Key);
+        json::writeString(OS, F.Key);
         OS << ':';
         if (F.IsInt)
           OS << F.Int;
         else
-          printQuoted(OS, F.Str);
+          json::writeString(OS, F.Str);
       }
       OS << '}';
     }

@@ -14,6 +14,7 @@
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
+#include <iomanip>
 
 using namespace dmm;
 using namespace dmm::stats;
@@ -34,21 +35,6 @@ bool namespaceKeyLess(std::string_view A, std::string_view B) {
   if (NsA != NsB)
     return NsA < NsB;
   return KeyA < KeyB;
-}
-
-void printEscaped(std::ostream &OS, std::string_view S) {
-  static const char *Hex = "0123456789abcdef";
-  OS << '"';
-  for (char C : S) {
-    unsigned char U = static_cast<unsigned char>(C);
-    if (C == '"' || C == '\\')
-      OS << '\\' << C;
-    else if (U < 0x20)
-      OS << "\\u00" << Hex[U >> 4] << Hex[U & 0xf];
-    else
-      OS << C;
-  }
-  OS << '"';
 }
 
 } // namespace
@@ -75,10 +61,9 @@ StatsDocument stats::buildStats(const Telemetry &T, std::string Tool) {
   }
   D.Diagnostics.Crashes = crashReportsWritten();
 
-  for (const PhaseStat &P : T.phases())
-    D.Phases.push_back({P.Name, P.Nanos, P.Invocations});
+  D.Phases = T.phases();
   std::stable_sort(D.Phases.begin(), D.Phases.end(),
-                   [](const PhaseRow &A, const PhaseRow &B) {
+                   [](const PhaseStat &A, const PhaseStat &B) {
                      return namespaceKeyLess(A.Name, B.Name);
                    });
 
@@ -89,26 +74,7 @@ StatsDocument stats::buildStats(const Telemetry &T, std::string Tool) {
                      return namespaceKeyLess(A.first, B.first);
                    });
 
-  D.Spans.reserve(T.spans().size());
-  for (const SpanRecord &R : T.spans()) {
-    SpanStat S;
-    S.Id = R.Id;
-    S.Parent = R.Parent;
-    S.Name = R.Name;
-    S.StartNanos = R.StartNanos;
-    S.DurNanos = R.DurNanos;
-    S.CpuNanos = R.CpuNanos;
-    S.MemNetBytes = R.MemNetBytes;
-    S.MemPeakBytes = R.MemPeakBytes;
-    S.Depth = R.Depth;
-    for (const SpanArg &A : R.Args) {
-      if (A.IsString)
-        S.StrArgs.emplace_back(A.Key, A.StrValue);
-      else
-        S.IntArgs.emplace_back(A.Key, A.IntValue);
-    }
-    D.Spans.push_back(std::move(S));
-  }
+  D.Spans = T.spans();
   return D;
 }
 
@@ -117,7 +83,7 @@ void stats::printStats(const StatsDocument &D, std::ostream &OS) {
   OS << "  \"schema\": \"" << kSchemaName << "\",\n";
   OS << "  \"version\": " << D.Version << ",\n";
   OS << "  \"tool\": ";
-  printEscaped(OS, D.Tool);
+  json::writeString(OS, D.Tool);
   OS << ",\n";
   OS << "  \"jobs\": " << D.Jobs << ",\n";
   OS << "  \"memory_accounting\": " << (D.MemAccounting ? "true" : "false")
@@ -164,11 +130,11 @@ void stats::printStats(const StatsDocument &D, std::ostream &OS) {
     for (size_t I = 0; I != P.Sites.size(); ++I) {
       const ProfilerSiteRow &S = P.Sites[I];
       OS << (I ? "," : "") << "\n      {\"file\": ";
-      printEscaped(OS, S.File);
+      json::writeString(OS, S.File);
       OS << ", \"line\": " << S.Line << ", \"class\": ";
-      printEscaped(OS, S.Class);
+      json::writeString(OS, S.Class);
       OS << ", \"member\": ";
-      printEscaped(OS, S.Member);
+      json::writeString(OS, S.Member);
       OS << ", \"objects\": " << S.Objects
          << ", \"alloc_bytes\": " << S.AllocBytes
          << ", \"written_bytes\": " << S.WrittenBytes
@@ -184,28 +150,28 @@ void stats::printStats(const StatsDocument &D, std::ostream &OS) {
 
   OS << "  \"phases\": [";
   for (size_t I = 0; I != D.Phases.size(); ++I) {
-    const PhaseRow &P = D.Phases[I];
+    const PhaseStat &P = D.Phases[I];
     OS << (I ? "," : "") << "\n    {\"name\": ";
-    printEscaped(OS, P.Name);
+    json::writeString(OS, P.Name);
     OS << ", \"wall_ns\": " << P.Nanos << ", \"calls\": " << P.Invocations
-       << "}";
+       << ", \"depth\": " << P.Depth << "}";
   }
   OS << (D.Phases.empty() ? "" : "\n  ") << "],\n";
 
   OS << "  \"counters\": {";
   for (size_t I = 0; I != D.Counters.size(); ++I) {
     OS << (I ? "," : "") << "\n    ";
-    printEscaped(OS, D.Counters[I].first);
+    json::writeString(OS, D.Counters[I].first);
     OS << ": " << D.Counters[I].second;
   }
   OS << (D.Counters.empty() ? "" : "\n  ") << "},\n";
 
   OS << "  \"spans\": [";
   for (size_t I = 0; I != D.Spans.size(); ++I) {
-    const SpanStat &S = D.Spans[I];
+    const SpanRecord &S = D.Spans[I];
     OS << (I ? "," : "") << "\n    {\"id\": " << S.Id
        << ", \"parent\": " << S.Parent << ", \"name\": ";
-    printEscaped(OS, S.Name);
+    json::writeString(OS, S.Name);
     OS << ", \"depth\": " << S.Depth << ", \"start_ns\": " << S.StartNanos
        << ", \"wall_ns\": " << S.DurNanos << ", \"cpu_ns\": " << S.CpuNanos
        << ", \"mem_net_bytes\": " << S.MemNetBytes
@@ -216,15 +182,15 @@ void stats::printStats(const StatsDocument &D, std::ostream &OS) {
       for (const auto &[K, V] : S.IntArgs) {
         OS << (First ? "" : ", ");
         First = false;
-        printEscaped(OS, K);
+        json::writeString(OS, K);
         OS << ": " << V;
       }
       for (const auto &[K, V] : S.StrArgs) {
         OS << (First ? "" : ", ");
         First = false;
-        printEscaped(OS, K);
+        json::writeString(OS, K);
         OS << ": ";
-        printEscaped(OS, V);
+        json::writeString(OS, V);
       }
       OS << "}";
     }
@@ -232,6 +198,70 @@ void stats::printStats(const StatsDocument &D, std::ostream &OS) {
   }
   OS << (D.Spans.empty() ? "" : "\n  ") << "]\n";
   OS << "}\n";
+}
+
+void stats::printMetrics(const StatsDocument &D, std::ostream &OS) {
+  auto Flags = OS.flags();
+  OS << "phase                                time (ms)      calls\n";
+  for (const PhaseStat &P : D.Phases) {
+    std::string Label(2 + 2 * P.Depth, ' ');
+    Label += P.Name;
+    OS << std::left << std::setw(35) << Label << std::right
+       << std::setw(12) << std::fixed << std::setprecision(3)
+       << P.Nanos / 1e6 << std::setw(11) << P.Invocations << "\n";
+  }
+  if (!D.Counters.empty()) {
+    OS << "counter                                               value\n";
+    for (const auto &[Name, Value] : D.Counters)
+      OS << "  " << std::left << std::setw(42) << Name << std::right
+         << std::setw(13) << Value << "\n";
+  }
+  OS.flags(Flags);
+}
+
+void stats::printChromeTrace(const StatsDocument &D, std::ostream &OS) {
+  auto Flags = OS.flags();
+  OS << "{\"traceEvents\": [";
+  OS << std::fixed << std::setprecision(3);
+  uint64_t End = 0;
+  for (size_t I = 0; I != D.Spans.size(); ++I) {
+    const SpanRecord &S = D.Spans[I];
+    End = std::max(End, S.StartNanos + S.DurNanos);
+    OS << (I ? "," : "") << "\n  {\"name\": ";
+    json::writeString(OS, S.Name);
+    OS << ", \"cat\": \"span\", \"ph\": \"X\", \"ts\": " << S.StartNanos / 1e3
+       << ", \"dur\": " << S.DurNanos / 1e3
+       << ", \"pid\": 1, \"tid\": 1, \"args\": {\"span_id\": " << S.Id
+       << ", \"parent\": " << S.Parent
+       << ", \"cpu_us\": " << S.CpuNanos / 1e3
+       << ", \"mem_peak_bytes\": " << S.MemPeakBytes
+       << ", \"mem_net_bytes\": " << S.MemNetBytes;
+    for (const auto &[K, V] : S.IntArgs) {
+      OS << ", ";
+      json::writeString(OS, K);
+      OS << ": " << V;
+    }
+    for (const auto &[K, V] : S.StrArgs) {
+      OS << ", ";
+      json::writeString(OS, K);
+      OS << ": ";
+      json::writeString(OS, V);
+    }
+    OS << "}}";
+  }
+  if (!D.Counters.empty()) {
+    OS << (D.Spans.empty() ? "" : ",")
+       << "\n  {\"name\": \"counters\", \"ph\": \"I\", \"ts\": " << End / 1e3
+       << ", \"s\": \"g\", \"pid\": 1, \"tid\": 1, \"args\": {";
+    for (size_t I = 0; I != D.Counters.size(); ++I) {
+      OS << (I ? ", " : "");
+      json::writeString(OS, D.Counters[I].first);
+      OS << ": " << D.Counters[I].second;
+    }
+    OS << "}}";
+  }
+  OS << "\n], \"displayTimeUnit\": \"ms\"}\n";
+  OS.flags(Flags);
 }
 
 namespace {
@@ -438,9 +468,14 @@ bool stats::parseStats(std::string_view Text, StatsDocument &Out,
     if (!requireNumber(P, "wall_ns", Where, Error) ||
         !requireNumber(P, "calls", Where, Error))
       return false;
+    // "depth" was added within version 3; older files read as 0.
+    const json::Value *Depth = P.get("depth");
+    if (Depth && !Depth->isNumber())
+      return failParse(Error, Where + ": non-numeric field \"depth\"");
     Out.Phases.push_back({Name->str(),
                           static_cast<uint64_t>(P.getNumber("wall_ns")),
-                          static_cast<uint64_t>(P.getNumber("calls"))});
+                          static_cast<uint64_t>(P.getNumber("calls")),
+                          Depth ? static_cast<unsigned>(Depth->number()) : 0});
   }
 
   const json::Value *Counters = Root.get("counters");
@@ -467,7 +502,7 @@ bool stats::parseStats(std::string_view Text, StatsDocument &Out,
                             "cpu_ns", "mem_net_bytes", "mem_peak_bytes"})
       if (!requireNumber(SV, Key, Where, Error))
         return false;
-    SpanStat S;
+    SpanRecord S;
     S.Id = static_cast<uint64_t>(SV.getNumber("id"));
     S.Parent = static_cast<uint64_t>(SV.getNumber("parent"));
     S.Name = Name->str();

@@ -5,12 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The tool's stable machine-readable performance output: a versioned
-/// document (schema "dmm-stats") holding per-span wall/cpu time and
-/// memory peaks, the flat phase aggregates, and every counter. Written
-/// by `--stats-json=FILE`, consumed by `scripts/run_bench.sh` (to
-/// compose BENCH_<label>.json), by `--report` (HTML rendering), and by
-/// the schema-validation tests.
+/// The one record of a run: a versioned document (schema "dmm-stats")
+/// holding per-span wall/cpu time and memory peaks, the flat phase
+/// aggregates, and every counter. Every telemetry output is rendered
+/// from it: `--metrics` (printMetrics), `--trace-json`
+/// (printChromeTrace), `--stats-json` (printStats) and `--report`
+/// (renderHtmlReport, telemetry/HtmlReport.h). The stats file is also
+/// consumed by `scripts/run_bench.sh` (to compose BENCH_<label>.json)
+/// and by the schema-validation tests.
 ///
 /// Compatibility policy (see docs/OBSERVABILITY.md): within a major
 /// version, fields are only ever added, never removed or retyped;
@@ -20,15 +22,18 @@
 /// deterministic for a given input. "jobs" is always 1: the pipeline
 /// runs on one thread, and the key stays for schema compatibility.
 ///
-/// StatsDocument is deliberately decoupled from the live Telemetry
-/// registry: it can be built from a registry (buildStats) or parsed
-/// back from a file (parseStats), so `--report --from-stats=FILE`
-/// works without re-running the pipeline.
+/// The document reuses the registry's record types (PhaseStat,
+/// SpanRecord) but is a snapshot, not a view: it can be built from a
+/// registry (buildStats) or parsed back from a file (parseStats), so
+/// `--report --from-stats=FILE` works without re-running the pipeline,
+/// and every renderer gives the same bytes for either.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DMM_TELEMETRY_STATS_H
 #define DMM_TELEMETRY_STATS_H
+
+#include "telemetry/Telemetry.h"
 
 #include <cstdint>
 #include <ostream>
@@ -38,9 +43,6 @@
 #include <vector>
 
 namespace dmm {
-
-class Telemetry;
-
 namespace stats {
 
 inline constexpr const char kSchemaName[] = "dmm-stats";
@@ -48,33 +50,13 @@ inline constexpr const char kSchemaName[] = "dmm-stats";
 /// optional "profiler" section (shadow-memory profiler summary,
 /// snapshots, and per-site byte attribution); 3 — adds the optional
 /// "diagnostics" section (per-level log counts, flight-recorder
-/// totals, crash-report count). Documents without the optional
-/// sections are valid at any version that permits them; parseStats
-/// accepts every version in [kMinSchemaVersion, kSchemaVersion].
+/// totals, crash-report count); phase rows later gained "depth", an
+/// added field, so the version stayed 3. Documents without the
+/// optional sections are valid at any version that permits them;
+/// parseStats accepts every version in [kMinSchemaVersion,
+/// kSchemaVersion].
 inline constexpr int kSchemaVersion = 3;
 inline constexpr int kMinSchemaVersion = 1;
-
-/// One span in the document (self-contained mirror of SpanRecord).
-struct SpanStat {
-  uint64_t Id = 0;
-  uint64_t Parent = 0;
-  std::string Name;
-  uint64_t StartNanos = 0;
-  uint64_t DurNanos = 0;
-  uint64_t CpuNanos = 0;
-  int64_t MemNetBytes = 0;
-  int64_t MemPeakBytes = 0;
-  unsigned Depth = 0;
-  std::vector<std::pair<std::string, uint64_t>> IntArgs;
-  std::vector<std::pair<std::string, std::string>> StrArgs;
-};
-
-/// One row of the flat phase aggregate.
-struct PhaseRow {
-  std::string Name;
-  uint64_t Nanos = 0;
-  uint64_t Invocations = 0;
-};
 
 /// One point of the shadow profiler's high-water-mark timeline (v2).
 struct ProfilerSnapshotRow {
@@ -145,9 +127,12 @@ struct StatsDocument {
   bool MemAccounting = false; ///< Platform supports heap accounting.
   ProfilerSection Profiler; ///< Present only when --profile ran (v2).
   DiagnosticsSection Diagnostics; ///< Filled by buildStats (v3).
-  std::vector<PhaseRow> Phases; ///< Sorted by (namespace, key).
-  std::vector<std::pair<std::string, uint64_t>> Counters; ///< Sorted.
-  std::vector<SpanStat> Spans; ///< In begin order; Spans[I].Id == I+1.
+  /// Sorted by (namespace, key): the namespace is the dotted prefix
+  /// before the first '.'. Depth is 0 when read from a file older
+  /// than the "depth" field.
+  std::vector<PhaseStat> Phases;
+  std::vector<std::pair<std::string, uint64_t>> Counters; ///< Same order.
+  std::vector<SpanRecord> Spans; ///< In begin order; Spans[I].Id == I+1.
 };
 
 /// Snapshots \p T into a document.
@@ -155,6 +140,16 @@ StatsDocument buildStats(const Telemetry &T, std::string Tool);
 
 /// Writes the document as schema-versioned JSON.
 void printStats(const StatsDocument &D, std::ostream &OS);
+
+/// Writes the human-readable phase/counter table (--metrics): phases
+/// indented by depth, then counters, both in document order.
+void printMetrics(const StatsDocument &D, std::ostream &OS);
+
+/// Writes Chrome trace-event JSON ({"traceEvents": [...]}, loadable in
+/// chrome://tracing or Perfetto): one complete event per span with its
+/// id, parent link and memory/attribute args, then one instant event
+/// carrying every counter, stamped at the latest span end.
+void printChromeTrace(const StatsDocument &D, std::ostream &OS);
 
 /// Parses and validates a stats JSON document: strict JSON, schema
 /// name/version, required fields with correct types, span parent ids

@@ -10,8 +10,6 @@
 #include "telemetry/MemoryAccounting.h"
 
 #include <algorithm>
-#include <iomanip>
-#include <string_view>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <time.h>
@@ -39,25 +37,6 @@ uint64_t threadCpuNanos() {
 #else
   return 0;
 #endif
-}
-
-/// Splits a dotted name into (namespace, key) for the documented
-/// metrics sort order: the namespace is everything before the first
-/// '.', the key the remainder.
-std::pair<std::string_view, std::string_view>
-splitNamespace(std::string_view Name) {
-  size_t Dot = Name.find('.');
-  if (Dot == std::string_view::npos)
-    return {Name, std::string_view()};
-  return {Name.substr(0, Dot), Name.substr(Dot + 1)};
-}
-
-bool namespaceKeyLess(std::string_view A, std::string_view B) {
-  auto [NsA, KeyA] = splitNamespace(A);
-  auto [NsB, KeyB] = splitNamespace(B);
-  if (NsA != NsB)
-    return NsA < NsB;
-  return KeyA < KeyB;
 }
 
 } // namespace
@@ -123,11 +102,11 @@ uint64_t Telemetry::beginSpan(const char *Name, uint64_t Parent,
   return Spans.back().Id;
 }
 
-void Telemetry::endSpan(uint64_t Id, const char *Name, uint64_t StartNanos,
-                        uint64_t DurNanos, uint64_t CpuNanos,
-                        int64_t MemNetBytes, int64_t MemPeakBytes,
-                        unsigned Depth, std::vector<SpanArg> Args) {
-  (void)StartNanos;
+void Telemetry::endSpan(
+    uint64_t Id, const char *Name, uint64_t DurNanos, uint64_t CpuNanos,
+    int64_t MemNetBytes, int64_t MemPeakBytes, unsigned Depth,
+    std::vector<std::pair<std::string, uint64_t>> IntArgs,
+    std::vector<std::pair<std::string, std::string>> StrArgs) {
   std::lock_guard<std::mutex> Lock(Mu);
   if (Id != 0 && Id <= Spans.size()) {
     SpanRecord &R = Spans[Id - 1];
@@ -135,8 +114,8 @@ void Telemetry::endSpan(uint64_t Id, const char *Name, uint64_t StartNanos,
     R.CpuNanos = CpuNanos;
     R.MemNetBytes = MemNetBytes;
     R.MemPeakBytes = MemPeakBytes;
-    R.Closed = true;
-    R.Args = std::move(Args);
+    R.IntArgs = std::move(IntArgs);
+    R.StrArgs = std::move(StrArgs);
   }
   auto It = PhaseIndex.find(Name);
   if (It == PhaseIndex.end()) // endSpan without beginSpan: tolerate.
@@ -228,135 +207,17 @@ Span::~Span() {
   const uint64_t End = T->nowNanos();
   uint64_t CpuEnd = threadCpuNanos();
   CurrentSpanTL = SavedParent;
-  T->endSpan(Id, Name, StartNanos, End > StartNanos ? End - StartNanos : 0,
+  T->endSpan(Id, Name, End > StartNanos ? End - StartNanos : 0,
              CpuEnd > CpuStart ? CpuEnd - CpuStart : 0, F.NetBytes,
-             F.PeakBytes, Depth, std::move(Args));
+             F.PeakBytes, Depth, std::move(IntArgs), std::move(StrArgs));
 }
 
 void Span::arg(const char *Key, uint64_t Value) {
-  if (!T)
-    return;
-  SpanArg A;
-  A.Key = Key;
-  A.IntValue = Value;
-  Args.push_back(std::move(A));
+  if (T)
+    IntArgs.emplace_back(Key, Value);
 }
 
 void Span::arg(const char *Key, std::string Value) {
-  if (!T)
-    return;
-  SpanArg A;
-  A.Key = Key;
-  A.StrValue = std::move(Value);
-  A.IsString = true;
-  Args.push_back(std::move(A));
-}
-
-//===----------------------------------------------------------------------===//
-// Emitters
-//===----------------------------------------------------------------------===//
-
-void Telemetry::printMetrics(std::ostream &OS) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto Flags = OS.flags();
-
-  // Documented stable sort: (namespace, key), where the namespace is
-  // the dotted prefix.
-  std::vector<const PhaseStat *> Sorted;
-  Sorted.reserve(Phases.size());
-  for (const PhaseStat &P : Phases)
-    Sorted.push_back(&P);
-  std::stable_sort(Sorted.begin(), Sorted.end(),
-                   [](const PhaseStat *A, const PhaseStat *B) {
-                     return namespaceKeyLess(A->Name, B->Name);
-                   });
-
-  OS << "phase                                time (ms)      calls\n";
-  for (const PhaseStat *P : Sorted) {
-    std::string Label(2 + 2 * P->Depth, ' ');
-    Label += P->Name;
-    OS << std::left << std::setw(35) << Label << std::right
-       << std::setw(12) << std::fixed << std::setprecision(3)
-       << P->Nanos / 1e6 << std::setw(11) << P->Invocations << "\n";
-  }
-  if (!Counters.empty()) {
-    std::vector<const std::pair<const std::string, uint64_t> *> Rows;
-    Rows.reserve(Counters.size());
-    for (const auto &KV : Counters)
-      Rows.push_back(&KV);
-    std::stable_sort(Rows.begin(), Rows.end(),
-                     [](const auto *A, const auto *B) {
-                       return namespaceKeyLess(A->first, B->first);
-                     });
-    OS << "counter                                               value\n";
-    for (const auto *KV : Rows)
-      OS << "  " << std::left << std::setw(42) << KV->first << std::right
-         << std::setw(13) << KV->second << "\n";
-  }
-  OS.flags(Flags);
-}
-
-static void printJsonEscaped(std::ostream &OS, std::string_view S) {
-  static const char *Hex = "0123456789abcdef";
-  OS << '"';
-  for (char C : S) {
-    unsigned char U = static_cast<unsigned char>(C);
-    if (C == '"' || C == '\\')
-      OS << '\\' << C;
-    else if (U < 0x20)
-      OS << "\\u00" << Hex[U >> 4] << Hex[U & 0xf];
-    else
-      OS << C;
-  }
-  OS << '"';
-}
-
-void Telemetry::printChromeTrace(std::ostream &OS) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto Flags = OS.flags();
-  OS << "{\"traceEvents\": [";
-  bool First = true;
-  OS << std::fixed << std::setprecision(3);
-  for (const SpanRecord &S : Spans) {
-    if (!First)
-      OS << ",";
-    First = false;
-    OS << "\n  {\"name\": ";
-    printJsonEscaped(OS, S.Name);
-    OS << ", \"cat\": \"span\", \"ph\": \"X\", \"ts\": " << S.StartNanos / 1e3
-       << ", \"dur\": " << S.DurNanos / 1e3
-       << ", \"pid\": 1, \"tid\": 1, \"args\": {\"span_id\": " << S.Id
-       << ", \"parent\": " << S.Parent
-       << ", \"cpu_us\": " << S.CpuNanos / 1e3
-       << ", \"mem_peak_bytes\": " << S.MemPeakBytes
-       << ", \"mem_net_bytes\": " << S.MemNetBytes;
-    for (const SpanArg &A : S.Args) {
-      OS << ", ";
-      printJsonEscaped(OS, A.Key);
-      OS << ": ";
-      if (A.IsString)
-        printJsonEscaped(OS, A.StrValue);
-      else
-        OS << A.IntValue;
-    }
-    OS << "}}";
-  }
-  if (!Counters.empty()) {
-    if (!First)
-      OS << ",";
-    OS << "\n  {\"name\": \"counters\", \"ph\": \"I\", \"ts\": "
-       << nowNanos() / 1e3 << ", \"s\": \"g\", \"pid\": 1, \"tid\": 1, "
-          "\"args\": {";
-    bool FirstArg = true;
-    for (const auto &[Name, Value] : Counters) {
-      if (!FirstArg)
-        OS << ", ";
-      FirstArg = false;
-      printJsonEscaped(OS, Name);
-      OS << ": " << Value;
-    }
-    OS << "}}";
-  }
-  OS << "\n], \"displayTimeUnit\": \"ms\"}\n";
-  OS.flags(Flags);
+  if (T)
+    StrArgs.emplace_back(Key, std::move(Value));
 }

@@ -7,10 +7,10 @@
 /// \file
 /// Low-overhead observability for the deadmember pipeline: a registry of
 /// hierarchical spans (RAII, parent/child links, per-span wall/cpu time
-/// and memory accounting) and named counters, with emitters for a
-/// human-readable phase/counter table and Chrome trace-event JSON
-/// (loadable in chrome://tracing or Perfetto). The versioned stats
-/// schema and the HTML report renderer build on this registry — see
+/// and memory accounting) and named counters. The registry only
+/// records; every output (the --metrics table, the Chrome trace, the
+/// stats JSON and the HTML report) is rendered from the dmm-stats
+/// document that stats::buildStats snapshots from it — see
 /// telemetry/Stats.h and docs/OBSERVABILITY.md.
 ///
 /// Telemetry is off by default. Instrumentation sites test one global
@@ -43,13 +43,13 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dmm {
 
-/// Accumulated cost of one span name (the flat per-phase view kept for
+/// Accumulated cost of one span name (the flat per-phase view behind
 /// the --metrics table and the benchmark counter exports).
 struct PhaseStat {
   std::string Name;
@@ -58,18 +58,10 @@ struct PhaseStat {
   unsigned Depth = 0;       ///< Minimum tree depth observed.
 };
 
-/// One key/value attribute attached to a span. Values are either
-/// unsigned integers (counts, bytes, flags) or strings (file names).
-struct SpanArg {
-  std::string Key;
-  uint64_t IntValue = 0;
-  std::string StrValue;
-  bool IsString = false;
-};
-
 /// One span: a named interval in the pipeline's execution tree.
 /// Id 0 is reserved ("no span"); parents always have smaller ids than
-/// their children because a parent begins before any child.
+/// their children because a parent begins before any child. A span
+/// still open when the registry is read has zero cost fields.
 struct SpanRecord {
   uint64_t Id = 0;
   uint64_t Parent = 0; ///< 0 for roots.
@@ -80,8 +72,10 @@ struct SpanRecord {
   int64_t MemNetBytes = 0;   ///< Allocated minus freed while open.
   int64_t MemPeakBytes = 0;  ///< Peak net heap growth while open.
   unsigned Depth = 0;        ///< Tree depth (root = 0).
-  bool Closed = false;       ///< False only for spans still open.
-  std::vector<SpanArg> Args;
+  /// Attributes, in arg() order per kind: counts, bytes and 0/1 flags,
+  /// then strings (file names, modes).
+  std::vector<std::pair<std::string, uint64_t>> IntArgs;
+  std::vector<std::pair<std::string, std::string>> StrArgs;
 };
 
 /// The span/counter registry. Install with TelemetryScope; instrument
@@ -112,10 +106,11 @@ public:
   /// Closes span \p Id with its measured costs and attributes, and
   /// folds the interval into the per-name aggregate. \p Id may be 0
   /// (dropped span): only the aggregate is updated then.
-  void endSpan(uint64_t Id, const char *Name, uint64_t StartNanos,
-               uint64_t DurNanos, uint64_t CpuNanos, int64_t MemNetBytes,
-               int64_t MemPeakBytes, unsigned Depth,
-               std::vector<SpanArg> Args);
+  void endSpan(uint64_t Id, const char *Name, uint64_t DurNanos,
+               uint64_t CpuNanos, int64_t MemNetBytes, int64_t MemPeakBytes,
+               unsigned Depth,
+               std::vector<std::pair<std::string, uint64_t>> IntArgs,
+               std::vector<std::pair<std::string, std::string>> StrArgs);
   /// @}
 
   /// Nanoseconds since this registry was created (monotonic clock).
@@ -150,14 +145,6 @@ public:
   /// Id == I + 1.
   const std::vector<SpanRecord> &spans() const { return Spans; }
   /// @}
-
-  /// Writes the human-readable phase/counter table. Rows are sorted by
-  /// (namespace, key) — the namespace is the dotted prefix before the
-  /// first '.'.
-  void printMetrics(std::ostream &OS) const;
-  /// Writes Chrome trace-event JSON ({"traceEvents": [...]}) with span
-  /// ids, parent links, and memory/attribute args.
-  void printChromeTrace(std::ostream &OS) const;
 
 private:
   friend class TelemetryScope;
@@ -219,7 +206,8 @@ private:
   bool MemPushed = false;
   uint64_t StartNanos = 0;
   uint64_t CpuStart = 0;
-  std::vector<SpanArg> Args;
+  std::vector<std::pair<std::string, uint64_t>> IntArgs;
+  std::vector<std::pair<std::string, std::string>> StrArgs;
 };
 
 } // namespace dmm

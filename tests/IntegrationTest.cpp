@@ -13,6 +13,7 @@
 #include "TestUtil.h"
 
 #include "analysis/ProgramStats.h"
+#include "telemetry/Stats.h"
 #include "telemetry/Telemetry.h"
 
 using namespace dmm;
@@ -163,7 +164,7 @@ TEST(Integration, MetricsTableCoversStablePhaseNames) {
     runOK(*C);
   }
   std::ostringstream OS;
-  Tel.printMetrics(OS);
+  stats::printMetrics(stats::buildStats(Tel, "deadmember test"), OS);
   std::string Table = OS.str();
   for (const char *Phase :
        {"lex", "parse", "sema", "callgraph", "analysis", "interp"})

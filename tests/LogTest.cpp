@@ -9,7 +9,7 @@
 /// sink formats, per-level counters), the per-thread flight recorder
 /// (ring wrap-around, span markers, the open-span stack), and the
 /// crash-report writer validated through the tool's own strict JSON
-/// parser.
+/// parser, including a real host stack overflow in a death test.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,10 +21,14 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -311,6 +315,49 @@ TEST(CrashReport, WriteCrashReportEmitsValidJson) {
   EXPECT_GE(Counters->getNumber("log_error"), 1.0);
   // No crash actually happened in this process.
   EXPECT_EQ(crashReportsWritten(), 0u);
+}
+
+/// Recurses until the host stack overflows. The volatile frame buffer
+/// keeps every frame large and the read after the call keeps the
+/// recursion from becoming a loop.
+[[gnu::noinline]] unsigned overflowHostStack(unsigned Depth) {
+  volatile char Frame[1024];
+  Frame[Depth % sizeof(Frame)] = static_cast<char>(Depth);
+  if (Depth == ~0u)
+    return 0;
+  return overflowHostStack(Depth + 1) + Frame[(Depth + 1) % sizeof(Frame)];
+}
+
+TEST(CrashReportDeathTest, HostStackOverflowWritesAReport) {
+  // The forked child shares this directory name with the parent.
+  ::testing::GTEST_FLAG(death_test_style) = "fast";
+  std::string Dir = ::testing::TempDir() + "dmm-overflow-XXXXXX";
+  ASSERT_NE(::mkdtemp(Dir.data()), nullptr);
+  EXPECT_EXIT(
+      {
+        ::setenv("DMM_CRASH_DIR", Dir.c_str(), 1);
+        installCrashHandler(0, nullptr, "dmm_tests", "test");
+        overflowHostStack(0);
+      },
+      ::testing::KilledBySignal(SIGSEGV), "crash report written");
+
+  std::vector<std::string> Names, Texts;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir)) {
+    Names.push_back(Entry.path().filename().string());
+    std::ifstream In(Entry.path());
+    std::ostringstream SS;
+    SS << In.rdbuf();
+    Texts.push_back(SS.str());
+  }
+  std::filesystem::remove_all(Dir);
+  ASSERT_EQ(Names.size(), 1u);
+  EXPECT_EQ(Names[0].rfind("dmm-crash-", 0), 0u) << Names[0];
+
+  json::Value V;
+  std::string Error;
+  ASSERT_TRUE(json::parse(Texts[0], V, Error)) << Error;
+  EXPECT_EQ(V.getString("schema"), kCrashSchemaName);
+  EXPECT_EQ(V.getString("reason"), "SIGSEGV");
 }
 
 #endif // !_WIN32

@@ -7,7 +7,8 @@
 /// \file
 /// Covers the JSON parser, the versioned dmm-stats document
 /// (build → print → parse round trip, strict validation, parent-id
-/// resolution), and the HTML report renderer.
+/// resolution), and the renderers that read it: the metrics table, the
+/// Chrome trace and the HTML report.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,6 +78,21 @@ TEST(Json, SurrogatePairsDecodeToUtf8) {
   EXPECT_TRUE(jsonParseFails("\"\\ud83d\"")); // Unpaired high surrogate.
 }
 
+TEST(Json, WriteStringRoundTripsThroughParse) {
+  // Every ASCII byte, a NUL, and a multi-byte UTF-8 sequence survive
+  // writeString -> parse; newline and tab use their short escapes.
+  std::string S(1, '\0');
+  for (int C = 1; C < 0x80; ++C)
+    S += static_cast<char>(C);
+  S += "\xC3\xA9";
+  std::ostringstream OS;
+  json::writeString(OS, S);
+  EXPECT_NE(OS.str().find("\\n"), std::string::npos);
+  EXPECT_NE(OS.str().find("\\t"), std::string::npos);
+  EXPECT_NE(OS.str().find("\\u001f"), std::string::npos);
+  EXPECT_EQ(parseJsonOK(OS.str()).str(), S);
+}
+
 //===----------------------------------------------------------------------===//
 // Stats document
 //===----------------------------------------------------------------------===//
@@ -120,7 +136,7 @@ TEST(StatsSchema, RoundTripFromLivePipeline) {
   for (const char *Name : {"pipeline", "lex", "parse", "sema", "callgraph",
                            "analysis"}) {
     bool Found = false;
-    for (const stats::PhaseRow &P : D.Phases)
+    for (const PhaseStat &P : D.Phases)
       Found = Found || P.Name == Name;
     EXPECT_TRUE(Found) << "missing phase " << Name;
   }
@@ -129,7 +145,7 @@ TEST(StatsSchema, RoundTripFromLivePipeline) {
   ASSERT_EQ(D.Spans[0].Name, "pipeline");
   EXPECT_EQ(D.Spans[0].Parent, 0u);
   size_t Children = 0;
-  for (const stats::SpanStat &S : D.Spans)
+  for (const SpanRecord &S : D.Spans)
     if (S.Parent == D.Spans[0].Id)
       ++Children;
   EXPECT_GT(Children, 0u);
@@ -142,7 +158,7 @@ TEST(StatsSchema, NoOrphanSpansAtAnyJobsLevel) {
   // parseStats enforces dense begin-ordered ids and parent-precedes-
   // child, so a successful parse proves every parent resolves.
   ASSERT_TRUE(stats::parseStats(Text, D, Error)) << Error;
-  for (const stats::SpanStat &S : D.Spans) {
+  for (const SpanRecord &S : D.Spans) {
     EXPECT_LT(S.Parent, S.Id);
     if (S.Name != "pipeline") {
       EXPECT_NE(S.Parent, 0u) << "orphan span '" << S.Name << "'";
@@ -342,7 +358,7 @@ TEST(StatsSchema, TraceJsonIsStrictlyParseable) {
   Telemetry Tel;
   runPipeline(Tel);
   std::ostringstream OS;
-  Tel.printChromeTrace(OS);
+  stats::printChromeTrace(stats::buildStats(Tel, "deadmember test"), OS);
   json::Value V;
   std::string Error;
   ASSERT_TRUE(json::parse(OS.str(), V, Error)) << Error;
@@ -362,6 +378,102 @@ TEST(StatsSchema, TraceJsonIsStrictlyParseable) {
   }
 }
 
+/// Both text renderings of \p D, concatenated.
+std::string renderMetricsAndTrace(const stats::StatsDocument &D) {
+  std::ostringstream OS;
+  stats::printMetrics(D, OS);
+  stats::printChromeTrace(D, OS);
+  return OS.str();
+}
+
+TEST(StatsSchema, DocumentIsTheWholeRecordOfARun) {
+  // The metrics table and the trace read nothing but the document, so
+  // a document written to JSON and parsed back renders the same bytes
+  // as the one built from the live registry.
+  Telemetry Tel;
+  runPipeline(Tel);
+  stats::StatsDocument D = stats::buildStats(Tel, "deadmember test");
+  std::ostringstream OS;
+  stats::printStats(D, OS);
+  stats::StatsDocument Back;
+  std::string Error;
+  ASSERT_TRUE(stats::parseStats(OS.str(), Back, Error)) << Error;
+  EXPECT_EQ(renderMetricsAndTrace(Back), renderMetricsAndTrace(D));
+
+  // Phase depth, which indents the metrics table, survives the trip.
+  ASSERT_EQ(Back.Phases.size(), D.Phases.size());
+  bool Nested = false;
+  for (size_t I = 0; I != D.Phases.size(); ++I) {
+    EXPECT_EQ(Back.Phases[I].Name, D.Phases[I].Name);
+    EXPECT_EQ(Back.Phases[I].Depth, D.Phases[I].Depth) << D.Phases[I].Name;
+    Nested = Nested || D.Phases[I].Depth > 0;
+  }
+  EXPECT_TRUE(Nested);
+  const PhaseStat *Lex = Tel.phase("lex");
+  ASSERT_NE(Lex, nullptr);
+  EXPECT_EQ(Lex->Depth, 1u);
+}
+
+TEST(StatsSchema, PhaseDepthIsOptionalOnRead) {
+  // Files written before phase rows carried "depth" still parse, with
+  // every depth 0; a non-numeric depth is rejected.
+  Telemetry Tel;
+  runPipeline(Tel);
+  std::ostringstream OS;
+  stats::printStats(stats::buildStats(Tel, "deadmember test"), OS);
+  const std::string Good = OS.str();
+
+  std::string Old = Good;
+  size_t Removed = 0;
+  for (size_t Pos; (Pos = Old.find(", \"depth\": ")) != std::string::npos;) {
+    size_t End = Old.find('}', Pos);
+    // Span rows carry "depth" mid-row; only phase rows end with it.
+    if (Old.find(',', Pos + 1) < End)
+      break;
+    Old.erase(Pos, End - Pos);
+    ++Removed;
+  }
+  ASSERT_GT(Removed, 0u);
+  stats::StatsDocument D;
+  std::string Error;
+  ASSERT_TRUE(stats::parseStats(Old, D, Error)) << Error;
+  ASSERT_FALSE(D.Phases.empty());
+  for (const PhaseStat &P : D.Phases)
+    EXPECT_EQ(P.Depth, 0u) << P.Name;
+
+  std::string Bad = Good;
+  size_t Pos = Bad.find(", \"depth\": ");
+  ASSERT_NE(Pos, std::string::npos);
+  Bad.insert(Pos + 11, "\"x\", \"y\": ");
+  stats::StatsDocument Out;
+  EXPECT_FALSE(stats::parseStats(Bad, Out, Error));
+}
+
+TEST(StatsSchema, TraceCounterEventIsStampedAtLatestSpanEnd) {
+  stats::StatsDocument D;
+  SpanRecord A;
+  A.Id = 1;
+  A.Name = "a";
+  A.StartNanos = 1000;
+  A.DurNanos = 9000; // Ends at 10 us.
+  SpanRecord B;
+  B.Id = 2;
+  B.Name = "b";
+  B.StartNanos = 4000;
+  B.DurNanos = 2000; // Starts later, ends earlier.
+  D.Spans = {A, B};
+  D.Counters.emplace_back("c.x", 1);
+  std::ostringstream OS;
+  stats::printChromeTrace(D, OS);
+  json::Value V = parseJsonOK(OS.str());
+  const json::Value *Events = V.get("traceEvents");
+  ASSERT_NE(Events, nullptr);
+  ASSERT_EQ(Events->array().size(), 3u);
+  const json::Value &Counters = Events->array()[2];
+  EXPECT_EQ(Counters.getString("ph"), "I");
+  EXPECT_EQ(Counters.getNumber("ts"), 10.0);
+}
+
 //===----------------------------------------------------------------------===//
 // HTML report
 //===----------------------------------------------------------------------===//
@@ -374,7 +486,7 @@ stats::StatsDocument syntheticDoc() {
   const char *Names[] = {"pipeline", "lex", "analysis", "analysis.scan",
                          "analysis.closure"};
   for (uint64_t I = 0; I != 5; ++I) {
-    stats::SpanStat S;
+    SpanRecord S;
     S.Id = I + 1;
     S.Parent = I; // Chain: each span under the previous one.
     S.Name = Names[I];

@@ -7,7 +7,8 @@
 /// \file
 /// Covers the telemetry registry (spans, counters, scope
 /// install/restore, disabled-path no-op), per-span memory accounting,
-/// the Chrome trace-event JSON emitter, and liveness provenance: direct
+/// the metrics table and Chrome trace-event JSON rendered from the
+/// registry's stats document, and liveness provenance: direct
 /// marks carry a source location, propagated marks carry the
 /// propagation edge, and the --explain report renders the full cause
 /// chain.
@@ -18,6 +19,7 @@
 
 #include "analysis/Report.h"
 #include "telemetry/MemoryAccounting.h"
+#include "telemetry/Stats.h"
 #include "telemetry/Telemetry.h"
 
 #include <vector>
@@ -81,15 +83,15 @@ TEST(Telemetry, NestedSpansRecordDepthAndParentLinks) {
   EXPECT_EQ(Inner->Depth, 1u);
 
   // Span records: ids are dense begin-ordered, parents precede
-  // children, both spans closed.
+  // children. One completed activation each proves endSpan ran.
   ASSERT_EQ(Tel.spans().size(), 2u);
   const SpanRecord &OuterRec = Tel.spans()[0];
   const SpanRecord &InnerRec = Tel.spans()[1];
   EXPECT_EQ(OuterRec.Id, 1u);
   EXPECT_EQ(OuterRec.Parent, 0u);
   EXPECT_EQ(InnerRec.Parent, OuterRec.Id);
-  EXPECT_TRUE(OuterRec.Closed);
-  EXPECT_TRUE(InnerRec.Closed);
+  EXPECT_EQ(Outer->Invocations, 1u);
+  EXPECT_EQ(Inner->Invocations, 1u);
   EXPECT_GE(OuterRec.DurNanos, InnerRec.DurNanos);
 }
 
@@ -103,13 +105,12 @@ TEST(Telemetry, SpanArgsAreRecorded) {
   }
   ASSERT_EQ(Tel.spans().size(), 1u);
   const SpanRecord &R = Tel.spans()[0];
-  ASSERT_EQ(R.Args.size(), 2u);
-  EXPECT_EQ(R.Args[0].Key, "file");
-  EXPECT_TRUE(R.Args[0].IsString);
-  EXPECT_EQ(R.Args[0].StrValue, "a.mcc");
-  EXPECT_EQ(R.Args[1].Key, "bytes");
-  EXPECT_FALSE(R.Args[1].IsString);
-  EXPECT_EQ(R.Args[1].IntValue, 123u);
+  ASSERT_EQ(R.StrArgs.size(), 1u);
+  EXPECT_EQ(R.StrArgs[0].first, "file");
+  EXPECT_EQ(R.StrArgs[0].second, "a.mcc");
+  ASSERT_EQ(R.IntArgs.size(), 1u);
+  EXPECT_EQ(R.IntArgs[0].first, "bytes");
+  EXPECT_EQ(R.IntArgs[0].second, 123u);
 }
 
 TEST(Telemetry, SpanLimitDropsRecordsButKeepsAggregates) {
@@ -200,6 +201,20 @@ TEST(Telemetry, ScopeRestoresPreviousSinkAndInactiveIsNoOp) {
   EXPECT_EQ(Telemetry::active(), nullptr);
 }
 
+/// The --metrics table, rendered from \p Tel's stats document.
+std::string metricsTable(const Telemetry &Tel) {
+  std::ostringstream OS;
+  stats::printMetrics(stats::buildStats(Tel, "deadmember test"), OS);
+  return OS.str();
+}
+
+/// The Chrome trace, rendered from \p Tel's stats document.
+std::string chromeTrace(const Telemetry &Tel) {
+  std::ostringstream OS;
+  stats::printChromeTrace(stats::buildStats(Tel, "deadmember test"), OS);
+  return OS.str();
+}
+
 TEST(Telemetry, MetricsTableListsPhasesAndCounters) {
   Telemetry Tel;
   {
@@ -207,11 +222,10 @@ TEST(Telemetry, MetricsTableListsPhasesAndCounters) {
     Span Timer("demo");
     Telemetry::count("demo.items", 42);
   }
-  std::ostringstream OS;
-  Tel.printMetrics(OS);
-  EXPECT_NE(OS.str().find("demo"), std::string::npos);
-  EXPECT_NE(OS.str().find("demo.items"), std::string::npos);
-  EXPECT_NE(OS.str().find("42"), std::string::npos);
+  const std::string Out = metricsTable(Tel);
+  EXPECT_NE(Out.find("demo"), std::string::npos);
+  EXPECT_NE(Out.find("demo.items"), std::string::npos);
+  EXPECT_NE(Out.find("42"), std::string::npos);
 }
 
 TEST(Telemetry, MetricsRowsSortedByNamespaceThenKey) {
@@ -224,9 +238,7 @@ TEST(Telemetry, MetricsRowsSortedByNamespaceThenKey) {
     Telemetry::count("z.first", 1);
     Telemetry::count("a.second", 2);
   }
-  std::ostringstream OS;
-  Tel.printMetrics(OS);
-  const std::string Out = OS.str();
+  const std::string Out = metricsTable(Tel);
   EXPECT_LT(Out.find("alpha.late"), Out.find("zeta"));
   EXPECT_LT(Out.find("a.second"), Out.find("z.first"));
   // phases() itself stays in activation order for programmatic use.
@@ -287,9 +299,7 @@ TEST(Telemetry, ChromeTraceIsWellFormed) {
     }
     Telemetry::count("outer.things", 3);
   }
-  std::ostringstream OS;
-  Tel.printChromeTrace(OS);
-  std::string Json = OS.str();
+  std::string Json = chromeTrace(Tel);
   EXPECT_TRUE(isBalancedJson(Json)) << Json;
   EXPECT_NE(Json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(Json.find("\"ph\": \"X\""), std::string::npos);
@@ -306,9 +316,8 @@ TEST(Telemetry, ChromeTraceEscapesNamesSafely) {
     TelemetryScope Scope(Tel);
     Telemetry::count("weird\"name\\with\ncontrols");
   }
-  std::ostringstream OS;
-  Tel.printChromeTrace(OS);
-  EXPECT_TRUE(isBalancedJson(OS.str())) << OS.str();
+  std::string Json = chromeTrace(Tel);
+  EXPECT_TRUE(isBalancedJson(Json)) << Json;
 }
 
 //===----------------------------------------------------------------------===//
