@@ -31,9 +31,9 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
-#include <set>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -451,16 +451,22 @@ int renderReportFromStats(const DriverOptions &Opts) {
 }
 
 /// Prints the per-class member access heat table for --measure.
-void printHeatReport(std::ostream &OS, const FieldHeat &Heat) {
+void printHeatReport(std::ostream &OS, const ASTContext &Ctx,
+                     const FieldHeat &Heat) {
   struct ClassHeat {
     uint64_t Reads = 0;
     uint64_t Writes = 0;
   };
   std::map<std::string, ClassHeat> PerClass;
-  for (const auto &[F, N] : Heat.Reads)
-    PerClass[F->parent()->name()].Reads += N;
-  for (const auto &[F, N] : Heat.Writes)
-    PerClass[F->parent()->name()].Writes += N;
+  for (const FieldDecl *F : Ctx.fields()) {
+    uint64_t Reads = Heat.Reads[F->declID()];
+    uint64_t Writes = Heat.Writes[F->declID()];
+    if (Reads || Writes) {
+      ClassHeat &H = PerClass[F->parent()->name()];
+      H.Reads += Reads;
+      H.Writes += Writes;
+    }
+  }
   if (PerClass.empty())
     return;
   std::vector<std::pair<std::string, ClassHeat>> Sorted(PerClass.begin(),
@@ -689,21 +695,18 @@ int main(int Argc, char **Argv) {
       std::cout << "  " << FD->qualifiedName() << "\n";
   }
 
-  // All execution modes share one interpreter run: --check collects the
-  // dynamic read set, --measure the allocation trace and access heat,
-  // --run the program output — from the same execution.
+  // All execution modes share one interpreter run: --check and
+  // --measure read the member access heat, --measure also the allocation
+  // trace, --run the program output — from the same execution.
   if (Opts.Check || Opts.RunProgram || Opts.Measure || Opts.Profile) {
-    std::set<const FieldDecl *> Reads;
     AllocationTrace Trace;
     FieldHeat Heat;
     std::optional<ShadowProfiler> Prof;
     InterpOptions IO;
-    if (Opts.Check)
-      IO.ReadSet = &Reads;
-    if (Opts.Measure) {
-      IO.Trace = &Trace;
+    if (Opts.Check || Opts.Measure)
       IO.Heat = &Heat;
-    }
+    if (Opts.Measure)
+      IO.Trace = &Trace;
     if (Opts.Profile) {
       Prof.emplace(C->hierarchy(), Result.deadSet());
       IO.Profiler = &*Prof;
@@ -724,13 +727,13 @@ int main(int Argc, char **Argv) {
 
     if (Opts.Check) {
       unsigned Violations = 0;
-      for (const FieldDecl *F : Reads)
-        if (Result.isDead(F)) {
+      for (const FieldDecl *F : C->context().fields())
+        if (Heat.Reads[F->declID()] && Result.isDead(F)) {
           ++Violations;
           std::cout << "UNSOUND: " << F->qualifiedName()
                     << " was read at run time but classified dead\n";
         }
-      std::cout << "soundness check: " << Reads.size()
+      std::cout << "soundness check: " << Heat.FirstReads.size()
                 << " members dynamically read, " << Violations
                 << " violations"
                 << (Violations == 0 ? " (OK)" : " (FAILED)") << "\n";
@@ -759,7 +762,7 @@ int main(int Argc, char **Argv) {
                 << "  high water mark w/o dead members: "
                 << M.HighWaterMarkNoDead << " bytes ("
                 << M.highWaterMarkReductionPercent() << "% reduction)\n";
-      printHeatReport(std::cout, Heat);
+      printHeatReport(std::cout, C->context(), Heat);
     }
 
     if (Opts.Profile) {

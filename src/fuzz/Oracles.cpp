@@ -52,9 +52,6 @@ OracleOutcome fail(const char *Oracle, std::string Detail) {
 /// different units (bytecode instructions vs AST visits).
 struct EngineObservation {
   ExecResult R;
-  std::set<const FieldDecl *> Reads;
-  std::vector<const FieldDecl *> ReadOrder;
-  std::set<const FieldDecl *> Writes;
   FieldHeat Heat;
   std::vector<TraceEvent> Events;
   ProfileSummary Prof;
@@ -68,12 +65,8 @@ EngineObservation runOnEngine(Compilation &C, bool UseVm,
   AllocationTrace Trace;
   ShadowProfiler Prof(C.hierarchy(), Dead);
   InterpOptions IO;
-  IO.ReadSet = &Obs.Reads;
-  IO.ReadTrace = &Obs.ReadOrder;
-  IO.WriteSet = &Obs.Writes;
   IO.Heat = &Obs.Heat;
   IO.Trace = &Trace;
-  IO.TraceStackObjects = true;
   IO.Profiler = &Prof;
   IO.CountDeallocationReads = Config.CountDeallocationReads;
   if (UseVm) {
@@ -92,7 +85,8 @@ EngineObservation runOnEngine(Compilation &C, bool UseVm,
 
 /// First divergence between the tree-walker's and the VM's observations,
 /// or std::nullopt when they agree byte for byte.
-std::optional<std::string> firstEngineDivergence(const EngineObservation &T,
+std::optional<std::string> firstEngineDivergence(const ASTContext &Ctx,
+                                                 const EngineObservation &T,
                                                  const EngineObservation &V) {
   auto Mismatch = [](const std::string &What, const std::string &Tree,
                      const std::string &Vm) {
@@ -110,41 +104,26 @@ std::optional<std::string> firstEngineDivergence(const EngineObservation &T,
   if (T.R.ExitCode != V.R.ExitCode)
     return Mismatch("exit code", std::to_string(T.R.ExitCode),
                     std::to_string(V.R.ExitCode));
-  if (T.ReadOrder.size() != V.ReadOrder.size())
-    return Mismatch("first-read count", std::to_string(T.ReadOrder.size()),
-                    std::to_string(V.ReadOrder.size()));
-  for (size_t I = 0; I != T.ReadOrder.size(); ++I)
-    if (T.ReadOrder[I] != V.ReadOrder[I])
-      return Mismatch("first-read #" + std::string(std::to_string(I + 1)),
-                      T.ReadOrder[I]->qualifiedName(),
-                      V.ReadOrder[I]->qualifiedName());
-  if (T.Reads != V.Reads)
-    return Mismatch("read set size", std::to_string(T.Reads.size()),
-                    std::to_string(V.Reads.size()));
-  if (T.Writes != V.Writes)
-    return Mismatch("write set size", std::to_string(T.Writes.size()),
-                    std::to_string(V.Writes.size()));
-  for (const auto &[F, N] : T.Heat.Reads) {
-    auto It = V.Heat.Reads.find(F);
-    uint64_t VN = It == V.Heat.Reads.end() ? 0 : It->second;
-    if (VN != N)
+  const std::vector<const FieldDecl *> &TF = T.Heat.FirstReads,
+                                       &VF = V.Heat.FirstReads;
+  if (TF.size() != VF.size())
+    return Mismatch("first-read count", std::to_string(TF.size()),
+                    std::to_string(VF.size()));
+  for (size_t I = 0; I != TF.size(); ++I)
+    if (TF[I] != VF[I])
+      return Mismatch("first-read #" + std::to_string(I + 1),
+                      TF[I]->qualifiedName(), VF[I]->qualifiedName());
+  for (const FieldDecl *F : Ctx.fields()) {
+    unsigned ID = F->declID();
+    if (T.Heat.Reads[ID] != V.Heat.Reads[ID])
       return Mismatch("read heat of " + F->qualifiedName(),
-                      std::to_string(N), std::to_string(VN));
-  }
-  if (T.Heat.Reads.size() != V.Heat.Reads.size())
-    return Mismatch("read-heat entries", std::to_string(T.Heat.Reads.size()),
-                    std::to_string(V.Heat.Reads.size()));
-  for (const auto &[F, N] : T.Heat.Writes) {
-    auto It = V.Heat.Writes.find(F);
-    uint64_t VN = It == V.Heat.Writes.end() ? 0 : It->second;
-    if (VN != N)
+                      std::to_string(T.Heat.Reads[ID]),
+                      std::to_string(V.Heat.Reads[ID]));
+    if (T.Heat.Writes[ID] != V.Heat.Writes[ID])
       return Mismatch("write heat of " + F->qualifiedName(),
-                      std::to_string(N), std::to_string(VN));
+                      std::to_string(T.Heat.Writes[ID]),
+                      std::to_string(V.Heat.Writes[ID]));
   }
-  if (T.Heat.Writes.size() != V.Heat.Writes.size())
-    return Mismatch("write-heat entries",
-                    std::to_string(T.Heat.Writes.size()),
-                    std::to_string(V.Heat.Writes.size()));
   if (T.Events.size() != V.Events.size())
     return Mismatch("trace length", std::to_string(T.Events.size()),
                     std::to_string(V.Events.size()));
@@ -214,13 +193,11 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
                               Config.Analysis);
   DeadMemberResult Result = Analysis.run(C->mainFunction());
 
-  std::set<const FieldDecl *> Reads;
-  std::vector<const FieldDecl *> ReadOrder;
+  FieldHeat Heat;
   AllocationTrace Trace;
   std::optional<ShadowProfiler> Prof;
   InterpOptions IO;
-  IO.ReadSet = &Reads;
-  IO.ReadTrace = &ReadOrder;
+  IO.Heat = &Heat;
   IO.CountDeallocationReads = Config.CountDeallocationReads;
   if (Config.Profiler) {
     // The profiler oracle rides the same execution: trace and shadow
@@ -261,7 +238,7 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
 
   // Oracle 5: engine equivalence. The bytecode VM must reproduce the
   // tree-walker's full observable surface — output, exit code, error,
-  // first-read order, read/write sets, heat, allocation trace, and
+  // first-read order, read/write heat, allocation trace, and
   // shadow-profiler summary — byte for byte. Steps is exempt (the
   // engines count different units), so a step-limit abort is compared
   // by error kind alone: the limit trips at engine-specific points.
@@ -282,7 +259,7 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
                         " only: tree \"" + Tree.R.Error + "\" vs vm \"" +
                         Vm.R.Error + "\"");
     } else if (std::optional<std::string> Div =
-                   firstEngineDivergence(Tree, Vm)) {
+                   firstEngineDivergence(C->context(), Tree, Vm)) {
       return fail("engine", "vm diverges from tree-walker: " + *Div);
     }
   }
@@ -290,8 +267,8 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
   // Oracle 2: dynamic soundness. Checked in first-read order so the
   // detail names the earliest offending read.
   if (Config.Soundness) {
-    for (size_t I = 0; I != ReadOrder.size(); ++I) {
-      const FieldDecl *F = ReadOrder[I];
+    for (size_t I = 0; I != Heat.FirstReads.size(); ++I) {
+      const FieldDecl *F = Heat.FirstReads[I];
       if (Result.isDead(F))
         return fail("soundness",
                     F->qualifiedName() + " (dynamic read #" +

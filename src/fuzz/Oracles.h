@@ -25,8 +25,8 @@
 ///     independent mechanisms.
 ///  5. *Engine equivalence* — the bytecode VM (vm/VM.h) must reproduce
 ///     the tree-walking interpreter exactly on the same program:
-///     byte-identical output, exit code, error message, ReadTrace
-///     first-read order, read/write sets, heat counts, allocation
+///     byte-identical output, exit code, error message, and
+///     FieldHeat (first-read order, read and write counts), allocation
 ///     trace, and shadow-profiler summary. Only ExecResult::Steps is
 ///     exempt (the engines count different units); step-limit aborts
 ///     are therefore compared by error kind alone.

@@ -18,18 +18,17 @@ static uint64_t alignTo(uint64_t Value, uint64_t Align) {
   return (Value + Align - 1) / Align * Align;
 }
 
-/// True if \p CD has a virtual method or virtual destructor, declared or
-/// inherited: its objects need a vptr somewhere.
-static bool isDynamicClass(const ClassHierarchy &CH, const ClassDecl *CD) {
+bool LayoutEngine::isDynamic(const ClassDecl *CD) const {
+  auto It = DynamicCache.find(CD);
+  if (It != DynamicCache.end())
+    return It->second;
+  bool Dynamic = CD->destructor() && CD->destructor()->isVirtual();
   for (const MethodDecl *M : CD->methods())
-    if (CH.isVirtualMethod(M))
-      return true;
-  if (CD->destructor() && CD->destructor()->isVirtual())
-    return true;
+    Dynamic = Dynamic || CH.isVirtualMethod(M);
   for (const BaseSpecifier &BS : CD->bases())
-    if (isDynamicClass(CH, BS.Base))
-      return true;
-  return false;
+    Dynamic = Dynamic || isDynamic(BS.Base);
+  DynamicCache.emplace(CD, Dynamic);
+  return Dynamic;
 }
 
 uint64_t LayoutEngine::sizeOf(const Type *T) const {
@@ -100,10 +99,10 @@ uint64_t LayoutEngine::layoutNonVirtual(const ClassDecl *CD, uint64_t Base,
     return Size;
   }
 
-  bool Dynamic = isDynamicClass(CH, CD);
+  bool Dynamic = isDynamic(CD);
   bool BaseProvidesVPtr = false;
   for (const BaseSpecifier &BS : CD->bases())
-    if (!BS.IsVirtual && isDynamicClass(CH, BS.Base))
+    if (!BS.IsVirtual && isDynamic(BS.Base))
       BaseProvidesVPtr = true;
 
   if (Dynamic && !BaseProvidesVPtr) {
@@ -148,7 +147,7 @@ const ClassLayout &LayoutEngine::layout(const ClassDecl *CD) const {
 
   // Alignment: max over vptr presence, bases, and fields.
   uint64_t Align = 1;
-  if (isDynamicClass(CH, CD) || !CH.virtualBases(CD).empty())
+  if (isDynamic(CD) || !CH.virtualBases(CD).empty())
     Align = PointerSize;
   for (const BaseSpecifier &BS : CD->bases())
     Align = std::max(Align, layout(BS.Base).Align);
@@ -158,9 +157,9 @@ const ClassLayout &LayoutEngine::layout(const ClassDecl *CD) const {
 
   bool BaseProvidesVPtr = false;
   for (const BaseSpecifier &BS : CD->bases())
-    if (!BS.IsVirtual && isDynamicClass(CH, BS.Base))
+    if (!BS.IsVirtual && isDynamic(BS.Base))
       BaseProvidesVPtr = true;
-  L.HasOwnVPtr = isDynamicClass(CH, CD) && !BaseProvidesVPtr;
+  L.HasOwnVPtr = isDynamic(CD) && !BaseProvidesVPtr;
 
   uint64_t NVSize = layoutNonVirtual(CD, 0, L);
   L.NonVirtualSize = alignTo(std::max<uint64_t>(NVSize, 1), Align);
@@ -229,7 +228,7 @@ uint64_t LayoutEngine::sizeWithoutDead(const ClassDecl *CD,
 
     uint64_t align(const ClassDecl *C) const {
       uint64_t A = 1;
-      if (isDynamicClass(CH, C) || !CH.virtualBases(C).empty())
+      if (Engine.isDynamic(C) || !CH.virtualBases(C).empty())
         A = LayoutEngine::PointerSize;
       for (const BaseSpecifier &BS : C->bases())
         A = std::max(A, align(BS.Base));
@@ -267,9 +266,9 @@ uint64_t LayoutEngine::sizeWithoutDead(const ClassDecl *CD,
       uint64_t Offset = Base;
       bool BaseProvidesVPtr = false;
       for (const BaseSpecifier &BS : C->bases())
-        if (!BS.IsVirtual && isDynamicClass(CH, BS.Base))
+        if (!BS.IsVirtual && Engine.isDynamic(BS.Base))
           BaseProvidesVPtr = true;
-      if (isDynamicClass(CH, C) && !BaseProvidesVPtr)
+      if (Engine.isDynamic(C) && !BaseProvidesVPtr)
         Offset += LayoutEngine::PointerSize;
       for (const BaseSpecifier &BS : C->bases()) {
         if (BS.IsVirtual)

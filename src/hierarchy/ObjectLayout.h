@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <map>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -101,8 +102,13 @@ private:
 
   uint64_t sizeOfField(const FieldDecl *F, const FieldSet &Dead) const;
 
+  /// True if \p CD has a virtual method or virtual destructor, declared
+  /// or inherited: its objects need a vptr somewhere (cached).
+  bool isDynamic(const ClassDecl *CD) const;
+
   const ClassHierarchy &CH;
   mutable std::map<const ClassDecl *, ClassLayout> Cache;
+  mutable std::unordered_map<const ClassDecl *, bool> DynamicCache;
   mutable std::map<ShrinkKey, uint64_t> ShrinkCache;
 };
 

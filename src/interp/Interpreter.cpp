@@ -57,7 +57,12 @@ struct Interpreter::Frame {
 
 Interpreter::Interpreter(const ASTContext &Ctx, const ClassHierarchy &CH,
                          InterpOptions Options)
-    : Ctx(Ctx), CH(CH), Options(Options), Layout(CH) {}
+    : Ctx(Ctx), CH(CH), Options(Options), Layout(CH) {
+  if (Options.Heat) {
+    Options.Heat->Reads.resize(Ctx.numDecls());
+    Options.Heat->Writes.resize(Ctx.numDecls());
+  }
+}
 
 Interpreter::~Interpreter() = default;
 
@@ -507,14 +512,12 @@ void Interpreter::execVarDecl(const VarDecl *V,
   if (const ClassDecl *CD = Ty->asClassDecl()) {
     uint64_t ID = NextObjectID++;
     Storage *Obj = allocateObject(CD, nullptr, ID);
-    if (Options.TraceStackObjects) {
-      if (Options.Profiler)
-        Options.Profiler->registerObjects(CD, 1, ID, V->location());
-      if (uint64_t TID = traceAlloc(CD, 1))
-        TraceIDs[Obj] = TID;
-      if (Options.Profiler)
-        Options.Profiler->recordAllocEvent(ID);
-    }
+    if (Options.Profiler)
+      Options.Profiler->registerObjects(CD, 1, ID, V->location());
+    if (uint64_t TID = traceAlloc(CD, 1))
+      TraceIDs[Obj] = TID;
+    if (Options.Profiler)
+      Options.Profiler->recordAllocEvent(ID);
     F.Locals[V] = Obj;
     if (V->init()) {
       // Copy-initialization: memberwise copy from the source object.
@@ -568,7 +571,7 @@ void Interpreter::execVarDecl(const VarDecl *V,
     NextObjectID += std::max<uint64_t>(AT->size(), 1);
     Arr->ObjectID = ID;
     const ClassDecl *Elem = AT->element()->asClassDecl();
-    if (Elem && Options.TraceStackObjects && Options.Profiler)
+    if (Elem && Options.Profiler)
       Options.Profiler->registerObjects(Elem, AT->size(), ID, V->location());
     for (uint64_t I = 0; I != AT->size(); ++I) {
       if (Elem) {
@@ -581,7 +584,7 @@ void Interpreter::execVarDecl(const VarDecl *V,
         Arr->Elems.push_back(ES);
       }
     }
-    if (Elem && Options.TraceStackObjects) {
+    if (Elem) {
       if (uint64_t TID = traceAlloc(Elem, AT->size()))
         TraceIDs[Arr] = TID;
       if (Options.Profiler)
@@ -696,12 +699,8 @@ Value Interpreter::loadScalar(Storage *S) {
   if (S->Kind != Storage::SK::Scalar)
     fail("scalar read from aggregate storage");
   if (S->OwnerField) {
-    if (Options.ReadSet)
-      Options.ReadSet->insert(S->OwnerField);
-    if (Options.ReadTrace && TracedReads.insert(S->OwnerField).second)
-      Options.ReadTrace->push_back(S->OwnerField);
     if (Options.Heat)
-      ++Options.Heat->Reads[S->OwnerField];
+      Options.Heat->noteRead(S->OwnerField);
     if (Options.Profiler)
       Options.Profiler->recordRead(S->ObjectID, S->OwnerField);
   }
@@ -715,10 +714,8 @@ void Interpreter::storeScalar(Storage *S, const Value &V,
   if (S->Kind != Storage::SK::Scalar)
     fail("scalar write to aggregate storage");
   if (S->OwnerField) {
-    if (Options.WriteSet)
-      Options.WriteSet->insert(S->OwnerField);
     if (Options.Heat)
-      ++Options.Heat->Writes[S->OwnerField];
+      Options.Heat->noteWrite(S->OwnerField);
     if (Options.Profiler)
       Options.Profiler->recordWrite(S->ObjectID, S->OwnerField);
   }
@@ -1210,10 +1207,8 @@ Value Interpreter::evalAssign(const AssignExpr *E) {
         if (DstS->Kind == Storage::SK::Scalar &&
             SrcS->Kind == Storage::SK::Scalar) {
           if (DstS->OwnerField) {
-            if (I.Options.WriteSet)
-              I.Options.WriteSet->insert(DstS->OwnerField);
             if (I.Options.Heat)
-              ++I.Options.Heat->Writes[DstS->OwnerField];
+              I.Options.Heat->noteWrite(DstS->OwnerField);
             if (I.Options.Profiler)
               I.Options.Profiler->recordWrite(DstS->ObjectID,
                                               DstS->OwnerField);

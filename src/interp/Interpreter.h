@@ -8,9 +8,8 @@
 /// A tree-walking interpreter for MiniC++. It plays the role of the
 /// paper's instrumented execution (§4.3): while running a program it can
 /// record an allocation trace (for the dynamic measurements of Table 2 /
-/// Figure 4) and the set of data members whose values are dynamically
-/// read or written (the ground truth for the analysis-soundness property
-/// tests).
+/// Figure 4) and how often each data member is read or written
+/// (FieldHeat, the ground truth for the analysis-soundness tests).
 ///
 /// Semantics notes:
 ///  - objects are modeled as storage graphs, not flat bytes; union
@@ -36,8 +35,6 @@
 #include "trace/AllocationTrace.h"
 
 #include <deque>
-#include <map>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -46,12 +43,25 @@ namespace dmm {
 
 class ShadowProfiler;
 
-/// Per-member dynamic access counts, keyed by FieldDecl. Feeds the
-/// --measure "heat" report (how often each member is actually read and
-/// written at run time, aggregated per class by the driver).
+/// The one record of member accesses at run time, indexed by
+/// FieldDecl::declID(). Feeds the --check soundness test, the --measure
+/// "heat" report, and the fuzz oracles. Both engines size an attached
+/// record to ASTContext::numDecls() when they are constructed.
 struct FieldHeat {
-  std::map<const FieldDecl *, uint64_t> Reads;
-  std::map<const FieldDecl *, uint64_t> Writes;
+  std::vector<uint64_t> Reads;
+  std::vector<uint64_t> Writes;
+  /// Every member read at least once, in order of first read. The
+  /// soundness oracle (src/fuzz) cites this order, so an unsound
+  /// classification is tied to the earliest offending read.
+  std::vector<const FieldDecl *> FirstReads;
+
+  void noteRead(const FieldDecl *F) {
+    if (Reads[F->declID()]++ == 0)
+      FirstReads.push_back(F);
+  }
+  void noteWrite(const FieldDecl *F) { ++Writes[F->declID()]; }
+
+  bool operator==(const FieldHeat &) const = default;
 };
 
 /// Execution configuration and instrumentation sinks.
@@ -59,34 +69,21 @@ struct InterpOptions {
   /// Abort with an error after this many evaluation steps.
   uint64_t MaxSteps = 100'000'000;
 
-  /// When set, object allocations/deallocations are recorded here.
+  /// When set, object allocations/deallocations are recorded here. Stack
+  /// and global objects are included (the paper's measurements cover all
+  /// objects created during execution).
   AllocationTrace *Trace = nullptr;
 
-  /// Include stack-allocated and global objects in the trace (the
-  /// paper's measurements cover all objects created during execution).
-  bool TraceStackObjects = true;
-
-  /// When set, receives every FieldDecl whose value is read at run time.
-  /// Loads whose value feeds only a delete/free argument are not
-  /// recorded (mirroring the analysis' deallocation exemption, paper
-  /// footnote 3) unless CountDeallocationReads is set.
-  std::set<const FieldDecl *> *ReadSet = nullptr;
-  /// Record member loads that only feed delete/free (see ReadSet).
+  /// Record member loads that only feed delete/free. Off by default:
+  /// such loads are exempt from read attribution, mirroring the
+  /// analysis' deallocation exemption (paper footnote 3).
   bool CountDeallocationReads = false;
-  /// When set, receives every distinct FieldDecl in order of *first*
-  /// dynamic read (same deallocation exemption as ReadSet). The fuzzing
-  /// harness (src/fuzz) cites this order in its failure records, so an
-  /// unsound classification can be tied to the earliest offending read.
-  std::vector<const FieldDecl *> *ReadTrace = nullptr;
-  /// When set, receives every FieldDecl written at run time.
-  std::set<const FieldDecl *> *WriteSet = nullptr;
-  /// When set, receives per-member dynamic read/write counts. Reads
-  /// feeding only delete/free follow the same exemption as ReadSet.
+  /// When set, receives every member read and write at run time. Reads
+  /// feeding only delete/free follow CountDeallocationReads.
   FieldHeat *Heat = nullptr;
   /// When set, the shadow-memory profiler is driven on every object
   /// allocation/deallocation, member read/write, and address-take
-  /// (profiler/ShadowProfiler.h). Allocation events follow the same
-  /// TraceStackObjects gate as Trace so the profiler and the trace see
+  /// (profiler/ShadowProfiler.h), so the profiler and the trace see
   /// identical event streams. Null costs one branch per event.
   ShadowProfiler *Profiler = nullptr;
 };
@@ -186,8 +183,6 @@ private:
 
   std::string Output;
   uint64_t Steps = 0;
-  /// Fields already appended to Options.ReadTrace (first-read dedup).
-  std::set<const FieldDecl *> TracedReads;
   /// Telemetry tallies (plain members so the per-event cost is an
   /// increment; flushed to the active Telemetry when run() finishes).
   uint64_t NumCalls = 0;

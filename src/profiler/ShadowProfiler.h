@@ -25,9 +25,10 @@
 ///    allocated / written / read / address-taken / never-read bytes for
 ///    every leaf data member, with dead members flagged.
 ///
-/// Read/write attribution mirrors the interpreter's ReadSet/WriteSet
-/// semantics, including the paper's footnote-3 deallocation exemption
-/// (a member loaded only to be freed is not marked read). Member-level
+/// Read/write attribution follows the engines' FieldHeat record (the
+/// same loads and stores), including the paper's footnote-3
+/// deallocation exemption (a member loaded only to be freed is not
+/// marked read). Member-level
 /// marks are expanded to byte ranges through the layout; a member of a
 /// repeated non-virtual base shares storage, so a mark sets the bytes of
 /// every subobject copy, and union members overlap, so reading one

@@ -154,8 +154,7 @@ enum class Op : uint16_t {
   RetUnit,  ///< return unit
 
   // Objects and arrays.
-  AllocObj, ///< R[A] = new object of Classes[X] at site B;
-            ///< C=1: gate trace/profiler on TraceStackObjects
+  AllocObj, ///< R[A] = new object of Classes[X] at site B
   CtorCall, ///< construct object R[A] as Classes[X], ctor E (NoFunc16 =
             ///< implicit default), args [B,B+C), D = most-derived
   CtorElems, ///< construct each element of array place R[A] as
@@ -269,7 +268,6 @@ struct ArrayDesc {
   uint32_t ZeroConstIdx = 0;  ///< Element zero value (non-class).
   uint64_t Count = 0;         ///< Static extent (ArrLocal only).
   uint32_t SiteIdx = 0;       ///< Sites[] index for registerObjects.
-  bool Gate = false;          ///< Apply the TraceStackObjects gate.
 };
 
 /// Virtual-call site: the static method plus its failure message; the

@@ -19,11 +19,13 @@
 #include "ast/Stmt.h"
 #include "hierarchy/ClassHierarchy.h"
 #include "hierarchy/ObjectLayout.h"
+#include "support/BitVector.h"
 
 #include <algorithm>
 #include <cstring>
 #include <set>
 #include <stdexcept>
+#include <unordered_set>
 
 using namespace dmm;
 using namespace dmm::vm;
@@ -115,8 +117,9 @@ struct ConstKey {
 class Compiler {
 public:
   Compiler(const ASTContext &Ctx, const ClassHierarchy &CH,
-           const CompilerConfig &Config)
-      : Ctx(Ctx), CH(CH), Layout(CH), Config(Config) {}
+           bool CountDeallocationReads, const CompilerConfig &Config)
+      : Ctx(Ctx), CH(CH), Layout(CH),
+        CountDeallocationReads(CountDeallocationReads), Config(Config) {}
 
   Module compile();
 
@@ -124,6 +127,7 @@ private:
   const ASTContext &Ctx;
   const ClassHierarchy &CH;
   LayoutEngine Layout;
+  bool CountDeallocationReads;
   CompilerConfig Config;
   Module M;
 
@@ -394,8 +398,7 @@ private:
     return dyn_cast<FunctionType>(T);
   }
 
-  uint32_t arrayDesc(const Type *ElemTy, uint64_t Count, SourceLocation Loc,
-                     bool Gate) {
+  uint32_t arrayDesc(const Type *ElemTy, uint64_t Count, SourceLocation Loc) {
     ArrayDesc D;
     D.ElemType = ElemTy;
     if (const ClassDecl *CD = ElemTy->asClassDecl())
@@ -404,7 +407,6 @@ private:
       D.ZeroConstIdx = internConst(zeroValue(ElemTy));
     D.Count = Count;
     D.SiteIdx = site(Loc);
-    D.Gate = Gate;
     M.ArrayDescs.push_back(D);
     return static_cast<uint32_t>(M.ArrayDescs.size() - 1);
   }
@@ -443,39 +445,42 @@ void Compiler::indexFunctions() {
 
 void Compiler::colorFields() {
   // Interference: two fields conflict when they co-occur in some
-  // complete class's unique field list. Greedy coloring in global
-  // first-appearance order.
-  std::vector<std::vector<const FieldDecl *>> ClassFields;
+  // complete class's unique field list. A base's list is contained in
+  // each derived class's, so only the classes nothing derives from
+  // (only complete classes have bases) need checking; each keeps the
+  // set of colors it uses. Greedy coloring in global first-appearance
+  // order.
+  std::unordered_set<const ClassDecl *> Covered;
+  for (const ClassDecl *CD : Ctx.classes())
+    for (const BaseSpecifier &BS : CD->bases())
+      Covered.insert(BS.Base);
+
+  std::vector<BitVector> Used; // Per checked class.
   std::unordered_map<const FieldDecl *, std::vector<uint32_t>> FieldClasses;
   std::vector<const FieldDecl *> Order;
   for (const ClassDecl *CD : Ctx.classes()) {
-    std::vector<const FieldDecl *> Unique;
-    if (CD->isComplete()) {
-      std::set<const FieldDecl *> Seen;
-      for (const FieldSlot &Slot : Layout.layout(CD).AllFields)
-        if (Seen.insert(Slot.Field).second)
-          Unique.push_back(Slot.Field);
-    }
-    uint32_t CI = static_cast<uint32_t>(ClassFields.size());
-    for (const FieldDecl *FD : Unique) {
-      auto [It, Fresh] = FieldClasses.try_emplace(FD);
-      It->second.push_back(CI);
+    if (!CD->isComplete())
+      continue;
+    bool Checked = !Covered.count(CD);
+    uint32_t CI = static_cast<uint32_t>(Used.size());
+    for (const FieldSlot &Slot : Layout.layout(CD).AllFields) {
+      auto [It, Fresh] = FieldClasses.try_emplace(Slot.Field);
       if (Fresh)
-        Order.push_back(FD);
+        Order.push_back(Slot.Field);
+      if (Checked && (It->second.empty() || It->second.back() != CI))
+        It->second.push_back(CI);
     }
-    ClassFields.push_back(std::move(Unique));
+    if (Checked)
+      Used.emplace_back();
   }
   for (const FieldDecl *FD : Order) {
-    std::set<uint32_t> Used;
-    for (uint32_t CI : FieldClasses[FD])
-      for (const FieldDecl *Other : ClassFields[CI]) {
-        auto It = M.FieldColor.find(Other);
-        if (It != M.FieldColor.end())
-          Used.insert(It->second);
-      }
+    const std::vector<uint32_t> &In = FieldClasses[FD];
     uint32_t Color = 0;
-    while (Used.count(Color))
+    while (std::any_of(In.begin(), In.end(),
+                       [&](uint32_t CI) { return Used[CI].test(Color); }))
       ++Color;
+    for (uint32_t CI : In)
+      Used[CI].set(Color);
     M.FieldColor.emplace(FD, Color);
   }
 }
@@ -1096,8 +1101,7 @@ void Compiler::compileVarDecl(const VarDecl *V) {
 
   if (const ClassDecl *CD = Ty->asClassDecl()) {
     uint16_t Obj = allocTmp();
-    emit(Op::AllocObj, Obj, site16(V->location()),
-         /*Gate=*/1, 0, 0, classIdx(CD));
+    emit(Op::AllocObj, Obj, site16(V->location()), 0, 0, 0, classIdx(CD));
     // execVarDecl binds the frame local before evaluating the
     // initializer or constructor arguments.
     emit(Op::LSet, B.Idx, Obj);
@@ -1120,7 +1124,7 @@ void Compiler::compileVarDecl(const VarDecl *V) {
   if (const auto *AT = dyn_cast<ArrayType>(Ty)) {
     uint16_t Arr = allocTmp();
     emit(Op::ArrLocal, Arr, 0, 0, 0, 0,
-         arrayDesc(AT->element(), AT->size(), V->location(), /*Gate=*/true));
+         arrayDesc(AT->element(), AT->size(), V->location()));
     emit(Op::LSet, B.Idx, Arr);
     if (AT->element()->asClassDecl())
       Scopes.back().push_back(B.Idx);
@@ -1174,8 +1178,7 @@ void Compiler::compileGlobalVarDecl(const VarDecl *V) {
 
   if (const ClassDecl *CD = Ty->asClassDecl()) {
     uint16_t Obj = allocTmp();
-    emit(Op::AllocObj, Obj, site16(V->location()),
-         /*Gate=*/1, 0, 0, classIdx(CD));
+    emit(Op::AllocObj, Obj, site16(V->location()), 0, 0, 0, classIdx(CD));
     // execVarDecl binds the frame local before evaluating the
     // initializer; the global-frame analog is the unpublished binding.
     emit(Op::GBind, static_cast<uint16_t>(GI), Obj);
@@ -1200,7 +1203,7 @@ void Compiler::compileGlobalVarDecl(const VarDecl *V) {
   if (const auto *AT = dyn_cast<ArrayType>(Ty)) {
     uint16_t Arr = allocTmp();
     emit(Op::ArrLocal, Arr, 0, 0, 0, 0,
-         arrayDesc(AT->element(), AT->size(), V->location(), /*Gate=*/true));
+         arrayDesc(AT->element(), AT->size(), V->location()));
     emit(Op::GBind, static_cast<uint16_t>(GI), Arr);
     emit(Op::GPublish, static_cast<uint16_t>(GI));
     if (AT->element()->asClassDecl())
@@ -2089,14 +2092,13 @@ uint16_t Compiler::compileNew(const NewExpr *N, uint16_t Dst) {
     uint16_t Cnt = rvalA(N->arraySize());
     uint16_t R = target(Dst);
     emit(Op::ArrNew, R, Cnt, 0, 0, 0,
-         arrayDesc(Ty, 0, N->location(), /*Gate=*/false));
+         arrayDesc(Ty, 0, N->location()));
     return R;
   }
 
   if (const ClassDecl *CD = Ty->asClassDecl()) {
     uint16_t R = target(Dst);
-    emit(Op::AllocObj, R, site16(N->location()), /*Gate=*/0, 0, 0,
-         classIdx(CD));
+    emit(Op::AllocObj, R, site16(N->location()), 0, 0, 0, classIdx(CD));
     const ConstructorDecl *Ctor = N->constructor();
     uint16_t Argc = static_cast<uint16_t>(N->ctorArgs().size());
     uint16_t ArgBase = compileArgs(N->ctorArgs(), [&](size_t I) {
@@ -2123,7 +2125,7 @@ uint16_t Compiler::compileNew(const NewExpr *N, uint16_t Dst) {
 uint16_t Compiler::deallocArg(const Expr *E) {
   // evalDeallocArg: member loads feeding deallocation skip read
   // attribution (paper footnote 3) unless CountDeallocationReads.
-  if (Config.CountDeallocationReads)
+  if (CountDeallocationReads)
     return rval(E);
   const Expr *Stripped = stripCasts(E);
   bool IsMember = false;
@@ -2145,8 +2147,9 @@ namespace dmm {
 namespace vm {
 
 Module compileModule(const ASTContext &Ctx, const ClassHierarchy &CH,
+                     bool CountDeallocationReads,
                      const CompilerConfig &Config) {
-  return Compiler(Ctx, CH, Config).compile();
+  return Compiler(Ctx, CH, CountDeallocationReads, Config).compile();
 }
 
 } // namespace vm

@@ -43,9 +43,6 @@ class ClassHierarchy;
 namespace vm {
 
 struct CompilerConfig {
-  /// Mirror of InterpOptions::CountDeallocationReads: when set,
-  /// delete/free arguments are loaded with normal read attribution.
-  bool CountDeallocationReads = false;
   /// Deliberate miscompile for harness self-validation: integer `+`
   /// lowers to an off-by-one add (docs/TESTING.md fault injection).
   bool FaultAddOffByOne = false;
@@ -53,8 +50,11 @@ struct CompilerConfig {
 
 /// Compiles the whole program into a Module. Total: any construct the
 /// interpreter would reject at run time lowers to code failing with
-/// the identical message at the identical point.
+/// the identical message at the identical point. When
+/// \p CountDeallocationReads is set (InterpOptions::CountDeallocationReads),
+/// delete/free arguments are loaded with normal read attribution.
 Module compileModule(const ASTContext &Ctx, const ClassHierarchy &CH,
+                     bool CountDeallocationReads,
                      const CompilerConfig &Config = {});
 
 } // namespace vm

@@ -73,13 +73,13 @@ static Value zeroValueOf(const Type *Ty) {
 VM::VM(const ASTContext &Ctx, const ClassHierarchy &CH, InterpOptions Options,
        CompilerConfig Config)
     : CH(CH), Options(Options) {
-  // InterpOptions is the behavioural contract; the compiler needs the
-  // deallocation-read policy at lowering time, so mirror it rather than
-  // making every caller thread the flag twice.
-  Config.CountDeallocationReads |= Options.CountDeallocationReads;
+  if (Options.Heat) {
+    Options.Heat->Reads.resize(Ctx.numDecls());
+    Options.Heat->Writes.resize(Ctx.numDecls());
+  }
   {
     Span Timer("vm.compile");
-    Mod = compileModule(Ctx, CH, Config);
+    Mod = compileModule(Ctx, CH, Options.CountDeallocationReads, Config);
   }
   // Per-class recipe for allocateFieldStorage, one entry per unique
   // field slot in Fields-map insertion order.
@@ -284,12 +284,8 @@ Value VM::loadScalar(Storage *S) {
   if (S->Kind != Storage::SK::Scalar)
     fail("scalar read from aggregate storage");
   if (S->OwnerField) {
-    if (Options.ReadSet)
-      Options.ReadSet->insert(S->OwnerField);
-    if (Options.ReadTrace && TracedReads.insert(S->OwnerField).second)
-      Options.ReadTrace->push_back(S->OwnerField);
     if (Options.Heat)
-      ++Options.Heat->Reads[S->OwnerField];
+      Options.Heat->noteRead(S->OwnerField);
     if (Options.Profiler)
       Options.Profiler->recordRead(S->ObjectID, S->OwnerField);
   }
@@ -302,10 +298,8 @@ void VM::storeScalar(Storage *S, const Value &V, Conv C) {
   if (S->Kind != Storage::SK::Scalar)
     fail("scalar write to aggregate storage");
   if (S->OwnerField) {
-    if (Options.WriteSet)
-      Options.WriteSet->insert(S->OwnerField);
     if (Options.Heat)
-      ++Options.Heat->Writes[S->OwnerField];
+      Options.Heat->noteWrite(S->OwnerField);
     if (Options.Profiler)
       Options.Profiler->recordWrite(S->ObjectID, S->OwnerField);
   }
@@ -379,10 +373,8 @@ void VM::copyTree(Storage *Dst, Storage *Src, bool InitForm) {
           Options.Profiler->recordWrite(Dst->ObjectID, Dst->OwnerField);
       } else {
         // Class assignment (evalAssign): full write attribution.
-        if (Options.WriteSet)
-          Options.WriteSet->insert(Dst->OwnerField);
         if (Options.Heat)
-          ++Options.Heat->Writes[Dst->OwnerField];
+          Options.Heat->noteWrite(Dst->OwnerField);
         if (Options.Profiler)
           Options.Profiler->recordWrite(Dst->ObjectID, Dst->OwnerField);
       }
@@ -1247,15 +1239,13 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
   VM_CASE(AllocObj) : {
     uint64_t ID = NextObjectID++;
     Storage *Obj = allocObject(I->X, nullptr, ID);
-    if (!I->C || Options.TraceStackObjects) {
-      const ClassPlan &P = Mod.Classes[I->X];
-      if (Options.Profiler)
-        Options.Profiler->registerObjects(P.Decl, 1, ID, Mod.Sites[I->B]);
-      if (uint64_t TID = traceAlloc(I->X, 1))
-        TraceIDs[Obj] = TID;
-      if (Options.Profiler)
-        Options.Profiler->recordAllocEvent(ID);
-    }
+    if (Options.Profiler)
+      Options.Profiler->registerObjects(Mod.Classes[I->X].Decl, 1, ID,
+                                        Mod.Sites[I->B]);
+    if (uint64_t TID = traceAlloc(I->X, 1))
+      TraceIDs[Obj] = TID;
+    if (Options.Profiler)
+      Options.Profiler->recordAllocEvent(ID);
     R[I->A] = Value::ofPtr({Obj});
   }
   VM_NEXT();
@@ -1278,17 +1268,16 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
   VM_NEXT();
 
   VM_CASE(ArrLocal) : {
-    // Interpreter::execVarDecl array branch (Gate always set): the
-    // ObjectID range reserves one ID per element; hooks apply to
-    // class-element arrays only, registration before the element
-    // loop, trace/alloc-event after.
+    // Interpreter::execVarDecl array branch: the ObjectID range
+    // reserves one ID per element; hooks apply to class-element arrays
+    // only, registration before the element loop, trace/alloc-event
+    // after.
     const ArrayDesc &D = Mod.ArrayDescs[I->X];
     Storage *Arr = Arena.createArray(D.ElemType, nullptr);
     uint64_t ID = NextObjectID;
     NextObjectID += std::max<uint64_t>(D.Count, 1);
     Arr->ObjectID = ID;
-    bool Hooks = !D.Gate || Options.TraceStackObjects;
-    if (D.ElemClassIdx >= 0 && Hooks && Options.Profiler)
+    if (D.ElemClassIdx >= 0 && Options.Profiler)
       Options.Profiler->registerObjects(
           Mod.Classes[D.ElemClassIdx].Decl, D.Count, ID,
           Mod.Sites[D.SiteIdx]);
@@ -1306,7 +1295,7 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
         Arr->Elems.push_back(ES);
       }
     }
-    if (D.ElemClassIdx >= 0 && Hooks) {
+    if (D.ElemClassIdx >= 0) {
       if (uint64_t TID =
               traceAlloc(static_cast<uint32_t>(D.ElemClassIdx), D.Count))
         TraceIDs[Arr] = TID;

@@ -25,7 +25,6 @@
 #include "interp/Memory.h"
 #include "vm/BytecodeCompiler.h"
 
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -132,7 +131,6 @@ private:
   size_t Depth = 0; ///< Guest frame count (the tree-walker's Stack.size()).
 
   std::unordered_map<Storage *, uint64_t> TraceIDs;
-  std::set<const FieldDecl *> TracedReads; ///< ReadTrace first-read dedup.
 };
 
 } // namespace vm

@@ -119,10 +119,10 @@ TEST(Integration, KitchenSinkRunsAndAnalyzes) {
 
   // Execute with full instrumentation.
   AllocationTrace Trace;
-  std::set<const FieldDecl *> Reads;
+  FieldHeat Heat;
   InterpOptions IO;
   IO.Trace = &Trace;
-  IO.ReadSet = &Reads;
+  IO.Heat = &Heat;
   ExecResult E = runOK(*C, IO);
   EXPECT_EQ(E.ExitCode, 0);
   EXPECT_NE(E.Output.find("total="), std::string::npos);
@@ -141,7 +141,7 @@ TEST(Integration, KitchenSinkRunsAndAnalyzes) {
   EXPECT_FALSE(Dead.count("Packet::raw"));
 
   // Soundness on this program.
-  for (const FieldDecl *F : Reads)
+  for (const FieldDecl *F : Heat.FirstReads)
     EXPECT_FALSE(R.isDead(F)) << F->qualifiedName();
 
   // Dynamic metrics come out consistent.
@@ -242,16 +242,16 @@ TEST(Integration, AnalysisIsIdempotentOnSameCompilation) {
 
 TEST(Integration, AllCallGraphKindsAgreeOnKitchenSinkSoundness) {
   auto C = compileOK(KitchenSink);
-  std::set<const FieldDecl *> Reads;
+  FieldHeat Heat;
   InterpOptions IO;
-  IO.ReadSet = &Reads;
+  IO.Heat = &Heat;
   runOK(*C, IO);
   for (CallGraphKind Kind : {CallGraphKind::Trivial, CallGraphKind::CHA,
                              CallGraphKind::RTA}) {
     AnalysisOptions Opts;
     Opts.CallGraph = Kind;
     auto R = analyze(*C, Opts);
-    for (const FieldDecl *F : Reads)
+    for (const FieldDecl *F : Heat.FirstReads)
       EXPECT_FALSE(R.isDead(F))
           << F->qualifiedName() << " under " << callGraphKindName(Kind);
   }

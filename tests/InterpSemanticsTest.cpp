@@ -300,12 +300,66 @@ TEST_P(InterpSemantics, WritesThroughMemberPointerAttributeMember) {
       return p.x;
     }
   )");
-  std::set<const FieldDecl *> Writes;
+  FieldHeat Heat;
   InterpOptions IO;
-  IO.WriteSet = &Writes;
+  IO.Heat = &Heat;
   ExecResult R = runWithOK(*C, GetParam(), IO);
   EXPECT_EQ(R.ExitCode, 5);
-  EXPECT_TRUE(Writes.count(findField(*C, "P", "x")));
+  EXPECT_TRUE(Heat.Writes[findField(*C, "P", "x")->declID()]);
+}
+
+TEST_P(InterpSemantics, AccessRecordCountsAreExact) {
+  // Absolute FieldHeat contents, not just tree/VM agreement: copy-
+  // initialization reads its source but writes nothing, class
+  // assignment writes each scalar leaf once, and a member loaded only
+  // to be deleted is exempt unless CountDeallocationReads is set.
+  auto C = compileOK(R"(
+    class P { public: int x; int y; };
+    class H { public: int *buf; int tag; };
+    int main() {
+      P a;
+      a.x = 1;
+      a.y = 2;
+      print_int(a.y);
+      print_int(a.x);
+      P b = a;
+      P c;
+      c = b;
+      H h;
+      h.buf = new int(5);
+      h.tag = c.y;
+      delete h.buf;
+      return h.tag - 2;
+    }
+  )");
+  const FieldDecl *X = findField(*C, "P", "x");
+  const FieldDecl *Y = findField(*C, "P", "y");
+  const FieldDecl *Buf = findField(*C, "H", "buf");
+  const FieldDecl *Tag = findField(*C, "H", "tag");
+  ASSERT_TRUE(X && Y && Buf && Tag);
+  for (bool CountDealloc : {false, true}) {
+    SCOPED_TRACE(CountDealloc ? "CountDeallocationReads" : "exempt");
+    FieldHeat Heat;
+    InterpOptions IO;
+    IO.Heat = &Heat;
+    IO.CountDeallocationReads = CountDealloc;
+    ExecResult R = runWithOK(*C, GetParam(), IO);
+    EXPECT_EQ(R.ExitCode, 0);
+    ASSERT_EQ(Heat.Reads.size(), C->context().numDecls());
+    ASSERT_EQ(Heat.Writes.size(), C->context().numDecls());
+    EXPECT_EQ(Heat.Reads[X->declID()], 3u);
+    EXPECT_EQ(Heat.Reads[Y->declID()], 4u);
+    EXPECT_EQ(Heat.Reads[Buf->declID()], CountDealloc ? 1u : 0u);
+    EXPECT_EQ(Heat.Reads[Tag->declID()], 1u);
+    EXPECT_EQ(Heat.Writes[X->declID()], 2u);
+    EXPECT_EQ(Heat.Writes[Y->declID()], 2u);
+    EXPECT_EQ(Heat.Writes[Buf->declID()], 1u);
+    EXPECT_EQ(Heat.Writes[Tag->declID()], 1u);
+    std::vector<const FieldDecl *> Expected = {Y, X, Tag};
+    if (CountDealloc)
+      Expected = {Y, X, Buf, Tag};
+    EXPECT_EQ(Heat.FirstReads, Expected);
+  }
 }
 
 TEST_P(InterpSemantics, UnionMembersHaveIndependentStorageInThisModel) {

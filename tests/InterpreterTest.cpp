@@ -537,7 +537,7 @@ TEST(Interp, ArrayIndexOutOfBoundsIsAnError) {
 }
 
 //===----------------------------------------------------------------------===//
-// Instrumentation: trace and read/write sets
+// Instrumentation: trace and member access heat
 //===----------------------------------------------------------------------===//
 
 TEST(Interp, TraceRecordsAllocationsAndFrees) {
@@ -571,32 +571,18 @@ TEST(Interp, TraceDetectsLeaks) {
   EXPECT_EQ(T.numLeaked(), 1u);
 }
 
-TEST(Interp, StackTracingCanBeDisabled) {
-  auto C = compileOK(R"(
-    class A { public: int v; };
-    int main() { A onStack; return 0; }
-  )");
-  AllocationTrace T;
-  InterpOptions Opts;
-  Opts.Trace = &T;
-  Opts.TraceStackObjects = false;
-  runOK(*C, Opts);
-  EXPECT_TRUE(T.events().empty());
-}
-
-TEST(Interp, ReadSetCapturesOnlyReadMembers) {
+TEST(Interp, HeatCapturesOnlyReadMembers) {
   auto C = compileOK(R"(
     class A { public: int readMe; int writeMe; };
     int main() { A a; a.writeMe = 1; return a.readMe; }
   )");
-  std::set<const FieldDecl *> Reads, Writes;
+  FieldHeat Heat;
   InterpOptions Opts;
-  Opts.ReadSet = &Reads;
-  Opts.WriteSet = &Writes;
+  Opts.Heat = &Heat;
   runOK(*C, Opts);
-  EXPECT_TRUE(Reads.count(findField(*C, "A", "readMe")));
-  EXPECT_FALSE(Reads.count(findField(*C, "A", "writeMe")));
-  EXPECT_TRUE(Writes.count(findField(*C, "A", "writeMe")));
+  EXPECT_TRUE(Heat.Reads[findField(*C, "A", "readMe")->declID()]);
+  EXPECT_FALSE(Heat.Reads[findField(*C, "A", "writeMe")->declID()]);
+  EXPECT_TRUE(Heat.Writes[findField(*C, "A", "writeMe")->declID()]);
 }
 
 TEST(Interp, ReadThroughTakenAddressAttributesMember) {
@@ -607,11 +593,11 @@ TEST(Interp, ReadThroughTakenAddressAttributesMember) {
     int deref(int *p) { return *p; }
     int main() { A a; a.x = 5; return deref(&a.x); }
   )");
-  std::set<const FieldDecl *> Reads;
+  FieldHeat Heat;
   InterpOptions Opts;
-  Opts.ReadSet = &Reads;
+  Opts.Heat = &Heat;
   runOK(*C, Opts);
-  EXPECT_TRUE(Reads.count(findField(*C, "A", "x")));
+  EXPECT_TRUE(Heat.Reads[findField(*C, "A", "x")->declID()]);
 }
 
 TEST(Interp, OutputAndExitCodeArePropagated) {

@@ -43,15 +43,15 @@ TEST_P(RandomProgramSoundness, DynamicReadsAreLive) {
   Opts.CallGraph = Kind;
   auto R = analyze(*C, Opts);
 
-  std::set<const FieldDecl *> Reads;
+  FieldHeat Heat;
   InterpOptions IO;
-  IO.ReadSet = &Reads;
+  IO.Heat = &Heat;
   Interpreter I(C->context(), C->hierarchy(), IO);
   ExecResult E = I.run(C->mainFunction());
   ASSERT_TRUE(E.Completed) << "runtime error: " << E.Error
                            << "\nprogram:\n" << Source;
 
-  for (const FieldDecl *F : Reads)
+  for (const FieldDecl *F : Heat.FirstReads)
     EXPECT_FALSE(R.isDead(F))
         << F->qualifiedName()
         << " was read at run time but classified dead (callgraph="
@@ -168,15 +168,15 @@ TEST_P(BenchmarkSoundness, CompilesRunsAndIsSound) {
 
   auto R = analyze(*C);
 
-  std::set<const FieldDecl *> Reads;
+  FieldHeat Heat;
   InterpOptions IO;
-  IO.ReadSet = &Reads;
+  IO.Heat = &Heat;
   Interpreter I(C->context(), C->hierarchy(), IO);
   ExecResult E = I.run(C->mainFunction());
   ASSERT_TRUE(E.Completed) << E.Error;
   EXPECT_EQ(E.ExitCode, 0) << "benchmark self-check failed";
 
-  for (const FieldDecl *F : Reads)
+  for (const FieldDecl *F : Heat.FirstReads)
     EXPECT_FALSE(R.isDead(F))
         << F->qualifiedName() << " read at run time but classified dead";
 }

@@ -11,11 +11,11 @@
 ///    jump patching, and member-offset (slot color) resolution;
 ///  - differential tests running the same Compilation through the
 ///    tree-walking Interpreter and the VM, asserting byte-identical
-///    output, exit code, error message, ReadTrace first-read order,
-///    read/write sets, heat counts, allocation-trace events, and the
-///    full shadow-profiler summary. ExecResult::Steps is deliberately
-///    NOT compared: the VM counts bytecode instructions, the tree
-///    counts AST visits.
+///    output, exit code, error message, the FieldHeat access record
+///    (first-read order, read and write counts), allocation-trace
+///    events, and the full shadow-profiler summary. ExecResult::Steps
+///    is deliberately NOT compared: the VM counts bytecode
+///    instructions, the tree counts AST visits.
 ///  - a sweep of the tests/corpus/ programs through both engines.
 ///
 //===----------------------------------------------------------------------===//
@@ -43,9 +43,6 @@ enum class Engine { Tree, Vm };
 /// Everything one engine's execution makes observable.
 struct EngineRun {
   ExecResult R;
-  std::set<const FieldDecl *> Reads;
-  std::vector<const FieldDecl *> ReadOrder;
-  std::set<const FieldDecl *> Writes;
   FieldHeat Heat;
   std::vector<TraceEvent> Events;
   ProfileSummary Prof;
@@ -56,9 +53,6 @@ EngineRun runEngine(Compilation &C, Engine E, const FieldSet &Dead) {
   AllocationTrace Trace;
   ShadowProfiler Prof(C.hierarchy(), Dead);
   InterpOptions IO;
-  IO.ReadSet = &Run.Reads;
-  IO.ReadTrace = &Run.ReadOrder;
-  IO.WriteSet = &Run.Writes;
   IO.Heat = &Run.Heat;
   IO.Trace = &Trace;
   IO.Profiler = &Prof;
@@ -83,14 +77,13 @@ void expectSameRun(const EngineRun &T, const EngineRun &V) {
   EXPECT_EQ(T.R.ExitCode, V.R.ExitCode);
   EXPECT_EQ(T.R.Output, V.R.Output);
 
-  EXPECT_EQ(T.Reads, V.Reads);
-  EXPECT_EQ(T.Writes, V.Writes);
-  ASSERT_EQ(T.ReadOrder.size(), V.ReadOrder.size());
-  for (size_t I = 0; I != T.ReadOrder.size(); ++I)
-    EXPECT_EQ(T.ReadOrder[I], V.ReadOrder[I])
+  const std::vector<const FieldDecl *> &TF = T.Heat.FirstReads,
+                                       &VF = V.Heat.FirstReads;
+  ASSERT_EQ(TF.size(), VF.size());
+  for (size_t I = 0; I != TF.size(); ++I)
+    EXPECT_EQ(TF[I], VF[I])
         << "first-read order diverges at #" << I << ": tree read "
-        << T.ReadOrder[I]->qualifiedName() << ", vm read "
-        << V.ReadOrder[I]->qualifiedName();
+        << TF[I]->qualifiedName() << ", vm read " << VF[I]->qualifiedName();
   EXPECT_EQ(T.Heat.Reads, V.Heat.Reads);
   EXPECT_EQ(T.Heat.Writes, V.Heat.Writes);
 
@@ -695,6 +688,68 @@ std::string readCorpusFile(const char *Name) {
   std::ostringstream OS;
   OS << In.rdbuf();
   return OS.str();
+}
+
+/// Two members of one complete object never share a slot color, and
+/// every class's slot vector is exactly as long as its largest color.
+void expectDistinctSlotColors(Compilation &C, const std::string &Program) {
+  vm::VM M(C.context(), C.hierarchy());
+  for (const vm::ClassPlan &P : M.module().Classes) {
+    if (!P.Complete)
+      continue;
+    std::set<uint32_t> Seen;
+    uint32_t Max = 0;
+    for (uint32_t Col : P.SlotColors) {
+      EXPECT_TRUE(Seen.insert(Col).second)
+          << Program << ": " << P.Decl->name() << " reuses color " << Col;
+      Max = std::max(Max, Col);
+    }
+    EXPECT_EQ(P.NumSlots, P.SlotColors.empty() ? 0 : Max + 1)
+        << Program << ": " << P.Decl->name();
+  }
+}
+
+TEST(VmBytecode, SlotColorsAreDistinctInEveryCompleteClass) {
+  for (const CorpusEntry &Entry : kCorpus) {
+    std::vector<SourceFile> Files;
+    for (const CorpusFile &F : Entry.Files)
+      Files.push_back({F.Name, readCorpusFile(F.Name), F.IsLibrary});
+    std::ostringstream Diag;
+    auto C = compileProgram(std::move(Files), &Diag);
+    ASSERT_TRUE(C->Success) << Entry.Name << ": " << Diag.str();
+    expectDistinctSlotColors(*C, Entry.Name);
+  }
+  for (const auto &File : std::filesystem::directory_iterator(
+           std::filesystem::path(DMM_CORPUS_DIR) / "fuzzed")) {
+    if (File.path().extension() != ".mcc")
+      continue;
+    std::string Name = "fuzzed/" + File.path().filename().string();
+    auto C = compileOK(readCorpusFile(Name.c_str()));
+    ASSERT_TRUE(C->Success) << Name;
+    expectDistinctSlotColors(*C, Name);
+  }
+  // Virtual bases (a diamond) and a repeated non-virtual base.
+  auto C = compileOK(R"(
+    class Top { public: int t; virtual int f() { return t; } };
+    class Left : public virtual Top { public: int l; };
+    class Right : public virtual Top { public: int r; };
+    class Bottom : public Left, public Right { public: int b; };
+    class Leaf : public Left { public: int lf; };
+    class NV { public: int n; };
+    class A1 : public NV { public: int a1; };
+    class A2 : public NV { public: int a2; };
+    class Rep : public A1, public A2 { public: int rep; };
+    class Solo { public: int s; double d; };
+    int main() {
+      Bottom b;
+      Leaf lf;
+      Rep r;
+      Solo s;
+      return b.l + lf.lf + r.rep + s.s;
+    }
+  )");
+  ASSERT_TRUE(C->Success);
+  expectDistinctSlotColors(*C, "diamond");
 }
 
 class VmCorpusTest : public ::testing::TestWithParam<CorpusEntry> {};
