@@ -749,8 +749,11 @@ int main(int Argc, char **Argv) {
 
     std::optional<DynamicMetrics> TraceMetrics;
     if (Opts.Measure) {
-      LayoutEngine Layout(C->hierarchy());
-      TraceMetrics = computeDynamicMetrics(Trace, Layout, Result.deadSet());
+      {
+        Span Replay("trace.replay");
+        TraceMetrics = computeDynamicMetrics(
+            Trace, LayoutEngine(C->hierarchy()), Result.deadSet());
+      }
       const DynamicMetrics &M = *TraceMetrics;
       std::cout << "\ndynamic measurements:\n"
                 << "  object space:           " << M.ObjectSpace
@@ -766,17 +769,21 @@ int main(int Argc, char **Argv) {
     }
 
     if (Opts.Profile) {
-      const ProfileSummary &P = Prof->finalize(&C->SM);
+      const ProfileSummary *P;
+      {
+        Span Finalize("profiler.finalize");
+        P = &Prof->finalize(&C->SM);
+      }
       Prof->emitCounters();
-      printProfileReport(std::cout, P);
-      ProfSection = toProfilerSection(P);
+      printProfileReport(std::cout, *P);
+      ProfSection = toProfilerSection(*P);
       // Differential check: the online shadow accounting must equal the
       // trace replay exactly on every execution (they implement the
       // same event arithmetic over the same layout).
       if (TraceMetrics) {
-        if (P.Metrics != *TraceMetrics) {
+        if (P->Metrics != *TraceMetrics) {
           const DynamicMetrics &T = *TraceMetrics;
-          const DynamicMetrics &S = P.Metrics;
+          const DynamicMetrics &S = P->Metrics;
           logError("shadow profiler diverges from the allocation-trace "
                    "replay");
           std::cerr << "  trace:    object_space=" << T.ObjectSpace

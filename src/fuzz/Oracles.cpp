@@ -13,6 +13,7 @@
 #include "trace/DynamicMetrics.h"
 #include "vm/VM.h"
 
+#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -180,6 +181,31 @@ std::optional<std::string> firstEngineDivergence(const ASTContext &Ctx,
 
 } // namespace
 
+std::optional<std::string>
+fuzz::layoutMismatch(Compilation &Original, Compilation &Eliminated,
+                     const std::set<const FieldDecl *> &Removed) {
+  std::map<std::string, const ClassDecl *> After;
+  for (const ClassDecl *CD : Eliminated.context().classes())
+    After.emplace(CD->name(), CD);
+  const FieldSet Dead(Removed.begin(), Removed.end());
+  LayoutEngine OriginalLayout(Original.hierarchy());
+  LayoutEngine EliminatedLayout(Eliminated.hierarchy());
+  for (const ClassDecl *CD : Original.context().classes()) {
+    if (!CD->isComplete())
+      continue;
+    auto It = After.find(CD->name());
+    if (It == After.end())
+      return "layout mismatch for " + CD->name() +
+             ": class missing from the eliminated program";
+    uint64_t Predicted = OriginalLayout.sizeWithoutDead(CD, Dead);
+    uint64_t Actual = EliminatedLayout.layout(It->second).CompleteSize;
+    if (Predicted != Actual)
+      return "layout mismatch for " + CD->name() + ": " +
+             std::to_string(Predicted) + " vs " + std::to_string(Actual);
+  }
+  return std::nullopt;
+}
+
 OracleOutcome fuzz::runOracles(const std::string &Source,
                                const OracleConfig &Config) {
   Telemetry::count("fuzz.oracle.checks");
@@ -301,6 +327,9 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
                   "exit code mismatch: original " +
                       std::to_string(Original.ExitCode) + " vs eliminated " +
                       std::to_string(Transformed.ExitCode));
+    if (std::optional<std::string> Mismatch =
+            layoutMismatch(*C, *CE, Elim.Removed))
+      return fail("semantics", *Mismatch);
   }
 
   if (Config.Invariance) {

@@ -11,7 +11,9 @@
 ///  1. *Differential semantics* — the dead-member-eliminated program
 ///     must recompile and produce byte-identical observable output and
 ///     the same exit code as the original (the transformation's
-///     behaviour-preservation contract, DeadMemberEliminator.h).
+///     behaviour-preservation contract, DeadMemberEliminator.h). Its
+///     classes must also lay out exactly as the original's dead-free
+///     layouts predict (layoutMismatch).
 ///  2. *Dynamic soundness* — every member whose value is read during
 ///     interpretation must be classified live by the analysis
 ///     (DESIGN.md §6; the paper's central invariant).
@@ -43,9 +45,14 @@
 #include "analysis/DeadMemberAnalysis.h"
 #include "transform/DeadMemberEliminator.h"
 
+#include <optional>
+#include <set>
 #include <string>
 
 namespace dmm {
+
+class Compilation;
+
 namespace fuzz {
 
 /// Which oracles to run and under which base analysis configuration.
@@ -94,6 +101,15 @@ struct OracleOutcome {
 /// pipeline bug worth shrinking.
 OracleOutcome runOracles(const std::string &Source,
                          const OracleConfig &Config = {});
+
+/// The layout check of oracle 1. For every complete class of
+/// \p Original, the size of its layout with the \p Removed members
+/// filtered out must equal the size of the same-named class in
+/// \p Eliminated, which is laid out unfiltered. Returns "layout mismatch
+/// for <Class>: X vs Y" for the first class that differs.
+std::optional<std::string>
+layoutMismatch(Compilation &Original, Compilation &Eliminated,
+               const std::set<const FieldDecl *> &Removed);
 
 } // namespace fuzz
 } // namespace dmm

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 using namespace dmm;
 
@@ -29,6 +30,15 @@ bool LayoutEngine::isDynamic(const ClassDecl *CD) const {
     Dynamic = Dynamic || isDynamic(BS.Base);
   DynamicCache.emplace(CD, Dynamic);
   return Dynamic;
+}
+
+bool LayoutEngine::ownsVPtr(const ClassDecl *CD) const {
+  if (!isDynamic(CD))
+    return false;
+  for (const BaseSpecifier &BS : CD->bases())
+    if (!BS.IsVirtual && isDynamic(BS.Base))
+      return false; // Shares that base's vptr.
+  return true;
 }
 
 uint64_t LayoutEngine::sizeOf(const Type *T) const {
@@ -85,27 +95,47 @@ uint64_t LayoutEngine::alignOf(const Type *T) const {
   return 1;
 }
 
+LayoutEngine::MemberShape
+LayoutEngine::memberShape(const Type *T, Filter *Dead) const {
+  uint64_t Count = 1;
+  const Type *Elem = T;
+  while (const auto *AT = dyn_cast<ArrayType>(Elem)) {
+    Count *= AT->size();
+    Elem = AT->element();
+  }
+  const ClassDecl *CD = Elem->asClassDecl();
+  if (!CD || !CD->isComplete())
+    return {sizeOf(T), alignOf(T), 0};
+  const ClassLayout &L = layoutUnder(CD, Dead);
+  return {Count * L.CompleteSize, L.Align, Count * L.DeadBytes};
+}
+
 uint64_t LayoutEngine::layoutNonVirtual(const ClassDecl *CD, uint64_t Base,
-                                        ClassLayout &L) const {
-  uint64_t Offset = Base;
+                                        Filter *Dead, ClassLayout &L) const {
+  // The shape of a surviving field; a dead one adds its full size to
+  // the dead bytes instead.
+  auto Survivor = [&](const FieldDecl *F) -> std::optional<MemberShape> {
+    if (Dead && Dead->Members.count(F)) {
+      L.DeadBytes += sizeOf(F->type());
+      return std::nullopt;
+    }
+    MemberShape M = memberShape(F->type(), Dead);
+    L.DeadBytes += M.DeadBytes;
+    return M;
+  };
 
   if (CD->isUnion()) {
     uint64_t Size = 0;
-    for (const FieldDecl *F : CD->fields()) {
-      uint64_t FieldSize = sizeOf(F->type());
-      L.AllFields.push_back({F, Base, FieldSize});
-      Size = std::max(Size, FieldSize);
-    }
+    for (const FieldDecl *F : CD->fields())
+      if (std::optional<MemberShape> M = Survivor(F)) {
+        L.AllFields.push_back({F, Base, M->Size});
+        Size = std::max(Size, M->Size);
+      }
     return Size;
   }
 
-  bool Dynamic = isDynamic(CD);
-  bool BaseProvidesVPtr = false;
-  for (const BaseSpecifier &BS : CD->bases())
-    if (!BS.IsVirtual && isDynamic(BS.Base))
-      BaseProvidesVPtr = true;
-
-  if (Dynamic && !BaseProvidesVPtr) {
+  uint64_t Offset = Base;
+  if (ownsVPtr(CD)) {
     Offset += PointerSize; // vptr
     L.OverheadBytes += PointerSize;
   }
@@ -114,8 +144,8 @@ uint64_t LayoutEngine::layoutNonVirtual(const ClassDecl *CD, uint64_t Base,
   for (const BaseSpecifier &BS : CD->bases()) {
     if (BS.IsVirtual)
       continue;
-    Offset = alignTo(Offset, layout(BS.Base).Align);
-    Offset += layoutNonVirtual(BS.Base, Offset, L);
+    Offset = alignTo(Offset, layoutUnder(BS.Base, Dead).Align);
+    Offset += layoutNonVirtual(BS.Base, Offset, Dead, L);
   }
 
   // One vbase pointer per direct virtual base.
@@ -128,178 +158,60 @@ uint64_t LayoutEngine::layoutNonVirtual(const ClassDecl *CD, uint64_t Base,
   }
 
   // Own fields.
-  for (const FieldDecl *F : CD->fields()) {
-    uint64_t FieldSize = sizeOf(F->type());
-    Offset = alignTo(Offset, alignOf(F->type()));
-    L.AllFields.push_back({F, Offset, FieldSize});
-    Offset += FieldSize;
-  }
+  for (const FieldDecl *F : CD->fields())
+    if (std::optional<MemberShape> M = Survivor(F)) {
+      Offset = alignTo(Offset, M->Align);
+      L.AllFields.push_back({F, Offset, M->Size});
+      Offset += M->Size;
+    }
 
   return Offset - Base;
 }
 
-const ClassLayout &LayoutEngine::layout(const ClassDecl *CD) const {
+const ClassLayout &LayoutEngine::layout(const ClassDecl *CD,
+                                        const FieldSet *Dead) const {
+  // A set that changed, or a new set at a freed one's address, starts
+  // its filter over.
+  Filter *F = Dead ? &Filters[Dead] : nullptr;
+  if (F && F->Members != *Dead)
+    *F = {*Dead, {}};
+  return layoutUnder(CD, F);
+}
+
+const ClassLayout &LayoutEngine::layoutUnder(const ClassDecl *CD,
+                                             Filter *Dead) const {
+  auto &Cache = Dead ? Dead->Layouts : Full;
   auto It = Cache.find(CD);
   if (It != Cache.end())
     return It->second;
 
   ClassLayout L;
 
-  // Alignment: max over vptr presence, bases, and fields.
+  // Alignment: max over vptr presence, bases, and surviving fields.
   uint64_t Align = 1;
   if (isDynamic(CD) || !CH.virtualBases(CD).empty())
     Align = PointerSize;
   for (const BaseSpecifier &BS : CD->bases())
-    Align = std::max(Align, layout(BS.Base).Align);
+    Align = std::max(Align, layoutUnder(BS.Base, Dead).Align);
   for (const FieldDecl *F : CD->fields())
-    Align = std::max(Align, alignOf(F->type()));
+    if (!Dead || !Dead->Members.count(F))
+      Align = std::max(Align, memberShape(F->type(), Dead).Align);
   L.Align = Align;
 
-  bool BaseProvidesVPtr = false;
-  for (const BaseSpecifier &BS : CD->bases())
-    if (!BS.IsVirtual && isDynamic(BS.Base))
-      BaseProvidesVPtr = true;
-  L.HasOwnVPtr = isDynamic(CD) && !BaseProvidesVPtr;
+  L.HasOwnVPtr = ownsVPtr(CD);
 
-  uint64_t NVSize = layoutNonVirtual(CD, 0, L);
-  L.NonVirtualSize = alignTo(std::max<uint64_t>(NVSize, 1), Align);
-
+  uint64_t Offset = layoutNonVirtual(CD, 0, Dead, L);
   // Virtual base subobjects at the end of the complete object.
-  uint64_t Offset = NVSize;
   for (const ClassDecl *VB : CH.virtualBases(CD)) {
-    Offset = alignTo(Offset, layout(VB).Align);
-    Offset += layoutNonVirtual(VB, Offset, L);
+    Offset = alignTo(Offset, layoutUnder(VB, Dead).Align);
+    Offset += layoutNonVirtual(VB, Offset, Dead, L);
   }
   L.CompleteSize = alignTo(std::max<uint64_t>(Offset, 1), Align);
 
+  // Union alternatives overlap: removing dead ones reclaims only the
+  // size reduction, not the sum of their sizes.
+  if (Dead && CD->isUnion())
+    L.DeadBytes = layoutUnder(CD, nullptr).CompleteSize - L.CompleteSize;
+
   return Cache.emplace(CD, std::move(L)).first->second;
-}
-
-uint64_t LayoutEngine::deadBytes(const ClassDecl *CD,
-                                 const FieldSet &Dead) const {
-  if (CD->isUnion()) {
-    uint64_t Full = layout(CD).CompleteSize;
-    uint64_t Shrunk = sizeWithoutDead(CD, Dead);
-    return Full - Shrunk;
-  }
-  uint64_t Bytes = 0;
-  for (const FieldSlot &Slot : layout(CD).AllFields) {
-    const Type *Ty = Slot.Field->type();
-    if (Dead.count(Slot.Field)) {
-      Bytes += Slot.Size;
-      continue;
-    }
-    if (const ClassDecl *Nested = Ty->asClassDecl()) {
-      Bytes += deadBytes(Nested, Dead);
-      continue;
-    }
-    if (const auto *AT = dyn_cast<ArrayType>(Ty))
-      if (const ClassDecl *Elem = AT->element()->asClassDecl())
-        Bytes += AT->size() * deadBytes(Elem, Dead);
-  }
-  return Bytes;
-}
-
-uint64_t LayoutEngine::sizeOfField(const FieldDecl *F,
-                                   const FieldSet &Dead) const {
-  const Type *Ty = F->type();
-  if (const ClassDecl *Nested = Ty->asClassDecl())
-    return sizeWithoutDead(Nested, Dead);
-  if (const auto *AT = dyn_cast<ArrayType>(Ty))
-    if (const ClassDecl *Elem = AT->element()->asClassDecl())
-      return AT->size() * sizeWithoutDead(Elem, Dead);
-  return sizeOf(Ty);
-}
-
-uint64_t LayoutEngine::sizeWithoutDead(const ClassDecl *CD,
-                                       const FieldSet &Dead) const {
-  ShrinkKey Key{CD, &Dead};
-  auto It = ShrinkCache.find(Key);
-  if (It != ShrinkCache.end())
-    return It->second;
-
-  // Re-lay out with the same rules as layout()/layoutNonVirtual but
-  // skipping dead fields, shrinking nested member objects, and
-  // recomputing alignment from the surviving parts.
-  struct Relayouter {
-    const LayoutEngine &Engine;
-    const ClassHierarchy &CH;
-    const FieldSet &Dead;
-
-    uint64_t align(const ClassDecl *C) const {
-      uint64_t A = 1;
-      if (Engine.isDynamic(C) || !CH.virtualBases(C).empty())
-        A = LayoutEngine::PointerSize;
-      for (const BaseSpecifier &BS : C->bases())
-        A = std::max(A, align(BS.Base));
-      for (const FieldDecl *F : C->fields()) {
-        if (Dead.count(F))
-          continue;
-        if (const ClassDecl *Member = F->type()->asClassDecl())
-          A = std::max(A, align(Member));
-        else if (const auto *AT = dyn_cast<ArrayType>(F->type());
-                 AT && AT->element()->asClassDecl())
-          A = std::max(A, align(AT->element()->asClassDecl()));
-        else
-          A = std::max(A, Engine.alignOf(F->type()));
-      }
-      return A;
-    }
-
-    uint64_t fieldAlign(const FieldDecl *F) const {
-      if (const ClassDecl *Member = F->type()->asClassDecl())
-        return align(Member);
-      if (const auto *AT = dyn_cast<ArrayType>(F->type()))
-        if (const ClassDecl *Elem = AT->element()->asClassDecl())
-          return align(Elem);
-      return Engine.alignOf(F->type());
-    }
-
-    uint64_t nonVirtual(const ClassDecl *C, uint64_t Base) const {
-      if (C->isUnion()) {
-        uint64_t Size = 0;
-        for (const FieldDecl *F : C->fields())
-          if (!Dead.count(F))
-            Size = std::max(Size, Engine.sizeOfField(F, Dead));
-        return Size;
-      }
-      uint64_t Offset = Base;
-      bool BaseProvidesVPtr = false;
-      for (const BaseSpecifier &BS : C->bases())
-        if (!BS.IsVirtual && Engine.isDynamic(BS.Base))
-          BaseProvidesVPtr = true;
-      if (Engine.isDynamic(C) && !BaseProvidesVPtr)
-        Offset += LayoutEngine::PointerSize;
-      for (const BaseSpecifier &BS : C->bases()) {
-        if (BS.IsVirtual)
-          continue;
-        Offset = alignTo(Offset, align(BS.Base));
-        Offset += nonVirtual(BS.Base, Offset);
-      }
-      for (const BaseSpecifier &BS : C->bases()) {
-        if (!BS.IsVirtual)
-          continue;
-        Offset = alignTo(Offset, LayoutEngine::PointerSize);
-        Offset += LayoutEngine::PointerSize;
-      }
-      for (const FieldDecl *F : C->fields()) {
-        if (Dead.count(F))
-          continue;
-        Offset = alignTo(Offset, fieldAlign(F));
-        Offset += Engine.sizeOfField(F, Dead);
-      }
-      return Offset - Base;
-    }
-  };
-
-  Relayouter R{*this, CH, Dead};
-  uint64_t Offset = R.nonVirtual(CD, 0);
-  for (const ClassDecl *VB : CH.virtualBases(CD)) {
-    Offset = alignTo(Offset, R.align(VB));
-    Offset += R.nonVirtual(VB, Offset);
-  }
-  uint64_t Size = alignTo(std::max<uint64_t>(Offset, 1), R.align(CD));
-  Size = std::min(Size, layout(CD).CompleteSize);
-  ShrinkCache[Key] = Size;
-  return Size;
 }

@@ -13,7 +13,9 @@
 ///
 /// The dynamic measurements of the paper (Table 2 / Figure 4) are
 /// computed from this model: per-object dead-member bytes and re-laid-out
-/// object sizes with dead members removed.
+/// object sizes with dead members removed. The dead-free layout is the
+/// same routine run with a member filter, so the two layouts cannot
+/// disagree on any rule but the filter itself.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +26,6 @@
 #include "ast/Type.h"
 
 #include <cstdint>
-#include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -47,16 +48,18 @@ struct FieldSlot {
 struct ClassLayout {
   /// sizeof a complete (most-derived) object, padding included.
   uint64_t CompleteSize = 0;
-  /// Size of the non-virtual subobject region (used when this class is a
-  /// non-virtual base of another).
-  uint64_t NonVirtualSize = 0;
   uint64_t Align = 1;
   bool HasOwnVPtr = false;
   /// vptr + vbase-pointer bytes across all subobjects of the complete
   /// object.
   uint64_t OverheadBytes = 0;
+  /// Under a dead-member filter, the bytes of the unfiltered complete
+  /// object that the filtered members occupy (LayoutEngine::deadBytes);
+  /// zero without a filter.
+  uint64_t DeadBytes = 0;
   /// All fields of the complete object (own + all base subobjects;
-  /// virtual bases once), with their offsets.
+  /// virtual bases once), with their offsets. A filtered layout lists
+  /// only the surviving fields.
   std::vector<FieldSlot> AllFields;
 };
 
@@ -70,46 +73,69 @@ public:
   uint64_t sizeOf(const Type *T) const;
   uint64_t alignOf(const Type *T) const;
 
-  /// Full layout of class \p CD (cached).
-  const ClassLayout &layout(const ClassDecl *CD) const;
+  /// Layout of class \p CD (cached). With a \p Dead filter, the members
+  /// in \p Dead are dropped and every class-typed member (or array of
+  /// class type, of any rank) takes its class' filtered layout; null
+  /// keeps every member. Each call compares \p Dead with the engine's
+  /// copy of the set last passed at its address (one pass over the set),
+  /// so a set may change or die between calls.
+  const ClassLayout &layout(const ClassDecl *CD,
+                            const FieldSet *Dead = nullptr) const;
 
   /// Bytes of a complete \p CD object occupied by members in \p Dead,
   /// including dead members nested inside live class-typed members. For
   /// unions, occupancy is the size reduction achievable by removing the
   /// dead alternatives (overlapped bytes cannot be double-counted).
-  uint64_t deadBytes(const ClassDecl *CD, const FieldSet &Dead) const;
+  uint64_t deadBytes(const ClassDecl *CD, const FieldSet &Dead) const {
+    return layout(CD, &Dead).DeadBytes;
+  }
 
   /// sizeof a complete \p CD object after removing all members in
   /// \p Dead and re-laying out (recursively, including members of
-  /// member classes). Never larger than CompleteSize.
-  uint64_t sizeWithoutDead(const ClassDecl *CD, const FieldSet &Dead) const;
+  /// member classes). Alignments are powers of two, so dropping members
+  /// never moves one later: the result is at most CompleteSize.
+  uint64_t sizeWithoutDead(const ClassDecl *CD, const FieldSet &Dead) const {
+    return layout(CD, &Dead).CompleteSize;
+  }
 
   static constexpr uint64_t PointerSize = 8;
 
 private:
-  struct ShrinkKey {
-    const ClassDecl *CD;
-    const FieldSet *Dead;
-    bool operator<(const ShrinkKey &O) const {
-      return CD < O.CD || (CD == O.CD && Dead < O.Dead);
-    }
+  /// The layouts under one dead-member filter: a copy of the caller's
+  /// set and the layouts computed with it.
+  struct Filter {
+    FieldSet Members;
+    std::unordered_map<const ClassDecl *, ClassLayout> Layouts;
   };
 
-  /// Lays out \p CD's non-virtual region starting at \p Base offset,
-  /// appending field slots to \p L. Returns the region size.
-  uint64_t layoutNonVirtual(const ClassDecl *CD, uint64_t Base,
-                            ClassLayout &L) const;
+  /// How a live member of some type lays out under a filter.
+  struct MemberShape {
+    uint64_t Size = 0;
+    uint64_t Align = 1;
+    uint64_t DeadBytes = 0; ///< Dead bytes nested inside the member.
+  };
 
-  uint64_t sizeOfField(const FieldDecl *F, const FieldSet &Dead) const;
+  /// layout() under \p Dead, which is null for the full layout.
+  const ClassLayout &layoutUnder(const ClassDecl *CD, Filter *Dead) const;
+
+  MemberShape memberShape(const Type *T, Filter *Dead) const;
+
+  /// Lays out \p CD's non-virtual region starting at \p Base offset,
+  /// appending surviving field slots to \p L and adding dead bytes to
+  /// L.DeadBytes. Returns the region size.
+  uint64_t layoutNonVirtual(const ClassDecl *CD, uint64_t Base,
+                            Filter *Dead, ClassLayout &L) const;
 
   /// True if \p CD has a virtual method or virtual destructor, declared
   /// or inherited: its objects need a vptr somewhere (cached).
   bool isDynamic(const ClassDecl *CD) const;
+  /// True if \p CD is dynamic and no non-virtual base brings a vptr.
+  bool ownsVPtr(const ClassDecl *CD) const;
 
   const ClassHierarchy &CH;
-  mutable std::map<const ClassDecl *, ClassLayout> Cache;
+  mutable std::unordered_map<const ClassDecl *, ClassLayout> Full;
+  mutable std::unordered_map<const FieldSet *, Filter> Filters;
   mutable std::unordered_map<const ClassDecl *, bool> DynamicCache;
-  mutable std::map<ShrinkKey, uint64_t> ShrinkCache;
 };
 
 } // namespace dmm

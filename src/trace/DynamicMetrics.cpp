@@ -7,6 +7,7 @@
 #include "trace/DynamicMetrics.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 using namespace dmm;
 
@@ -17,14 +18,18 @@ DynamicMetrics dmm::computeDynamicMetrics(const AllocationTrace &Trace,
   uint64_t LiveBytes = 0;
   uint64_t LiveShrunkBytes = 0;
 
+  // One filtered-layout query per class: each query checks the whole
+  // set against the engine's copy of it.
+  std::unordered_map<const ClassDecl *, const ClassLayout *> Filtered;
   for (const TraceEvent &E : Trace.events()) {
-    uint64_t DeadPer = Layout.deadBytes(E.Class, Dead);
-    uint64_t ShrunkPer = Layout.sizeWithoutDead(E.Class, Dead);
-    uint64_t Shrunk = E.Count * ShrunkPer;
+    const ClassLayout *&L = Filtered[E.Class];
+    if (!L)
+      L = &Layout.layout(E.Class, &Dead);
+    uint64_t Shrunk = E.Count * L->CompleteSize;
 
     if (E.Kind == TraceEvent::EK::Alloc) {
       M.ObjectSpace += E.Bytes;
-      M.DeadMemberSpace += E.Count * DeadPer;
+      M.DeadMemberSpace += E.Count * L->DeadBytes;
       M.NumObjects += E.Count;
       LiveBytes += E.Bytes;
       LiveShrunkBytes += Shrunk;

@@ -6,16 +6,20 @@
 //
 // The transformation's contract: the transformed program recompiles,
 // produces the same observable output and exit code, allocates no more
-// object space than the original, and no longer contains the removed
-// members.
+// object space than the original, lays its classes out as the original's
+// dead-free layouts predict, and no longer contains the removed members.
 //
 //===----------------------------------------------------------------------===//
 
+#include "fuzz/Oracles.h"
 #include "fuzz/ProgramGenerator.h"
 #include "TestUtil.h"
 
 #include "benchgen/Synthesizer.h"
 #include "transform/DeadMemberEliminator.h"
+
+#include <filesystem>
+#include <fstream>
 
 using namespace dmm;
 using namespace dmm::test;
@@ -69,6 +73,10 @@ EliminationOutcome runElimination(const std::string &Source) {
       << "--- transformed ---\n" << Out.Elim.Source;
   EXPECT_EQ(Out.Before.ExitCode, Out.After.ExitCode);
   EXPECT_LE(Out.AfterSpace.ObjectSpace, Out.BeforeSpace.ObjectSpace);
+  if (std::optional<std::string> Mismatch = fuzz::layoutMismatch(
+          *C1, *Out.Transformed, Out.Elim.Removed))
+    ADD_FAILURE() << *Mismatch << "\n--- transformed ---\n"
+                  << Out.Elim.Source;
   Out.Original = std::move(C1);
   return Out;
 }
@@ -259,5 +267,36 @@ INSTANTIATE_TEST_SUITE_P(
     Paper, EliminatorBenchmarks,
     ::testing::Values("sched", "taldict", "lcom", "richards", "deltablue"),
     [](const auto &Info) { return Info.param; });
+
+TEST(Eliminator, CorpusLayoutsMatchDeadFreePrediction) {
+  // Oracle 1's layout check over every single-file corpus program. Only
+  // elimination and layout are involved, so programs that abort at run
+  // time (casts) or print sizeof values (sizeof) qualify too.
+  const std::filesystem::path Dir(DMM_CORPUS_DIR);
+  std::vector<std::filesystem::path> Files;
+  for (const char *Name : {"basics", "inheritance", "unions", "casts",
+                           "sizeof", "ptrmember", "dealloc", "volatile",
+                           "deadcode", "overloads"})
+    Files.push_back(Dir / (std::string(Name) + ".mcc"));
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir / "fuzzed"))
+    if (Entry.path().extension() == ".mcc")
+      Files.push_back(Entry.path());
+  for (const std::filesystem::path &Path : Files) {
+    SCOPED_TRACE(Path.filename().string());
+    std::ifstream In(Path, std::ios::binary);
+    std::ostringstream Source;
+    Source << In.rdbuf();
+    auto C = compileOK(Source.str());
+    DeadMemberAnalysis Analysis(C->context(), C->hierarchy(), {});
+    DeadMemberResult Result = Analysis.run(C->mainFunction());
+    EliminationResult Elim =
+        eliminateDeadMembers(C->context(), Result, Analysis.callGraph());
+    std::ostringstream Diag;
+    auto Eliminated = compileString(Elim.Source, &Diag);
+    ASSERT_TRUE(Eliminated->Success) << Diag.str();
+    EXPECT_EQ(fuzz::layoutMismatch(*C, *Eliminated, Elim.Removed),
+              std::nullopt);
+  }
+}
 
 } // namespace

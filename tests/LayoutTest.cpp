@@ -205,6 +205,26 @@ TEST(Layout, SizeWithoutDeadNeverGrows) {
   EXPECT_EQ(L.sizeWithoutDead(A, Empty), L.layout(A).CompleteSize);
 }
 
+TEST(Layout, FilterMayChangeBetweenCalls) {
+  auto C = compileOK(R"(
+    class A { public: int x; double y; };
+    int main() { A a; a.x = 1; return a.x; }
+  )");
+  LayoutEngine L(C->hierarchy());
+  const ClassDecl *A = findClass(*C, "A");
+  FieldSet Dead;
+  EXPECT_EQ(L.sizeWithoutDead(A, Dead), 16u);
+  EXPECT_EQ(L.deadBytes(A, Dead), 0u);
+  // The same set, now with a member: the engine must not reuse the
+  // layouts it computed for the set's earlier contents.
+  Dead.insert(findField(*C, "A", "y"));
+  EXPECT_EQ(L.sizeWithoutDead(A, Dead), 4u);
+  EXPECT_EQ(L.deadBytes(A, Dead), 8u);
+  Dead.clear();
+  EXPECT_EQ(L.sizeWithoutDead(A, Dead), 16u);
+  EXPECT_EQ(L.layout(A, &Dead).DeadBytes, 0u);
+}
+
 TEST(Layout, UnionShrinksToLargestLiveMember) {
   auto C = compileOK(R"(
     union U { public: double big; int small; };
@@ -228,6 +248,109 @@ TEST(Layout, VPtrSurvivesDeadMemberRemoval) {
   EXPECT_EQ(L.sizeWithoutDead(A, Dead), 8u); // Just the vptr.
 }
 
+// The shapes below occur in no corpus or generated program; their
+// expected values were pinned from the standalone relayouter that the
+// filtered layout replaced (except the multi-dimensional array, which
+// the relayouter left unshrunk).
+
+TEST(Layout, DeadMemberOfVirtualBaseCountsOnce) {
+  auto C = compileOK(R"(
+    class Top { public: int t; double dead; };
+    class L : public virtual Top { public: int l; };
+    class R : public virtual Top { public: int r; };
+    class B : public L, public R { public: int b; };
+    int main() { B x; x.t = 1; x.l = 2; x.r = 3; x.b = 4; return x.t; }
+  )");
+  LayoutEngine L(C->hierarchy());
+  const ClassDecl *B = findClass(*C, "B");
+  FieldSet Dead{findField(*C, "Top", "dead")};
+  EXPECT_EQ(L.layout(B).CompleteSize, 48u);
+  // One shared Top subobject: its dead double counts once.
+  EXPECT_EQ(L.deadBytes(B, Dead), 8u);
+  EXPECT_EQ(L.sizeWithoutDead(B, Dead), 40u);
+}
+
+TEST(Layout, DeadMemberOfRepeatedBaseCountsPerSubobject) {
+  auto C = compileOK(R"(
+    class Base { public: int keep; int dead; };
+    class L : public Base { public: int l; };
+    class R : public Base { public: int r; };
+    class D : public L, public R { public: int d; };
+    int main() { D x; x.d = 1; return x.d; }
+  )");
+  LayoutEngine L(C->hierarchy());
+  const ClassDecl *D = findClass(*C, "D");
+  FieldSet Dead{findField(*C, "Base", "dead")};
+  EXPECT_EQ(L.layout(D).CompleteSize, 28u);
+  // Two non-virtual Base subobjects, each with its own dead int.
+  EXPECT_EQ(L.deadBytes(D, Dead), 8u);
+  EXPECT_EQ(L.sizeWithoutDead(D, Dead), 20u);
+}
+
+TEST(Layout, DeadMemberInsideClassArrayElements) {
+  auto C = compileOK(R"(
+    class Elem { public: char tag; double dead; };
+    class Holder { public: Elem items[3]; int n; };
+    int main() { Holder h; h.n = 1; return h.n; }
+  )");
+  LayoutEngine L(C->hierarchy());
+  const ClassDecl *H = findClass(*C, "Holder");
+  FieldSet Dead{findField(*C, "Elem", "dead")};
+  EXPECT_EQ(L.layout(H).CompleteSize, 56u);
+  EXPECT_EQ(L.deadBytes(H, Dead), 24u); // One dead double per element.
+  // Elements shrink to one char each: items 3 bytes, n at 4.
+  EXPECT_EQ(L.sizeWithoutDead(H, Dead), 8u);
+}
+
+TEST(Layout, DeadMemberInsideMultiDimensionalClassArray) {
+  auto C = compileOK(R"(
+    class Elem { public: char tag; double dead; };
+    class Grid { public: Elem cells[2][3]; int n; };
+    int main() { Grid g; g.n = 1; return g.n; }
+  )");
+  LayoutEngine L(C->hierarchy());
+  const ClassDecl *G = findClass(*C, "Grid");
+  FieldSet Dead{findField(*C, "Elem", "dead")};
+  EXPECT_EQ(L.layout(G).CompleteSize, 104u);
+  EXPECT_EQ(L.deadBytes(G, Dead), 48u); // Six elements, one double each.
+  // As for a one-dimensional array: cells 6 bytes, n at 8.
+  EXPECT_EQ(L.sizeWithoutDead(G, Dead), 12u);
+}
+
+TEST(Layout, DeadNestedDoubleLowersEnclosingAlignment) {
+  auto C = compileOK(R"(
+    class Inner { public: int keep; double dead; };
+    class Outer { public: char c; Inner inner; char d; };
+    int main() { Outer o; o.c = 'a'; o.d = 'b'; return o.inner.keep; }
+  )");
+  LayoutEngine L(C->hierarchy());
+  const ClassDecl *O = findClass(*C, "Outer");
+  FieldSet Dead{findField(*C, "Inner", "dead")};
+  EXPECT_EQ(L.layout(O).CompleteSize, 32u);
+  EXPECT_EQ(L.deadBytes(O, Dead), 8u);
+  // Inner shrinks to 4 bytes aligned 4, so Outer aligns to 4:
+  // c at 0, inner at 4, d at 8 -> 12.
+  EXPECT_EQ(L.sizeWithoutDead(O, Dead), 12u);
+}
+
+TEST(Layout, FilteredLayoutListsSurvivingFields) {
+  auto C = compileOK(R"(
+    class Inner { public: int keep; double dead; };
+    class Outer { public: char c; Inner inner; char d; };
+    int main() { Outer o; o.c = 'a'; o.d = 'b'; return o.inner.keep; }
+  )");
+  LayoutEngine L(C->hierarchy());
+  FieldSet Dead{findField(*C, "Inner", "dead")};
+  const ClassLayout &OL = L.layout(findClass(*C, "Outer"), &Dead);
+  EXPECT_EQ(OL.Align, 4u);
+  ASSERT_EQ(OL.AllFields.size(), 3u);
+  EXPECT_EQ(OL.AllFields[1].Offset, 4u);
+  EXPECT_EQ(OL.AllFields[1].Size, 4u); // The shrunk Inner.
+  EXPECT_EQ(OL.AllFields[2].Offset, 8u);
+  // Without a filter nothing is dead.
+  EXPECT_EQ(L.layout(findClass(*C, "Outer")).DeadBytes, 0u);
+}
+
 TEST(Layout, IncompleteClassHasZeroSize) {
   std::vector<SourceFile> Files;
   Files.push_back({"lib.mcc", "class Opaque;", true});
@@ -239,6 +362,24 @@ TEST(Layout, IncompleteClassHasZeroSize) {
   ASSERT_TRUE(C->Success) << Diag.str();
   LayoutEngine L(C->hierarchy());
   EXPECT_EQ(L.sizeOf(C->context().classType(findClass(*C, "Opaque"))), 0u);
+}
+
+TEST(Layout, IncompleteMemberTakesNoSpaceWithoutDead) {
+  std::vector<SourceFile> Files;
+  Files.push_back({"lib.mcc", "class Opaque;", true});
+  Files.push_back({"app.mcc", R"(
+    class A { public: char c; Opaque o; char d; };
+    int main() { A *a = nullptr; return a == nullptr ? 0 : 1; }
+  )", false});
+  std::ostringstream Diag;
+  auto C = compileProgram(std::move(Files), &Diag);
+  ASSERT_TRUE(C->Success) << Diag.str();
+  LayoutEngine L(C->hierarchy());
+  const ClassDecl *A = findClass(*C, "A");
+  EXPECT_EQ(L.layout(A).CompleteSize, 2u); // o takes 0 bytes at +1.
+  // The dead-free layout sizes o as the full layout does: d moves to 0.
+  FieldSet Dead{findField(*C, "A", "c")};
+  EXPECT_EQ(L.sizeWithoutDead(A, Dead), 1u);
 }
 
 } // namespace

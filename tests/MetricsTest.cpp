@@ -156,6 +156,35 @@ TEST(Metrics, HWMWithoutDeadUsesRelayout) {
   EXPECT_NEAR(M.highWaterMarkReductionPercent(), 75.0, 0.01);
 }
 
+TEST(Metrics, OneEngineServesSuccessiveTemporarySets) {
+  auto C = compileOK(R"(
+    class A { public: int live; double deadWeight; };
+    int main() {
+      A *p = new A();
+      int r = p->live;
+      delete p;
+      return r;
+    }
+  )");
+  AllocationTrace T;
+  InterpOptions IO;
+  IO.Trace = &T;
+  runOK(*C, IO);
+  auto R = analyze(*C);
+  LayoutEngine Fresh(C->hierarchy());
+  DynamicMetrics Expected = computeDynamicMetrics(T, Fresh, R.deadSet());
+  ASSERT_EQ(Expected.DeadMemberSpace, 8u);
+  // Two temporaries in a row may share a stack address; the second
+  // replay must still see its own set.
+  LayoutEngine L(C->hierarchy());
+  DynamicMetrics None = computeDynamicMetrics(T, L, {});
+  DynamicMetrics Dead = computeDynamicMetrics(T, L, R.deadSet());
+  EXPECT_EQ(None.DeadMemberSpace, 0u);
+  EXPECT_EQ(None.HighWaterMarkNoDead, None.HighWaterMark);
+  EXPECT_EQ(Dead, Expected);
+  EXPECT_EQ(computeDynamicMetrics(T, L, {}), None);
+}
+
 TEST(Metrics, TwoHighWaterMarksMayOccurAtDifferentTimes) {
   // Paper section 4.3: the original and the shrunk high-water marks can peak
   // at different execution points. Dead-heavy objects peak first, then
