@@ -22,6 +22,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,9 @@ public:
   /// the arena and (for decls) receive dense IDs.
   /// @{
   template <typename T, typename... Args> T *create(Args &&...A) {
+    static_assert(!(std::is_base_of_v<Expr, T> || std::is_base_of_v<Stmt, T>) ||
+                      std::is_trivially_destructible_v<T>,
+                  "expressions and statements must not need a destructor");
     T *Node = Alloc.create<T>(std::forward<Args>(A)...);
     if constexpr (std::is_base_of_v<Decl, T>)
       registerDecl(Node);
@@ -52,6 +56,17 @@ public:
   template <typename T, typename... Args> T *createDetached(Args &&...A) {
     return Alloc.create<T>(std::forward<Args>(A)...);
   }
+
+  /// Copies \p Items into the arena (child lists of expressions and
+  /// statements).
+  template <typename T> std::span<T> copyArray(std::span<const T> Items) {
+    T *Mem = Alloc.allocateArray<T>(Items.size());
+    std::uninitialized_copy(Items.begin(), Items.end(), Mem);
+    return {Mem, Items.size()};
+  }
+
+  /// Returns \p N bytes of uninitialized arena memory.
+  char *allocateBytes(size_t N) { return Alloc.allocateArray<char>(N); }
   /// @}
 
   /// \name Builtin types

@@ -9,14 +9,14 @@
 
 using namespace dmm;
 
-FieldDecl *ClassDecl::findField(const std::string &FieldName) const {
+FieldDecl *ClassDecl::findField(std::string_view FieldName) const {
   for (FieldDecl *F : Fields)
     if (F->name() == FieldName)
       return F;
   return nullptr;
 }
 
-MethodDecl *ClassDecl::findMethod(const std::string &MethodName) const {
+MethodDecl *ClassDecl::findMethod(std::string_view MethodName) const {
   for (MethodDecl *M : Methods)
     if (M->name() == MethodName)
       return M;

@@ -21,6 +21,7 @@
 
 #include <cassert>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dmm {
@@ -134,10 +135,10 @@ public:
   DestructorDecl *destructor() const { return Dtor; }
 
   /// Looks up a direct field of this class by name; no base lookup.
-  FieldDecl *findField(const std::string &FieldName) const;
+  FieldDecl *findField(std::string_view FieldName) const;
 
   /// Looks up a direct method of this class by name; no base lookup.
-  MethodDecl *findMethod(const std::string &MethodName) const;
+  MethodDecl *findMethod(std::string_view MethodName) const;
 
   static bool classof(const Decl *D) { return D->kind() == Kind::Class; }
 

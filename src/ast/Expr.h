@@ -11,6 +11,10 @@
 /// AssignExpr, CallExpr (delete/free exemption), CastExpr (unsafe casts),
 /// and SizeofExpr — exactly the cases of paper Figure 2.
 ///
+/// Every expression is trivially destructible, so the arena never runs a
+/// destructor for one: names are views into the SourceManager's buffers,
+/// string bytes and argument lists are arena arrays.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DMM_AST_EXPR_H
@@ -20,8 +24,9 @@
 #include "support/Casting.h"
 #include "support/SourceLocation.h"
 
-#include <string>
-#include <vector>
+#include <cstdint>
+#include <span>
+#include <string_view>
 
 namespace dmm {
 
@@ -34,7 +39,7 @@ class MethodDecl;
 /// Base of the expression hierarchy.
 class Expr {
 public:
-  enum class Kind {
+  enum class Kind : uint8_t {
     IntLiteral,
     DoubleLiteral,
     BoolLiteral,
@@ -73,18 +78,20 @@ public:
   /// its tallest operand. Set by the parser, which bounds it by
   /// Parser::kMaxNestingDepth.
   unsigned height() const { return Height; }
-  void setHeight(unsigned H) { Height = H; }
+  void setHeight(unsigned H) { Height = static_cast<uint16_t>(H); }
 
 protected:
-  Expr(Kind K, SourceLocation Loc) : K(K), Loc(Loc) {}
+  Expr(Kind K, SourceLocation Loc) : Loc(Loc), K(K) {}
   ~Expr() = default;
 
 private:
-  Kind K;
-  SourceLocation Loc;
-  unsigned Height = 1;
+  // Ordered so the 4 bytes after Height are tail padding, which a
+  // subclass's first 4-byte member (an operator kind) fills.
   const Type *Ty = nullptr;
+  SourceLocation Loc;
+  Kind K;
   bool LValue = false;
+  uint16_t Height = 1; ///< At most Parser::kMaxNestingDepth.
 };
 
 /// Integer literal.
@@ -141,18 +148,18 @@ private:
   char Value;
 };
 
-/// String literal; has type char[N+1].
+/// String literal; has type char[N+1]. Its bytes are in the arena.
 class StringLiteralExpr : public Expr {
 public:
-  StringLiteralExpr(std::string Value, SourceLocation Loc)
-      : Expr(Kind::StringLiteral, Loc), Value(std::move(Value)) {}
-  const std::string &value() const { return Value; }
+  StringLiteralExpr(std::string_view Value, SourceLocation Loc)
+      : Expr(Kind::StringLiteral, Loc), Value(Value) {}
+  std::string_view value() const { return Value; }
   static bool classof(const Expr *E) {
     return E->kind() == Kind::StringLiteral;
   }
 
 private:
-  std::string Value;
+  std::string_view Value;
 };
 
 /// `nullptr`.
@@ -168,10 +175,10 @@ public:
 /// A use of a named variable or function.
 class DeclRefExpr : public Expr {
 public:
-  DeclRefExpr(std::string Name, SourceLocation Loc)
-      : Expr(Kind::DeclRef, Loc), Name(std::move(Name)) {}
+  DeclRefExpr(std::string_view Name, SourceLocation Loc)
+      : Expr(Kind::DeclRef, Loc), Name(Name) {}
 
-  const std::string &declName() const { return Name; }
+  std::string_view declName() const { return Name; }
 
   /// The referenced VarDecl or FunctionDecl; null until resolved by Sema.
   Decl *referent() const { return Referent; }
@@ -180,7 +187,7 @@ public:
   static bool classof(const Expr *E) { return E->kind() == Kind::DeclRef; }
 
 private:
-  std::string Name;
+  std::string_view Name;
   Decl *Referent = nullptr;
 };
 
@@ -194,17 +201,17 @@ public:
 /// Member access: `e.m`, `e->m`, and qualified forms `e.C::m` / `e->C::m`.
 class MemberExpr : public Expr {
 public:
-  MemberExpr(Expr *Base, bool IsArrow, std::string MemberName,
-             std::string Qualifier, SourceLocation Loc)
+  MemberExpr(Expr *Base, bool IsArrow, std::string_view MemberName,
+             std::string_view Qualifier, SourceLocation Loc)
       : Expr(Kind::Member, Loc), Base(Base), Arrow(IsArrow),
-        MemberName(std::move(MemberName)), Qualifier(std::move(Qualifier)) {}
+        MemberName(MemberName), Qualifier(Qualifier) {}
 
   Expr *base() const { return Base; }
   bool isArrow() const { return Arrow; }
-  const std::string &memberName() const { return MemberName; }
+  std::string_view memberName() const { return MemberName; }
 
   /// Spelled qualifier for `e.C::m` forms; empty when unqualified.
-  const std::string &qualifier() const { return Qualifier; }
+  std::string_view qualifier() const { return Qualifier; }
   bool isQualified() const { return !Qualifier.empty(); }
 
   /// The member found by Lookup (a FieldDecl or MethodDecl); null until
@@ -218,8 +225,8 @@ public:
 private:
   Expr *Base;
   bool Arrow;
-  std::string MemberName;
-  std::string Qualifier;
+  std::string_view MemberName;
+  std::string_view Qualifier;
   Decl *Member = nullptr;
 };
 
@@ -227,13 +234,13 @@ private:
 /// offset of member m within class Z is computed").
 class MemberPointerConstantExpr : public Expr {
 public:
-  MemberPointerConstantExpr(std::string ClassName, std::string MemberName,
-                            SourceLocation Loc)
-      : Expr(Kind::MemberPointerConstant, Loc),
-        ClassName(std::move(ClassName)), MemberName(std::move(MemberName)) {}
+  MemberPointerConstantExpr(std::string_view ClassName,
+                            std::string_view MemberName, SourceLocation Loc)
+      : Expr(Kind::MemberPointerConstant, Loc), ClassName(ClassName),
+        MemberName(MemberName) {}
 
-  const std::string &className() const { return ClassName; }
-  const std::string &memberName() const { return MemberName; }
+  std::string_view className() const { return ClassName; }
+  std::string_view memberName() const { return MemberName; }
 
   /// The member resolved by Lookup; null until Sema runs.
   FieldDecl *member() const { return Member; }
@@ -244,8 +251,8 @@ public:
   }
 
 private:
-  std::string ClassName;
-  std::string MemberName;
+  std::string_view ClassName;
+  std::string_view MemberName;
   FieldDecl *Member = nullptr;
 };
 
@@ -433,11 +440,11 @@ private:
 /// indirect through a function pointer.
 class CallExpr : public Expr {
 public:
-  CallExpr(Expr *Callee, std::vector<Expr *> Args, SourceLocation Loc)
-      : Expr(Kind::Call, Loc), Callee(Callee), Args(std::move(Args)) {}
+  CallExpr(Expr *Callee, std::span<Expr *> Args, SourceLocation Loc)
+      : Expr(Kind::Call, Loc), Callee(Callee), Args(Args) {}
 
   Expr *callee() const { return Callee; }
-  const std::vector<Expr *> &args() const { return Args; }
+  std::span<Expr *const> args() const { return Args; }
 
   /// The statically known callee, if any; for virtual calls this is the
   /// statically resolved method (the dispatch target set comes from the
@@ -454,7 +461,7 @@ public:
 
 private:
   Expr *Callee;
-  std::vector<Expr *> Args;
+  std::span<Expr *> Args;
   FunctionDecl *Direct = nullptr;
   bool Virtual = false;
 };
@@ -462,13 +469,13 @@ private:
 /// `new T(args)`, `new T`, `new T[n]`.
 class NewExpr : public Expr {
 public:
-  NewExpr(const Type *AllocType, std::vector<Expr *> CtorArgs,
+  NewExpr(const Type *AllocType, std::span<Expr *> CtorArgs,
           Expr *ArraySize, SourceLocation Loc)
-      : Expr(Kind::New, Loc), AllocType(AllocType),
-        CtorArgs(std::move(CtorArgs)), ArraySize(ArraySize) {}
+      : Expr(Kind::New, Loc), AllocType(AllocType), CtorArgs(CtorArgs),
+        ArraySize(ArraySize) {}
 
   const Type *allocType() const { return AllocType; }
-  const std::vector<Expr *> &ctorArgs() const { return CtorArgs; }
+  std::span<Expr *const> ctorArgs() const { return CtorArgs; }
   Expr *arraySize() const { return ArraySize; } ///< Null if not an array.
   bool isArrayNew() const { return ArraySize != nullptr; }
 
@@ -481,7 +488,7 @@ public:
 
 private:
   const Type *AllocType;
-  std::vector<Expr *> CtorArgs;
+  std::span<Expr *> CtorArgs;
   Expr *ArraySize;
   ConstructorDecl *Ctor = nullptr;
 };

@@ -9,7 +9,7 @@
 #include "ast/ASTWalker.h"
 
 #include <cassert>
-#include <cstdio>
+#include <charconv>
 
 using namespace dmm;
 
@@ -161,14 +161,15 @@ void SourcePrinter::printExpr(const Expr *E) {
     emit(std::to_string(cast<IntLiteralExpr>(E)->value()));
     return;
   case Expr::Kind::DoubleLiteral: {
+    // The shortest spelling that reads back as the same double.
     char Buf[64];
-    std::snprintf(Buf, sizeof(Buf), "%g",
-                  cast<DoubleLiteralExpr>(E)->value());
-    std::string S = Buf;
-    if (S.find('.') == std::string::npos &&
-        S.find('e') == std::string::npos)
-      S += ".0";
+    char *End = std::to_chars(Buf, Buf + sizeof(Buf),
+                              cast<DoubleLiteralExpr>(E)->value())
+                    .ptr;
+    std::string_view S(Buf, End - Buf);
     emit(S);
+    if (S.find_first_of(".e") == std::string_view::npos)
+      emit(".0");
     return;
   }
   case Expr::Kind::BoolLiteral:
@@ -197,14 +198,19 @@ void SourcePrinter::printExpr(const Expr *E) {
     const auto *ME = cast<MemberExpr>(E);
     Paren(ME->base());
     emit(ME->isArrow() ? "->" : ".");
-    if (ME->isQualified())
-      emit(ME->qualifier() + "::");
+    if (ME->isQualified()) {
+      emit(ME->qualifier());
+      emit("::");
+    }
     emit(ME->memberName());
     return;
   }
   case Expr::Kind::MemberPointerConstant: {
     const auto *MPC = cast<MemberPointerConstantExpr>(E);
-    emit("&" + MPC->className() + "::" + MPC->memberName());
+    emit("&");
+    emit(MPC->className());
+    emit("::");
+    emit(MPC->memberName());
     return;
   }
   case Expr::Kind::MemberPointerAccess: {

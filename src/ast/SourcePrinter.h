@@ -23,6 +23,7 @@
 #include "ast/ASTContext.h"
 
 #include <string>
+#include <string_view>
 
 namespace dmm {
 
@@ -67,7 +68,7 @@ protected:
 
   /// \name Emission helpers (available to subclasses)
   /// @{
-  void emit(const std::string &Text) { Out += Text; }
+  void emit(std::string_view Text) { Out += Text; }
   void emitLine(const std::string &Text);
   void printExpr(const Expr *E);
   void printStmt(const Stmt *S, unsigned Indent);

@@ -9,6 +9,9 @@
 /// statement s in each function f", then over "each expression e in s";
 /// see ast/ASTWalker.h for the corresponding traversal helpers.
 ///
+/// Every statement is trivially destructible: child lists are arena
+/// arrays, set once the parser has read the whole list.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DMM_AST_STMT_H
@@ -17,7 +20,7 @@
 #include "support/Casting.h"
 #include "support/SourceLocation.h"
 
-#include <vector>
+#include <span>
 
 namespace dmm {
 
@@ -57,13 +60,13 @@ class CompoundStmt : public Stmt {
 public:
   explicit CompoundStmt(SourceLocation Loc) : Stmt(Kind::Compound, Loc) {}
 
-  void addStmt(Stmt *S) { Stmts.push_back(S); }
-  const std::vector<Stmt *> &stmts() const { return Stmts; }
+  void setStmts(std::span<Stmt *> List) { Stmts = List; }
+  std::span<Stmt *const> stmts() const { return Stmts; }
 
   static bool classof(const Stmt *S) { return S->kind() == Kind::Compound; }
 
 private:
-  std::vector<Stmt *> Stmts;
+  std::span<Stmt *> Stmts;
 };
 
 /// A local variable declaration statement; may declare several variables
@@ -72,13 +75,13 @@ class DeclStmt : public Stmt {
 public:
   explicit DeclStmt(SourceLocation Loc) : Stmt(Kind::Decl, Loc) {}
 
-  void addVar(VarDecl *V) { Vars.push_back(V); }
-  const std::vector<VarDecl *> &vars() const { return Vars; }
+  void setVars(std::span<VarDecl *> List) { Vars = List; }
+  std::span<VarDecl *const> vars() const { return Vars; }
 
   static bool classof(const Stmt *S) { return S->kind() == Kind::Decl; }
 
 private:
-  std::vector<VarDecl *> Vars;
+  std::span<VarDecl *> Vars;
 };
 
 /// An expression evaluated for its effects.

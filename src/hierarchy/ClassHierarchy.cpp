@@ -95,7 +95,7 @@ ClassHierarchy::virtualBases(const ClassDecl *CD) const {
 }
 
 void ClassHierarchy::lookupVisible(const ClassDecl *CD,
-                                   const std::string &Name,
+                                   std::string_view Name,
                                    std::unordered_set<Decl *> &Out) const {
   if (FieldDecl *F = CD->findField(Name)) {
     Out.insert(F);
@@ -110,7 +110,7 @@ void ClassHierarchy::lookupVisible(const ClassDecl *CD,
 }
 
 FieldDecl *ClassHierarchy::lookupField(const ClassDecl *CD,
-                                       const std::string &Name,
+                                       std::string_view Name,
                                        bool *Ambiguous) const {
   if (Ambiguous)
     *Ambiguous = false;
@@ -127,7 +127,7 @@ FieldDecl *ClassHierarchy::lookupField(const ClassDecl *CD,
 }
 
 MethodDecl *ClassHierarchy::lookupMethod(const ClassDecl *CD,
-                                         const std::string &Name,
+                                         std::string_view Name,
                                          bool *Ambiguous) const {
   if (Ambiguous)
     *Ambiguous = false;

@@ -21,6 +21,7 @@
 #include "ast/Decl.h"
 
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -55,11 +56,11 @@ public:
   /// Member lookup: finds the data member named \p Name visible in
   /// \p CD, searching \p CD then its bases with hiding. Returns null if
   /// not found or ambiguous (sets \p Ambiguous when provided).
-  FieldDecl *lookupField(const ClassDecl *CD, const std::string &Name,
+  FieldDecl *lookupField(const ClassDecl *CD, std::string_view Name,
                          bool *Ambiguous = nullptr) const;
 
   /// Same as lookupField, for methods.
-  MethodDecl *lookupMethod(const ClassDecl *CD, const std::string &Name,
+  MethodDecl *lookupMethod(const ClassDecl *CD, std::string_view Name,
                            bool *Ambiguous = nullptr) const;
 
   /// True if \p CD has any virtual method (declared or inherited) or any
@@ -96,7 +97,7 @@ private:
 
   /// Collects the set of visible declarations of member \p Name in
   /// \p CD's scope (after hiding). Results are FieldDecl or MethodDecl.
-  void lookupVisible(const ClassDecl *CD, const std::string &Name,
+  void lookupVisible(const ClassDecl *CD, std::string_view Name,
                      std::unordered_set<Decl *> &Out) const;
 
   std::vector<ClassDecl *> Classes;

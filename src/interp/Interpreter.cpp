@@ -789,7 +789,8 @@ Storage *Interpreter::evalLValue(const Expr *E) {
         fail("object has no storage for member '" + Field->name() + "'");
       return It->second;
     }
-    fail("cannot take the location of '" + DRE->declName() + "'");
+    fail("cannot take the location of '" + std::string(DRE->declName()) +
+         "'");
   }
   case Expr::Kind::Member: {
     const auto *ME = cast<MemberExpr>(E);

@@ -12,7 +12,11 @@
 #include <cassert>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
+#include <string>
 #include <unordered_map>
 
 using namespace dmm;
@@ -141,7 +145,7 @@ static const std::unordered_map<std::string_view, TokenKind> &keywordTable() {
 
 Lexer::Lexer(const SourceManager &SM, uint32_t FileID,
              DiagnosticsEngine &Diags)
-    : SM(SM), Diags(Diags), Text(SM.bufferText(FileID)), FileID(FileID) {}
+    : Diags(Diags), Text(SM.bufferText(FileID)), FileID(FileID) {}
 
 char Lexer::peek(unsigned LookAhead) const {
   size_t Index = Pos + LookAhead;
@@ -193,8 +197,8 @@ void Lexer::skipTrivia() {
 Token Lexer::makeToken(TokenKind Kind, uint32_t Begin) {
   Token T;
   T.Kind = Kind;
+  T.Length = Pos - Begin;
   T.Loc = SourceLocation(FileID, Begin);
-  T.Text = Text.substr(Begin, Pos - Begin);
   return T;
 }
 
@@ -203,7 +207,7 @@ Token Lexer::lexIdentifierOrKeyword() {
   while (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_')
     ++Pos;
   Token T = makeToken(TokenKind::Identifier, Begin);
-  auto It = keywordTable().find(T.Text);
+  auto It = keywordTable().find(T.text(Text));
   if (It != keywordTable().end())
     T.Kind = It->second;
   return T;
@@ -234,49 +238,89 @@ Token Lexer::lexNumber() {
   Token T = makeToken(IsDouble ? TokenKind::DoubleLiteral
                                : TokenKind::IntLiteral,
                       Begin);
-  std::string Spelling(T.Text);
-  if (IsDouble) {
-    T.DoubleValue = std::strtod(Spelling.c_str(), nullptr);
-    return T;
-  }
-  errno = 0;
-  T.IntValue = std::strtoll(Spelling.c_str(), nullptr, 10);
-  if (errno == ERANGE)
+  std::string_view Spelling = T.text(Text);
+  double DoubleValue = 0;
+  long long IntValue = 0;
+  if (!(IsDouble ? decodeDouble(Spelling, DoubleValue)
+                 : decodeInt(Spelling, IntValue)))
     Diags.error(SourceLocation(FileID, Begin),
-                "integer literal '" + Spelling + "' is out of range");
+                std::string(IsDouble ? "floating" : "integer") +
+                    " literal '" + std::string(Spelling) +
+                    "' is out of range");
   return T;
 }
 
-char Lexer::lexEscape() {
+bool Lexer::decodeInt(std::string_view Spelling, long long &Value) {
+  if (std::from_chars(Spelling.data(), Spelling.data() + Spelling.size(),
+                      Value)
+          .ec != std::errc::result_out_of_range)
+    return true;
+  Value = LLONG_MAX;
+  return false;
+}
+
+bool Lexer::decodeDouble(std::string_view Spelling, double &Value) {
+  std::string Terminated(Spelling); // strtod reads up to a NUL.
+  errno = 0;
+  Value = std::strtod(Terminated.c_str(), nullptr);
+  // ERANGE also flags underflow, which yields 0 or a denormal.
+  return !(errno == ERANGE && std::isinf(Value));
+}
+
+bool Lexer::decodeEscape(char C, char &Value) {
+  switch (C) {
+  case 'n': Value = '\n'; return true;
+  case 't': Value = '\t'; return true;
+  case 'r': Value = '\r'; return true;
+  case '0': Value = '\0'; return true;
+  case '\\':
+  case '\'':
+  case '"': Value = C; return true;
+  default: Value = C; return false;
+  }
+}
+
+char Lexer::decodeChar(std::string_view Spelling) {
+  if (Spelling.size() < 3) // ''
+    return '\0';
+  char Value = Spelling[1];
+  if (Value == '\\')
+    decodeEscape(Spelling[2], Value);
+  return Value;
+}
+
+size_t Lexer::decodeString(std::string_view Spelling, char *Out) {
+  size_t N = 0;
+  // A terminated literal never ends in a backslash: `\"` does not close it.
+  for (size_t I = 1; I + 1 < Spelling.size(); ++I) {
+    char C = Spelling[I];
+    if (C == '\\')
+      decodeEscape(Spelling[++I], C);
+    Out[N++] = C;
+  }
+  return N;
+}
+
+void Lexer::lexEscape() {
   if (Pos >= Text.size()) {
     Diags.error(curLoc(), "unterminated escape sequence");
-    return '\0';
+    return;
   }
   char C = advance();
-  switch (C) {
-  case 'n': return '\n';
-  case 't': return '\t';
-  case 'r': return '\r';
-  case '0': return '\0';
-  case '\\': return '\\';
-  case '\'': return '\'';
-  case '"': return '"';
-  default:
+  char Value = 0;
+  if (!decodeEscape(C, Value))
     Diags.error(SourceLocation(FileID, Pos - 1),
                 std::string("unknown escape sequence '\\") + C + "'");
-    return C;
-  }
 }
 
 Token Lexer::lexCharLiteral() {
   uint32_t Begin = Pos;
   ++Pos; // consume opening quote
-  char Value = '\0';
   if (peek() == '\\') {
     ++Pos;
-    Value = lexEscape();
+    lexEscape();
   } else if (Pos < Text.size() && peek() != '\'') {
-    Value = advance();
+    ++Pos;
   } else {
     Diags.error(SourceLocation(FileID, Begin), "empty character literal");
   }
@@ -285,29 +329,20 @@ Token Lexer::lexCharLiteral() {
                 "unterminated character literal");
     return makeToken(TokenKind::Unknown, Begin);
   }
-  Token T = makeToken(TokenKind::CharLiteral, Begin);
-  T.IntValue = Value;
-  T.StringValue.assign(1, Value);
-  return T;
+  return makeToken(TokenKind::CharLiteral, Begin);
 }
 
 Token Lexer::lexStringLiteral() {
   uint32_t Begin = Pos;
   ++Pos; // consume opening quote
-  std::string Value;
-  while (Pos < Text.size() && peek() != '"' && peek() != '\n') {
-    char C = advance();
-    if (C == '\\')
-      C = lexEscape();
-    Value.push_back(C);
-  }
+  while (Pos < Text.size() && peek() != '"' && peek() != '\n')
+    if (advance() == '\\')
+      lexEscape();
   if (!match('"')) {
     Diags.error(SourceLocation(FileID, Begin), "unterminated string literal");
     return makeToken(TokenKind::Unknown, Begin);
   }
-  Token T = makeToken(TokenKind::StringLiteral, Begin);
-  T.StringValue = std::move(Value);
-  return T;
+  return makeToken(TokenKind::StringLiteral, Begin);
 }
 
 Token Lexer::lex() {

@@ -8,7 +8,9 @@
 /// Hand-written lexer for the MiniC++ subset. Produces a stream of Tokens;
 /// comments and whitespace are skipped. Malformed literals are reported via
 /// the DiagnosticsEngine and yield Unknown tokens, which the parser treats
-/// as hard errors.
+/// as hard errors. Tokens carry no payload: the static decoders below turn
+/// a literal's spelling into its value, and the lexer runs the same
+/// decoders to validate each literal as it lexes it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +19,7 @@
 
 #include "lexer/Token.h"
 
+#include <cstddef>
 #include <string_view>
 #include <vector>
 
@@ -38,6 +41,26 @@ public:
   /// EndOfFile token is included.
   std::vector<Token> lexAll();
 
+  /// \name Literal decoders
+  /// Each takes a token's spelling (quotes included for char and string
+  /// literals) as the lexer produced it.
+  /// @{
+  /// Decodes an IntLiteral. Returns false if it overflows long long;
+  /// \p Value is then LLONG_MAX.
+  static bool decodeInt(std::string_view Spelling, long long &Value);
+  /// Decodes a DoubleLiteral. Returns false if it overflows double;
+  /// \p Value is then infinity. Underflow to 0 or a denormal is fine.
+  static bool decodeDouble(std::string_view Spelling, double &Value);
+  /// The character that the escape `\C` stands for. Returns false for an
+  /// unknown escape; \p Value is then \p C itself.
+  static bool decodeEscape(char C, char &Value);
+  /// Decodes a CharLiteral (`''` is the character 0).
+  static char decodeChar(std::string_view Spelling);
+  /// Decodes a StringLiteral into \p Out, which must hold
+  /// Spelling.size() bytes. Returns the number of bytes written.
+  static size_t decodeString(std::string_view Spelling, char *Out);
+  /// @}
+
 private:
   char peek(unsigned LookAhead = 0) const;
   char advance();
@@ -50,10 +73,10 @@ private:
   Token lexNumber();
   Token lexCharLiteral();
   Token lexStringLiteral();
-  /// Decodes an escape sequence after the backslash; returns the character.
-  char lexEscape();
+  /// Consumes the character after a backslash, diagnosing an unknown
+  /// escape or the end of the buffer.
+  void lexEscape();
 
-  const SourceManager &SM;
   DiagnosticsEngine &Diags;
   std::string_view Text;
   uint32_t FileID;

@@ -7,6 +7,12 @@
 /// \file
 /// Token kinds and the Token value type produced by the Lexer.
 ///
+/// A Token is 16 bytes and trivially copyable: kind, length and location.
+/// It owns no text. Its spelling is the [offset, offset + length) slice
+/// of its SourceManager buffer, and literal payloads (int, double, char,
+/// string) are decoded from that spelling when the parser needs them,
+/// by the Lexer's decoders.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DMM_LEXER_TOKEN_H
@@ -14,13 +20,14 @@
 
 #include "support/SourceLocation.h"
 
-#include <string>
+#include <cstdint>
 #include <string_view>
+#include <type_traits>
 
 namespace dmm {
 
 /// All token kinds of the MiniC++ subset.
-enum class TokenKind {
+enum class TokenKind : uint8_t {
   EndOfFile,
   Unknown,
 
@@ -111,16 +118,16 @@ enum class TokenKind {
 /// Returns a stable display name for \p Kind (e.g. "'::'" or "identifier").
 const char *tokenKindName(TokenKind Kind);
 
-/// A lexed token. Text points into the SourceManager's buffer.
+/// A lexed token. Its text lives in the SourceManager buffer of Loc.
 struct Token {
   TokenKind Kind = TokenKind::Unknown;
+  uint32_t Length = 0; ///< Bytes of spelling, starting at Loc.
   SourceLocation Loc;
-  std::string_view Text;
 
-  /// Decoded literal payloads (valid per Kind).
-  long long IntValue = 0;
-  double DoubleValue = 0.0;
-  std::string StringValue; ///< For string/char literals, after unescaping.
+  /// The token's spelling within \p Buffer, the text of Loc's buffer.
+  std::string_view text(std::string_view Buffer) const {
+    return Buffer.substr(Loc.offset(), Length);
+  }
 
   bool is(TokenKind K) const { return Kind == K; }
   bool isNot(TokenKind K) const { return Kind != K; }
@@ -130,6 +137,10 @@ struct Token {
     return is(K1) || isOneOf(K2, Ks...);
   }
 };
+
+static_assert(sizeof(Token) <= 16, "a token is kind, length and location");
+static_assert(std::is_trivially_copyable_v<Token>,
+              "a token owns nothing; its text is in the SourceManager");
 
 } // namespace dmm
 

@@ -101,9 +101,14 @@ void Parser::synchronize() {
 // Type-name tracking
 //===----------------------------------------------------------------------===//
 
+long long Parser::intValue(const Token &T) const {
+  long long Value = 0;
+  Lexer::decodeInt(text(T), Value);
+  return Value;
+}
+
 bool Parser::isTypeName(const Token &T) const {
-  return T.is(TokenKind::Identifier) &&
-         ClassNames.count(std::string(T.Text)) != 0;
+  return T.is(TokenKind::Identifier) && ClassNames.contains(text(T));
 }
 
 bool Parser::startsType(unsigned At) const {
@@ -124,7 +129,7 @@ bool Parser::startsType(unsigned At) const {
   }
 }
 
-ClassDecl *Parser::lookupClass(const std::string &Name) const {
+ClassDecl *Parser::lookupClass(std::string_view Name) const {
   auto It = ClassNames.find(Name);
   return It == ClassNames.end() ? nullptr : It->second;
 }
@@ -134,7 +139,7 @@ ClassDecl *Parser::getOrCreateClass(TagKind Tag, const std::string &Name,
   if (ClassDecl *Existing = lookupClass(Name))
     return Existing;
   ClassDecl *CD = Ctx.create<ClassDecl>(Tag, Name, Loc);
-  ClassNames[Name] = CD;
+  ClassNames.emplace(Name, CD);
   return CD;
 }
 
@@ -155,10 +160,10 @@ const Type *Parser::parseType() {
   case TokenKind::KwInt: Ty = Ctx.intType(); break;
   case TokenKind::KwDouble: Ty = Ctx.doubleType(); break;
   case TokenKind::Identifier: {
-    ClassDecl *CD = lookupClass(std::string(cur().Text));
+    ClassDecl *CD = lookupClass(text(cur()));
     if (!CD) {
       Diags.error(cur().Loc,
-                  "unknown type name '" + std::string(cur().Text) + "'");
+                  "unknown type name '" + std::string(text(cur())) + "'");
       return nullptr;
     }
     Ty = Ctx.classType(CD);
@@ -181,10 +186,10 @@ const Type *Parser::parseType() {
     // Member-pointer suffix: `int A::* pm`.
     if (cur().is(TokenKind::Identifier) && tok(1).is(TokenKind::ColonColon) &&
         tok(2).is(TokenKind::Star)) {
-      ClassDecl *CD = lookupClass(std::string(cur().Text));
+      ClassDecl *CD = lookupClass(text(cur()));
       if (!CD) {
         Diags.error(cur().Loc, "unknown class name '" +
-                                   std::string(cur().Text) +
+                                   std::string(text(cur())) +
                                    "' in member pointer type");
         return nullptr;
       }
@@ -209,7 +214,7 @@ const Type *Parser::parseDeclarator(const Type *Ty, std::string &Name,
     consume(); // (
     consume(); // *
     if (cur().is(TokenKind::Identifier)) {
-      Name = std::string(cur().Text);
+      Name = text(cur());
       NameLoc = cur().Loc;
       consume();
     }
@@ -232,7 +237,7 @@ const Type *Parser::parseDeclarator(const Type *Ty, std::string &Name,
   }
 
   if (cur().is(TokenKind::Identifier)) {
-    Name = std::string(cur().Text);
+    Name = text(cur());
     NameLoc = cur().Loc;
     consume();
   }
@@ -241,7 +246,7 @@ const Type *Parser::parseDeclarator(const Type *Ty, std::string &Name,
   std::vector<uint64_t> Extents;
   while (tryConsume(TokenKind::LBracket)) {
     if (cur().is(TokenKind::IntLiteral)) {
-      Extents.push_back(static_cast<uint64_t>(cur().IntValue));
+      Extents.push_back(static_cast<uint64_t>(intValue(cur())));
       consume();
     } else {
       Diags.error(cur().Loc, "expected integer array extent");
@@ -258,22 +263,14 @@ const Type *Parser::parseDeclarator(const Type *Ty, std::string &Name,
 // Top-level declarations
 //===----------------------------------------------------------------------===//
 
-bool Parser::parseBuffer(uint32_t FileID) {
-  std::vector<Token> Lexed;
-  {
-    Span Timer("lex");
-    Lexer Lex(SM, FileID, Diags);
-    Lexed = Lex.lexAll();
-  }
-  Telemetry::count("lex.tokens", Lexed.size());
-  Telemetry::count("lex.buffers");
-  return parseTokens(std::move(Lexed));
-}
-
 bool Parser::parseTokens(std::vector<Token> NewTokens) {
   Span Timer("parse");
   Tokens = std::move(NewTokens);
+  Buffer = SM.bufferText(Tokens.back().Loc.fileID());
   Pos = 0;
+  PendingExprs.clear();
+  PendingStmts.clear();
+  PendingVars.clear();
   unsigned ErrorsBefore = Diags.errorCount();
   try {
     while (cur().isNot(TokenKind::EndOfFile))
@@ -306,7 +303,7 @@ void Parser::parseTopLevelDecl() {
     // `C::C(...)` or `C::~C(...)` out-of-line special members.
     if (tok(1).is(TokenKind::ColonColon) &&
         (tok(2).is(TokenKind::Tilde) ||
-         (tok(2).is(TokenKind::Identifier) && tok(2).Text == cur().Text))) {
+         (tok(2).is(TokenKind::Identifier) && text(tok(2)) == text(cur())))) {
       parseOutOfLineMember(/*ReturnTy=*/nullptr);
       break;
     }
@@ -342,7 +339,7 @@ void Parser::parseClass(TagKind Tag) {
     Diags.error(cur().Loc, "expected class name");
     return;
   }
-  std::string Name(cur().Text);
+  std::string Name(text(cur()));
   SourceLocation Loc = cur().Loc;
   consume();
 
@@ -378,10 +375,10 @@ void Parser::parseClass(TagKind Tag) {
         return;
       }
       BS.Loc = cur().Loc;
-      BS.Base = lookupClass(std::string(cur().Text));
+      BS.Base = lookupClass(text(cur()));
       if (!BS.Base) {
         Diags.error(cur().Loc,
-                    "unknown base class '" + std::string(cur().Text) + "'");
+                    "unknown base class '" + std::string(text(cur())) + "'");
         return;
       }
       consume();
@@ -425,7 +422,7 @@ void Parser::parseMember(ClassDecl *CD) {
   }
   if (cur().is(TokenKind::Tilde)) {
     consume();
-    if (cur().isNot(TokenKind::Identifier) || cur().Text != CD->name()) {
+    if (cur().isNot(TokenKind::Identifier) || text(cur()) != CD->name()) {
       Diags.error(cur().Loc, "destructor name must match class name");
       return;
     }
@@ -446,7 +443,7 @@ void Parser::parseMember(ClassDecl *CD) {
   }
 
   // Constructor: `ClassName ( ... )`.
-  if (cur().is(TokenKind::Identifier) && cur().Text == CD->name() &&
+  if (cur().is(TokenKind::Identifier) && text(cur()) == CD->name() &&
       tok(1).is(TokenKind::LParen)) {
     SourceLocation Loc = cur().Loc;
     consume();
@@ -475,7 +472,7 @@ void Parser::parseMember(ClassDecl *CD) {
 
   // Method: `T name ( ... )`.
   if (cur().is(TokenKind::Identifier) && tok(1).is(TokenKind::LParen)) {
-    std::string Name(cur().Text);
+    std::string Name(text(cur()));
     SourceLocation Loc = cur().Loc;
     consume();
     if (CD->findMethod(Name) || CD->findField(Name)) {
@@ -490,7 +487,7 @@ void Parser::parseMember(ClassDecl *CD) {
       return;
     // Pure virtual: `= 0 ;`.
     if (cur().is(TokenKind::Equal) && tok(1).is(TokenKind::IntLiteral) &&
-        tok(1).IntValue == 0) {
+        intValue(tok(1)) == 0) {
       consume();
       consume();
       expect(TokenKind::Semi, "after pure-virtual specifier");
@@ -535,7 +532,7 @@ void Parser::parseCtorInitList(ConstructorDecl *Ctor, ClassDecl *CD) {
       return;
     }
     CtorInitializer Init;
-    Init.Name = std::string(cur().Text);
+    Init.Name = text(cur());
     Init.Loc = cur().Loc;
     consume();
     expect(TokenKind::LParen, "in constructor initializer");
@@ -569,7 +566,7 @@ void Parser::parseParamList(FunctionDecl *FD) {
 
 void Parser::parseOutOfLineMember(const Type *ReturnTy) {
   assert(cur().is(TokenKind::Identifier) && "caller checked class name");
-  std::string ClassName(cur().Text);
+  std::string ClassName(text(cur()));
   SourceLocation ClassLoc = cur().Loc;
   ClassDecl *CD = lookupClass(ClassName);
   consume();
@@ -582,7 +579,7 @@ void Parser::parseOutOfLineMember(const Type *ReturnTy) {
   if (!ReturnTy) {
     // Constructor or destructor definition.
     if (tryConsume(TokenKind::Tilde)) {
-      if (cur().isNot(TokenKind::Identifier) || cur().Text != ClassName) {
+      if (cur().isNot(TokenKind::Identifier) || text(cur()) != ClassName) {
         Diags.error(cur().Loc, "destructor name must match class name");
         return;
       }
@@ -605,7 +602,7 @@ void Parser::parseOutOfLineMember(const Type *ReturnTy) {
       return;
     }
     // Constructor.
-    assert(cur().is(TokenKind::Identifier) && cur().Text == ClassName &&
+    assert(cur().is(TokenKind::Identifier) && text(cur()) == ClassName &&
            "caller checked constructor name");
     SourceLocation Loc = cur().Loc;
     consume();
@@ -642,7 +639,7 @@ void Parser::parseOutOfLineMember(const Type *ReturnTy) {
     Diags.error(cur().Loc, "expected method name");
     return;
   }
-  std::string Name(cur().Text);
+  std::string Name(text(cur()));
   SourceLocation Loc = cur().Loc;
   consume();
   MethodDecl *M = CD->findMethod(Name);
@@ -681,7 +678,7 @@ void Parser::parseFunctionOrGlobal(const Type *Ty) {
   // classic most-vexing-parse disambiguation.
   if (cur().is(TokenKind::Identifier) && tok(1).is(TokenKind::LParen) &&
       (tok(2).is(TokenKind::RParen) || startsType(2))) {
-    std::string Name(cur().Text);
+    std::string Name(text(cur()));
     SourceLocation Loc = cur().Loc;
     consume();
     auto It = FunctionNames.find(Name);
@@ -754,13 +751,15 @@ CompoundStmt *Parser::parseCompoundStmt() {
   SourceLocation Loc = cur().Loc;
   expect(TokenKind::LBrace, "to begin block");
   auto *CS = Ctx.create<CompoundStmt>(Loc);
+  size_t First = PendingStmts.size();
   while (cur().isNot(TokenKind::RBrace) &&
          cur().isNot(TokenKind::EndOfFile)) {
     unsigned ErrorsBefore = Diags.errorCount();
-    CS->addStmt(parseStmt());
+    PendingStmts.push_back(parseStmt());
     if (Diags.errorCount() != ErrorsBefore)
       synchronize();
   }
+  CS->setStmts(takePending(PendingStmts, First));
   expect(TokenKind::RBrace, "to end block");
   return CS;
 }
@@ -815,17 +814,24 @@ Stmt *Parser::parseDeclStmt() {
   SourceLocation Loc = cur().Loc;
   const Type *Ty = parseType();
   auto *DS = Ctx.create<DeclStmt>(Loc);
-  if (!Ty)
-    return DS;
+  if (Ty) {
+    size_t First = PendingVars.size();
+    parseLocalVars(Ty);
+    DS->setVars(takePending(PendingVars, First));
+  }
+  return DS;
+}
+
+void Parser::parseLocalVars(const Type *Ty) {
   do {
     std::string Name;
     SourceLocation NameLoc = cur().Loc;
     const Type *VarTy = parseDeclarator(Ty, Name, NameLoc);
     if (!VarTy)
-      return DS;
+      return;
     if (Name.empty()) {
       Diags.error(cur().Loc, "expected variable name");
-      return DS;
+      return;
     }
     auto *V = Ctx.create<VarDecl>(Name, VarTy, NameLoc);
     if (tryConsume(TokenKind::Equal))
@@ -840,10 +846,9 @@ Stmt *Parser::parseDeclStmt() {
       expect(TokenKind::RParen, "after constructor arguments");
       V->setCtorArgs(std::move(Args));
     }
-    DS->addVar(V);
+    PendingVars.push_back(V);
   } while (tryConsume(TokenKind::Comma));
   expect(TokenKind::Semi, "after declaration");
-  return DS;
 }
 
 Stmt *Parser::parseIfStmt() {
@@ -1034,13 +1039,12 @@ Expr *Parser::parseUnary() {
     if (cur().is(TokenKind::Identifier) && tok(1).is(TokenKind::ColonColon) &&
         tok(2).is(TokenKind::Identifier) && isTypeName(cur()) &&
         tok(3).isNot(TokenKind::LParen)) {
-      std::string ClassName(cur().Text);
+      std::string_view ClassName = text(cur());
       consume();
       consume();
-      std::string MemberName(cur().Text);
+      std::string_view MemberName = text(cur());
       consume();
-      return Ctx.create<MemberPointerConstantExpr>(std::move(ClassName),
-                                                   std::move(MemberName),
+      return Ctx.create<MemberPointerConstantExpr>(ClassName, MemberName,
                                                    Loc);
     }
     return nest(
@@ -1117,20 +1121,19 @@ Expr *Parser::parsePostfix() {
         Diags.error(cur().Loc, "expected member name");
         return E;
       }
-      std::string Name(cur().Text);
+      std::string_view Name = text(cur());
       consume();
-      std::string Qualifier;
+      std::string_view Qualifier;
       if (cur().is(TokenKind::ColonColon) &&
           tok(1).is(TokenKind::Identifier)) {
         // Qualified access `e.C::m`: the first identifier was the
         // qualifier.
-        Qualifier = std::move(Name);
+        Qualifier = Name;
         consume(); // ::
-        Name = std::string(cur().Text);
+        Name = text(cur());
         consume();
       }
-      E = nest(Ctx.create<MemberExpr>(E, IsArrow, std::move(Name),
-                                      std::move(Qualifier), Loc));
+      E = nest(Ctx.create<MemberExpr>(E, IsArrow, Name, Qualifier, Loc));
       break;
     }
     case TokenKind::PeriodStar:
@@ -1148,11 +1151,9 @@ Expr *Parser::parsePostfix() {
       E = nest(Ctx.create<SubscriptExpr>(E, Index, Loc));
       break;
     }
-    case TokenKind::LParen: {
-      std::vector<Expr *> Args = parseCallArgs();
-      E = nest(Ctx.create<CallExpr>(E, std::move(Args), Loc));
+    case TokenKind::LParen:
+      E = nest(Ctx.create<CallExpr>(E, parseCallArgs(), Loc));
       break;
-    }
     case TokenKind::PlusPlus:
       consume();
       E = nest(Ctx.create<UnaryExpr>(UnaryOpKind::PostInc, E, Loc));
@@ -1167,16 +1168,16 @@ Expr *Parser::parsePostfix() {
   }
 }
 
-std::vector<Expr *> Parser::parseCallArgs() {
-  std::vector<Expr *> Args;
+std::span<Expr *> Parser::parseCallArgs() {
+  size_t First = PendingExprs.size();
   expect(TokenKind::LParen, "to begin argument list");
   if (cur().isNot(TokenKind::RParen)) {
     do
-      Args.push_back(parseAssign());
+      PendingExprs.push_back(parseAssign());
     while (tryConsume(TokenKind::Comma));
   }
   expect(TokenKind::RParen, "to end argument list");
-  return Args;
+  return takePending(PendingExprs, First);
 }
 
 Expr *Parser::parseNew() {
@@ -1190,10 +1191,10 @@ Expr *Parser::parseNew() {
   case TokenKind::KwInt: Ty = Ctx.intType(); consume(); break;
   case TokenKind::KwDouble: Ty = Ctx.doubleType(); consume(); break;
   case TokenKind::Identifier: {
-    ClassDecl *CD = lookupClass(std::string(cur().Text));
+    ClassDecl *CD = lookupClass(text(cur()));
     if (!CD) {
       Diags.error(cur().Loc,
-                  "unknown type '" + std::string(cur().Text) + "' in new");
+                  "unknown type '" + std::string(text(cur())) + "' in new");
       return Ctx.create<NullptrLiteralExpr>(Loc);
     }
     Ty = Ctx.classType(CD);
@@ -1208,38 +1209,41 @@ Expr *Parser::parseNew() {
     Ty = Ctx.pointerType(Ty);
 
   Expr *ArraySize = nullptr;
-  std::vector<Expr *> CtorArgs;
+  std::span<Expr *> CtorArgs;
   if (tryConsume(TokenKind::LBracket)) {
     ArraySize = parseExpr();
     expect(TokenKind::RBracket, "after array-new extent");
   } else if (cur().is(TokenKind::LParen)) {
     CtorArgs = parseCallArgs();
   }
-  return nest(Ctx.create<NewExpr>(Ty, std::move(CtorArgs), ArraySize, Loc));
+  return nest(Ctx.create<NewExpr>(Ty, CtorArgs, ArraySize, Loc));
 }
 
 Expr *Parser::parsePrimary() {
   SourceLocation Loc = cur().Loc;
   switch (cur().Kind) {
   case TokenKind::IntLiteral: {
-    long long Value = cur().IntValue;
+    long long Value = intValue(cur());
     consume();
     return Ctx.create<IntLiteralExpr>(Value, Loc);
   }
   case TokenKind::DoubleLiteral: {
-    double Value = cur().DoubleValue;
+    double Value = 0;
+    Lexer::decodeDouble(text(cur()), Value);
     consume();
     return Ctx.create<DoubleLiteralExpr>(Value, Loc);
   }
   case TokenKind::CharLiteral: {
-    char Value = static_cast<char>(cur().IntValue);
+    char Value = Lexer::decodeChar(text(cur()));
     consume();
     return Ctx.create<CharLiteralExpr>(Value, Loc);
   }
   case TokenKind::StringLiteral: {
-    std::string Value = cur().StringValue;
+    std::string_view Spelling = text(cur());
+    char *Bytes = Ctx.allocateBytes(Spelling.size());
+    size_t Size = Lexer::decodeString(Spelling, Bytes);
     consume();
-    return Ctx.create<StringLiteralExpr>(std::move(Value), Loc);
+    return Ctx.create<StringLiteralExpr>(std::string_view(Bytes, Size), Loc);
   }
   case TokenKind::KwTrue:
     consume();
@@ -1260,9 +1264,9 @@ Expr *Parser::parsePrimary() {
     return E;
   }
   case TokenKind::Identifier: {
-    std::string Name(cur().Text);
+    std::string_view Name = text(cur());
     consume();
-    return Ctx.create<DeclRefExpr>(std::move(Name), Loc);
+    return Ctx.create<DeclRefExpr>(Name, Loc);
   }
   default:
     Diags.error(Loc, std::string("expected expression, found ") +

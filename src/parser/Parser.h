@@ -22,9 +22,12 @@
 
 #include "ast/ASTContext.h"
 #include "lexer/Token.h"
+#include "support/StringMap.h"
 
+#include <cstdint>
+#include <span>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 namespace dmm {
@@ -48,12 +51,9 @@ public:
 
   Parser(ASTContext &Ctx, const SourceManager &SM, DiagnosticsEngine &Diags);
 
-  /// Parses buffer \p FileID, appending top-level declarations to the
-  /// translation unit. Returns false if any syntax error was reported.
-  bool parseBuffer(uint32_t FileID);
-
-  /// Parses a pre-lexed token stream (the frontend lexes every file
-  /// before parsing any). \p Tokens must end with EndOfFile. Returns
+  /// Parses a pre-lexed token stream of one buffer (the frontend lexes
+  /// every file before parsing any), appending top-level declarations to
+  /// the translation unit. \p Tokens must end with EndOfFile. Returns
   /// false if any syntax error was reported.
   bool parseTokens(std::vector<Token> Tokens);
 
@@ -62,6 +62,10 @@ private:
   /// @{
   const Token &tok(unsigned LookAhead = 0) const;
   const Token &cur() const { return tok(0); }
+  /// \p T's spelling; names in the AST are views of it.
+  std::string_view text(const Token &T) const { return T.text(Buffer); }
+  /// The value of IntLiteral \p T.
+  long long intValue(const Token &T) const;
   void consume();
   bool tryConsume(TokenKind K);
   /// Consumes a token of kind \p K or reports an error. Returns success.
@@ -96,7 +100,7 @@ private:
   /// True if a type starts at lookahead \p At (builtin keyword or known
   /// class name).
   bool startsType(unsigned At = 0) const;
-  ClassDecl *lookupClass(const std::string &Name) const;
+  ClassDecl *lookupClass(std::string_view Name) const;
   ClassDecl *getOrCreateClass(TagKind Tag, const std::string &Name,
                               SourceLocation Loc);
   /// @}
@@ -135,6 +139,8 @@ private:
   Stmt *parseStmt();
   CompoundStmt *parseCompoundStmt();
   Stmt *parseDeclStmt();
+  /// Parses `name [= init | (args)], ... ;` into PendingVars.
+  void parseLocalVars(const Type *Ty);
   Stmt *parseIfStmt();
   Stmt *parseWhileStmt();
   Stmt *parseForStmt();
@@ -150,25 +156,44 @@ private:
   Expr *parsePostfix();
   Expr *parsePrimary();
   Expr *parseNew();
-  std::vector<Expr *> parseCallArgs();
+  std::span<Expr *> parseCallArgs();
   /// @}
+
+  /// Moves the items that \p Pending holds past index \p First into an
+  /// arena array. Child lists collect on these stacks while their
+  /// children parse, so a nested list stacks above its parent's.
+  template <typename T>
+  std::span<T> takePending(std::vector<T> &Pending, size_t First) {
+    std::span<T> List = Ctx.copyArray(
+        std::span<const T>(Pending.data() + First, Pending.size() - First));
+    Pending.resize(First);
+    return List;
+  }
 
   ASTContext &Ctx;
   const SourceManager &SM;
   DiagnosticsEngine &Diags;
 
   std::vector<Token> Tokens;
+  std::string_view Buffer; ///< Text of the buffer being parsed.
   size_t Pos = 0;
-  unsigned StartErrors = 0;
   unsigned Nesting = 0; ///< Open NestingGuards.
 
+  /// Child lists still being parsed (see takePending).
+  std::vector<Expr *> PendingExprs;
+  std::vector<Stmt *> PendingStmts;
+  std::vector<VarDecl *> PendingVars;
+
   /// Class names visible so far (forward declarations included).
-  std::unordered_map<std::string, ClassDecl *> ClassNames;
+  StringMap<ClassDecl *> ClassNames;
 
   /// Free-function names seen so far (prototypes and definitions), used
   /// to merge a definition into its earlier prototype.
-  std::unordered_map<std::string, FunctionDecl *> FunctionNames;
+  StringMap<FunctionDecl *> FunctionNames;
 };
+
+static_assert(Parser::kMaxNestingDepth <= UINT16_MAX,
+              "Expr stores its height in 16 bits");
 
 } // namespace dmm
 

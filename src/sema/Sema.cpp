@@ -103,7 +103,7 @@ void Sema::computeVirtualFlags() {
   }
 }
 
-ClassDecl *Sema::findClassByName(const std::string &Name) const {
+ClassDecl *Sema::findClassByName(std::string_view Name) const {
   auto It = ClassByName.find(Name);
   return It == ClassByName.end() ? nullptr : It->second;
 }
@@ -135,7 +135,7 @@ void Sema::declareLocal(VarDecl *V) {
                 "redefinition of variable '" + V->name() + "'");
 }
 
-VarDecl *Sema::lookupLocal(const std::string &Name) const {
+VarDecl *Sema::lookupLocal(std::string_view Name) const {
   for (auto It = Scopes.rbegin(), E = Scopes.rend(); It != E; ++It) {
     auto Found = It->find(Name);
     if (Found != It->end())
@@ -367,15 +367,15 @@ const Type *Sema::checkExpr(Expr *E) {
     ClassDecl *CD = findClassByName(MPC->className());
     if (!CD) {
       Diags.error(E->location(),
-                  "unknown class '" + MPC->className() + "'");
+                  "unknown class '" + std::string(MPC->className()) + "'");
       Ty = Ctx.intType();
       break;
     }
     FieldDecl *F = CH->lookupField(CD, MPC->memberName());
     if (!F) {
-      Diags.error(E->location(), "class '" + MPC->className() +
+      Diags.error(E->location(), "class '" + std::string(MPC->className()) +
                                      "' has no data member '" +
-                                     MPC->memberName() + "'");
+                                     std::string(MPC->memberName()) + "'");
       Ty = Ctx.intType();
       break;
     }
@@ -515,7 +515,7 @@ const Type *Sema::checkExpr(Expr *E) {
 }
 
 const Type *Sema::checkDeclRef(DeclRefExpr *E) {
-  const std::string &Name = E->declName();
+  std::string_view Name = E->declName();
 
   // Locals and parameters.
   if (VarDecl *V = lookupLocal(Name)) {
@@ -534,7 +534,7 @@ const Type *Sema::checkDeclRef(DeclRefExpr *E) {
     }
     if (Ambiguous) {
       Diags.error(E->location(),
-                  "ambiguous member reference '" + Name + "'");
+                  "ambiguous member reference '" + std::string(Name) + "'");
       return Ctx.intType();
     }
     if (MethodDecl *M = CH->lookupMethod(CurClass, Name)) {
@@ -561,7 +561,8 @@ const Type *Sema::checkDeclRef(DeclRefExpr *E) {
     return Ctx.functionType(FD->returnType(), std::move(Params));
   }
 
-  Diags.error(E->location(), "use of undeclared identifier '" + Name + "'");
+  Diags.error(E->location(),
+              "use of undeclared identifier '" + std::string(Name) + "'");
   return Ctx.intType();
 }
 
@@ -594,8 +595,8 @@ const Type *Sema::checkMember(MemberExpr *E) {
     ClassDecl *Q = findClassByName(E->qualifier());
     if (!Q) {
       Diags.error(E->location(),
-                  "unknown class '" + E->qualifier() + "' in qualified "
-                  "member access");
+                  "unknown class '" + std::string(E->qualifier()) +
+                      "' in qualified member access");
       return Ctx.intType();
     }
     if (!CH->isDerivedFrom(BaseClass, Q))
@@ -613,8 +614,8 @@ const Type *Sema::checkMember(MemberExpr *E) {
   }
   if (Ambiguous) {
     Diags.error(E->location(),
-                "ambiguous member '" + E->memberName() + "' in '" +
-                    LookupClass->name() + "'");
+                "ambiguous member '" + std::string(E->memberName()) +
+                    "' in '" + LookupClass->name() + "'");
     return Ctx.intType();
   }
   if (MethodDecl *M = CH->lookupMethod(LookupClass, E->memberName())) {
@@ -625,8 +626,9 @@ const Type *Sema::checkMember(MemberExpr *E) {
     return Ctx.functionType(M->returnType(), std::move(Params));
   }
 
-  Diags.error(E->location(), "no member named '" + E->memberName() +
-                                 "' in '" + LookupClass->name() + "'");
+  Diags.error(E->location(), "no member named '" +
+                                 std::string(E->memberName()) + "' in '" +
+                                 LookupClass->name() + "'");
   return Ctx.intType();
 }
 

@@ -24,10 +24,10 @@
 
 #include "ast/ASTContext.h"
 #include "hierarchy/ClassHierarchy.h"
+#include "support/StringMap.h"
 
 #include <memory>
-#include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 namespace dmm {
@@ -55,7 +55,7 @@ private:
   void createBuiltins();
   void computeVirtualFlags();
 
-  ClassDecl *findClassByName(const std::string &Name) const;
+  ClassDecl *findClassByName(std::string_view Name) const;
   ConstructorDecl *findCtorByArity(const ClassDecl *CD, size_t Arity) const;
 
   /// Resolves constructor selection for a variable declaration (local or
@@ -70,7 +70,7 @@ private:
   void pushScope();
   void popScope();
   void declareLocal(VarDecl *V);
-  VarDecl *lookupLocal(const std::string &Name) const;
+  VarDecl *lookupLocal(std::string_view Name) const;
   /// @}
 
   /// \name Statement / expression checking
@@ -91,12 +91,12 @@ private:
   DiagnosticsEngine &Diags;
   std::unique_ptr<ClassHierarchy> CH;
 
-  std::unordered_map<std::string, ClassDecl *> ClassByName;
-  std::unordered_map<std::string, Decl *> GlobalScope;
+  StringMap<ClassDecl *> ClassByName;
+  StringMap<Decl *> GlobalScope;
   std::vector<FunctionDecl *> Builtins;
   FunctionDecl *MainFn = nullptr;
 
-  std::vector<std::unordered_map<std::string, VarDecl *>> Scopes;
+  std::vector<StringMap<VarDecl *>> Scopes;
   ClassDecl *CurClass = nullptr;
   FunctionDecl *CurFunction = nullptr;
 };

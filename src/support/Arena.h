@@ -6,10 +6,11 @@
 ///
 /// \file
 /// A simple bump-pointer arena used by ASTContext. AST nodes are allocated
-/// here and destroyed all at once when the context dies; nodes must be
-/// trivially destructible or own no resources beyond arena memory.
-/// (Our AST nodes hold std::string/std::vector, so the arena tracks and
-/// runs destructors for registered objects.)
+/// here and freed all at once when the context dies. Expressions and
+/// statements are trivially destructible (names are views into source
+/// buffers, child lists are arena arrays), so they cost no teardown.
+/// Decls (and FunctionTypes) still own std::string/std::vector members,
+/// so the arena records their destructors and runs them at teardown.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -46,6 +48,13 @@ public:
     return Obj;
   }
 
+  /// Allocates uninitialized room for \p N objects of type T.
+  template <typename T> T *allocateArray(size_t N) {
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "arena arrays are never destroyed");
+    return static_cast<T *>(allocate(N * sizeof(T), alignof(T)));
+  }
+
   /// Total bytes handed out (for statistics).
   size_t bytesAllocated() const { return Allocated; }
 
@@ -54,7 +63,7 @@ private:
     size_t Aligned = (Cur + Align - 1) & ~(Align - 1);
     if (Aligned + Size > End) {
       size_t SlabSize = std::max<size_t>(DefaultSlabSize, Size + Align);
-      Slabs.push_back(std::make_unique<char[]>(SlabSize));
+      Slabs.push_back(std::make_unique_for_overwrite<char[]>(SlabSize));
       Cur = reinterpret_cast<uintptr_t>(Slabs.back().get());
       End = Cur + SlabSize;
       Aligned = (Cur + Align - 1) & ~(Align - 1);

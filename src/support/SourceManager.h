@@ -15,6 +15,7 @@
 
 #include "support/SourceLocation.h"
 
+#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,7 +34,8 @@ struct PresumedLoc {
 ///
 /// Buffers are addressed by 1-based FileIDs; FileID 0 is reserved for the
 /// invalid location. Buffers are stored by value so the manager is the
-/// single owner of all source text for a compilation.
+/// single owner of all source text for a compilation. A buffer's text
+/// never moves once registered: tokens and AST names are views into it.
 class SourceManager {
 public:
   /// Registers \p Text under \p Name and returns its FileID.
@@ -63,7 +65,9 @@ private:
     /// Byte offsets at which each line starts; computed on registration.
     std::vector<uint32_t> LineStarts;
   };
-  std::vector<Buffer> Buffers;
+  /// A deque, not a vector: growing it never moves a Buffer, so the
+  /// bytes of a short (inline-stored) text stay put too.
+  std::deque<Buffer> Buffers;
 };
 
 } // namespace dmm

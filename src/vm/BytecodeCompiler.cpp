@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <cstring>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -358,7 +359,7 @@ private:
   /// Evaluates call/ctor arguments into a fresh consecutive register
   /// block; ByRef(i) selects lvalue (place) evaluation.
   template <typename ByRefFn>
-  uint16_t compileArgs(const std::vector<Expr *> &Args, ByRefFn ByRef,
+  uint16_t compileArgs(std::span<Expr *const> Args, ByRefFn ByRef,
                        bool IsFree = false) {
     uint16_t Base = allocTmp(static_cast<unsigned>(Args.size()));
     for (size_t I = 0; I != Args.size(); ++I) {
@@ -1293,7 +1294,8 @@ uint16_t Compiler::place(const Expr *E, uint16_t Dst) {
            msg("object has no storage for member '" + Field->name() + "'"));
       return R;
     }
-    return emitFail("cannot take the location of '" + DRE->declName() + "'",
+    return emitFail("cannot take the location of '" +
+                        std::string(DRE->declName()) + "'",
                     target(Dst));
   }
   case Expr::Kind::Member: {

@@ -121,6 +121,24 @@ TEST(Eliminator, KeepsSideEffectingWriteValue) {
   EXPECT_EQ(Out.Before.Output, "1\n2\n");
 }
 
+// A double printed with too few digits would flip this comparison.
+TEST(Eliminator, KeepsDoubleLiteralsExact) {
+  auto Out = runElimination(R"(
+    class A { public: int live; int dead; };
+    int main() {
+      A a;
+      a.live = 1;
+      a.dead = 2;
+      double c = 123456789.125;
+      if (c < 123457000.0) print_int(a.live); else print_int(0);
+      return 0;
+    }
+  )");
+  EXPECT_EQ(Out.Elim.Removed.size(), 1u);
+  EXPECT_EQ(Out.Before.Output, "1\n");
+  EXPECT_EQ(Out.After.Output, "1\n") << Out.Elim.Source;
+}
+
 TEST(Eliminator, RemovesDeleteOnlyPointerMember) {
   auto Out = runElimination(R"(
     class P { public: int v; };

@@ -16,19 +16,53 @@ using namespace dmm;
 
 namespace {
 
+/// Text of the buffer most recently lexed by lexAll.
+std::string_view LastBuffer;
+
 std::vector<Token> lexAll(const std::string &Text, unsigned *Errors = nullptr) {
-  // Token::Text views into the buffer; keep every SourceManager alive
-  // for the process so returned tokens stay valid.
+  // Tokens are spans of their buffer; keep every SourceManager alive
+  // for the process so returned tokens can still be spelled.
   static std::vector<std::unique_ptr<SourceManager>> Keep;
   Keep.push_back(std::make_unique<SourceManager>());
   SourceManager &SM = *Keep.back();
   uint32_t ID = SM.addBuffer("test.mcc", Text);
+  LastBuffer = SM.bufferText(ID);
   DiagnosticsEngine Diags(SM);
   Lexer L(SM, ID, Diags);
   auto Tokens = L.lexAll();
   if (Errors)
     *Errors = Diags.errorCount();
   return Tokens;
+}
+
+/// Spelling and decoded payloads of a token from the last lexAll.
+std::string_view text(const Token &T) { return T.text(LastBuffer); }
+long long intValue(const Token &T) {
+  long long Value = 0;
+  Lexer::decodeInt(text(T), Value);
+  return Value;
+}
+double doubleValue(const Token &T) {
+  double Value = 0;
+  Lexer::decodeDouble(text(T), Value);
+  return Value;
+}
+std::string stringValue(const Token &T) {
+  std::string Bytes(text(T).size(), '\0');
+  Bytes.resize(Lexer::decodeString(text(T), Bytes.data()));
+  return Bytes;
+}
+
+/// Every diagnostic of lexing \p Text, as "offset: message" lines.
+std::string lexDiagnostics(const std::string &Text) {
+  SourceManager SM;
+  uint32_t ID = SM.addBuffer("test.mcc", Text);
+  DiagnosticsEngine Diags(SM);
+  Lexer(SM, ID, Diags).lexAll();
+  std::string Out;
+  for (const Diagnostic &D : Diags.diagnostics())
+    Out += std::to_string(D.Loc.offset()) + ": " + D.Message + "\n";
+  return Out;
 }
 
 std::vector<TokenKind> kindsOf(const std::string &Text) {
@@ -46,9 +80,9 @@ TEST(Lexer, Identifiers) {
   auto Tokens = lexAll("foo _bar baz42");
   ASSERT_EQ(Tokens.size(), 4u);
   EXPECT_EQ(Tokens[0].Kind, TokenKind::Identifier);
-  EXPECT_EQ(Tokens[0].Text, "foo");
-  EXPECT_EQ(Tokens[1].Text, "_bar");
-  EXPECT_EQ(Tokens[2].Text, "baz42");
+  EXPECT_EQ(text(Tokens[0]), "foo");
+  EXPECT_EQ(text(Tokens[1]), "_bar");
+  EXPECT_EQ(text(Tokens[2]), "baz42");
 }
 
 TEST(Lexer, KeywordsAreDistinguishedFromIdentifiers) {
@@ -61,16 +95,16 @@ TEST(Lexer, KeywordsAreDistinguishedFromIdentifiers) {
 
 TEST(Lexer, IntegerLiterals) {
   auto Tokens = lexAll("0 42 123456789");
-  EXPECT_EQ(Tokens[0].IntValue, 0);
-  EXPECT_EQ(Tokens[1].IntValue, 42);
-  EXPECT_EQ(Tokens[2].IntValue, 123456789);
+  EXPECT_EQ(intValue(Tokens[0]), 0);
+  EXPECT_EQ(intValue(Tokens[1]), 42);
+  EXPECT_EQ(intValue(Tokens[2]), 123456789);
 }
 
 TEST(Lexer, OutOfRangeIntegerLiteralIsAnError) {
   unsigned Errors = 0;
   auto Tokens = lexAll("9223372036854775807", &Errors);
   EXPECT_EQ(Errors, 0u);
-  EXPECT_EQ(Tokens[0].IntValue, INT64_MAX);
+  EXPECT_EQ(intValue(Tokens[0]), INT64_MAX);
 
   for (const char *Text : {"9223372036854775808", "99999999999999999999"}) {
     SourceManager SM;
@@ -87,9 +121,43 @@ TEST(Lexer, OutOfRangeIntegerLiteralIsAnError) {
 TEST(Lexer, DoubleLiterals) {
   auto Tokens = lexAll("3.25 1e3 2.5e-2");
   EXPECT_EQ(Tokens[0].Kind, TokenKind::DoubleLiteral);
-  EXPECT_DOUBLE_EQ(Tokens[0].DoubleValue, 3.25);
-  EXPECT_DOUBLE_EQ(Tokens[1].DoubleValue, 1000.0);
-  EXPECT_DOUBLE_EQ(Tokens[2].DoubleValue, 0.025);
+  EXPECT_DOUBLE_EQ(doubleValue(Tokens[0]), 3.25);
+  EXPECT_DOUBLE_EQ(doubleValue(Tokens[1]), 1000.0);
+  EXPECT_DOUBLE_EQ(doubleValue(Tokens[2]), 0.025);
+}
+
+TEST(Lexer, OutOfRangeFloatingLiteralIsAnError) {
+  unsigned Errors = 0;
+  auto Tokens = lexAll("1.7976931348623157e308 1e-400 4e-320", &Errors);
+  EXPECT_EQ(Errors, 0u);
+  EXPECT_EQ(doubleValue(Tokens[0]), 1.7976931348623157e308);
+  EXPECT_EQ(doubleValue(Tokens[1]), 0.0);   // Underflow to 0 is fine,
+  EXPECT_EQ(doubleValue(Tokens[2]), 4e-320); // and so is a denormal.
+
+  for (const char *Text : {"1e999", "1.8e308", "2.5e+400"})
+    EXPECT_EQ(lexDiagnostics(Text), std::string("0: floating literal '") +
+                                        Text + "' is out of range\n");
+}
+
+// Literal payloads are decoded from the spelling after lexing, so the
+// lexer's own checks must still find every malformed literal, in order.
+TEST(Lexer, MalformedLiteralDiagnosticsArePinned) {
+  EXPECT_EQ(lexDiagnostics("x = '';"), "4: empty character literal\n");
+  EXPECT_EQ(lexDiagnostics("'ab'"), "0: unterminated character literal\n"
+                                    "3: empty character literal\n"
+                                    "3: unterminated character literal\n");
+  EXPECT_EQ(lexDiagnostics("'\\"), "2: unterminated escape sequence\n"
+                                   "0: unterminated character literal\n");
+  EXPECT_EQ(lexDiagnostics("'\\q'"), "2: unknown escape sequence '\\q'\n");
+  EXPECT_EQ(lexDiagnostics("\"a\\qb\\zc\" 99999999999999999999"),
+            "3: unknown escape sequence '\\q'\n"
+            "6: unknown escape sequence '\\z'\n"
+            "10: integer literal '99999999999999999999' is out of range\n");
+  EXPECT_EQ(lexDiagnostics("\"ab\\"), "4: unterminated escape sequence\n"
+                                      "0: unterminated string literal\n");
+  EXPECT_EQ(lexDiagnostics("\"a\\\nb\" 1e999"),
+            "3: unknown escape sequence '\\\n'\n"
+            "7: floating literal '1e999' is out of range\n");
 }
 
 TEST(Lexer, IntFollowedByMemberAccessIsNotADouble) {
@@ -105,16 +173,16 @@ TEST(Lexer, IntFollowedByMemberAccessIsNotADouble) {
 
 TEST(Lexer, CharLiteralsWithEscapes) {
   auto Tokens = lexAll(R"('a' '\n' '\0' '\\')");
-  EXPECT_EQ(Tokens[0].IntValue, 'a');
-  EXPECT_EQ(Tokens[1].IntValue, '\n');
-  EXPECT_EQ(Tokens[2].IntValue, 0);
-  EXPECT_EQ(Tokens[3].IntValue, '\\');
+  EXPECT_EQ(Lexer::decodeChar(text(Tokens[0])), 'a');
+  EXPECT_EQ(Lexer::decodeChar(text(Tokens[1])), '\n');
+  EXPECT_EQ(Lexer::decodeChar(text(Tokens[2])), 0);
+  EXPECT_EQ(Lexer::decodeChar(text(Tokens[3])), '\\');
 }
 
 TEST(Lexer, StringLiteralsWithEscapes) {
   auto Tokens = lexAll(R"("hello\tworld\n")");
   EXPECT_EQ(Tokens[0].Kind, TokenKind::StringLiteral);
-  EXPECT_EQ(Tokens[0].StringValue, "hello\tworld\n");
+  EXPECT_EQ(stringValue(Tokens[0]), "hello\tworld\n");
 }
 
 TEST(Lexer, CompoundPunctuation) {

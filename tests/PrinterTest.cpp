@@ -161,6 +161,49 @@ TEST(Printer, FunctionPointersAndCasts) {
   )");
 }
 
+// --eliminate reprints every literal, so a double must print as a
+// spelling that reads back as exactly the same value.
+TEST(Printer, DoubleLiteralsReadBackExactly) {
+  const double Values[] = {0.0,
+                           0.5,
+                           2.5,
+                           0.1,
+                           1.0 / 3.0,
+                           3.141592653589793,
+                           123456789.125,
+                           123457000.0,
+                           100000.0,
+                           0.0001,
+                           5e-05,
+                           1e22,
+                           1.7976931348623157e308,
+                           2.2250738585072014e-308,
+                           4.9406564584124654e-324,
+                           9007199254740993.0};
+  std::string Source;
+  for (size_t I = 0; I != std::size(Values); ++I) {
+    std::ostringstream Spelling;
+    Spelling.precision(17);
+    Spelling << Values[I];
+    std::string Lit = Spelling.str();
+    if (Lit.find_first_of(".e") == std::string::npos)
+      Lit += ".0";
+    Source += "double g" + std::to_string(I) + " = " + Lit + ";\n";
+  }
+  Source += "int main() { return 0; }\n";
+
+  auto C1 = compileOK(Source);
+  std::string Printed = SourcePrinter().print(C1->context());
+  auto C2 = compileOK(Printed);
+  const auto &Globals = C2->context().globals();
+  ASSERT_EQ(Globals.size(), std::size(Values));
+  for (size_t I = 0; I != std::size(Values); ++I) {
+    const auto *Lit = dyn_cast<DoubleLiteralExpr>(Globals[I]->init());
+    ASSERT_NE(Lit, nullptr) << Printed;
+    EXPECT_EQ(Lit->value(), Values[I]) << "printed as:\n" << Printed;
+  }
+}
+
 TEST(Printer, RichardsRoundTrips) {
   expectRoundTrip(richardsSource());
 }

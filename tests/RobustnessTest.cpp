@@ -183,6 +183,20 @@ TEST(Robustness, DeepStatementNestingIsADiagnostic) {
                          std::string(N, '}') + " return 0; }");
 }
 
+// Like an out-of-range integer, a double literal that overflows is an
+// error, not a silent infinity (which would also print as `inf.0`).
+TEST(Robustness, OutOfRangeFloatingLiteralIsADiagnostic) {
+  std::ostringstream Diag;
+  auto C = compileString("int main() { double d = 1e999; return 0; }", &Diag);
+  EXPECT_FALSE(C->Success);
+  EXPECT_NE(Diag.str().find("floating literal '1e999' is out of range"),
+            std::string::npos)
+      << Diag.str();
+
+  // Underflow to zero or a denormal stays a valid literal.
+  compileOK("int main() { double d = 1e-400; double e = 4e-320; return 0; }");
+}
+
 TEST(Robustness, NestingWithinTheBudgetCompilesAndRuns) {
   std::string Chain = "x";
   for (unsigned I = 1; I != Parser::kMaxNestingDepth - 1; ++I)

@@ -48,6 +48,18 @@ TEST(SourceManager, CodeLineCounting) {
   EXPECT_EQ(SM.countCodeLines(Empty), 0u);
 }
 
+// Tokens and AST names are views into buffer text, so registering more
+// buffers must not move it; a 5-byte text is stored inline in its string.
+TEST(SourceManager, BufferTextIsAddressStable) {
+  SourceManager SM;
+  uint32_t ID = SM.addBuffer("s.mcc", "short");
+  std::string_view View = SM.bufferText(ID);
+  for (int I = 0; I != 100; ++I)
+    SM.addBuffer("f" + std::to_string(I) + ".mcc", "x");
+  EXPECT_EQ(View.data(), SM.bufferText(ID).data());
+  EXPECT_EQ(View, "short");
+}
+
 //===----------------------------------------------------------------------===//
 // Diagnostics
 //===----------------------------------------------------------------------===//
