@@ -150,21 +150,20 @@ Storage *Interpreter::allocateObject(const ClassDecl *CD,
   return Obj;
 }
 
-uint64_t Interpreter::traceAlloc(const ClassDecl *CD, uint64_t Count) {
+void Interpreter::traceAlloc(Storage *Obj, const ClassDecl *CD,
+                             uint64_t Count) {
   if (!Options.Trace)
-    return 0;
+    return;
   uint64_t Bytes = Count * Layout.layout(CD).CompleteSize;
-  return Options.Trace->recordAlloc(CD, Count, Bytes);
+  Options.Trace->recordAlloc(Obj->ObjectID, CD, Count, Bytes);
+  Obj->Traced = true;
 }
 
 void Interpreter::traceFree(Storage *Obj) {
-  if (!Options.Trace)
+  if (!Obj->Traced)
     return;
-  auto It = TraceIDs.find(Obj);
-  if (It == TraceIDs.end())
-    return;
-  Options.Trace->recordFree(It->second);
-  TraceIDs.erase(It);
+  Options.Trace->recordFree(Obj->ObjectID);
+  Obj->Traced = false;
 }
 
 //===----------------------------------------------------------------------===//
@@ -514,8 +513,7 @@ void Interpreter::execVarDecl(const VarDecl *V,
     Storage *Obj = allocateObject(CD, nullptr, ID);
     if (Options.Profiler)
       Options.Profiler->registerObjects(CD, 1, ID, V->location());
-    if (uint64_t TID = traceAlloc(CD, 1))
-      TraceIDs[Obj] = TID;
+    traceAlloc(Obj, CD, 1);
     if (Options.Profiler)
       Options.Profiler->recordAllocEvent(ID);
     F.Locals[V] = Obj;
@@ -585,8 +583,7 @@ void Interpreter::execVarDecl(const VarDecl *V,
       }
     }
     if (Elem) {
-      if (uint64_t TID = traceAlloc(Elem, AT->size()))
-        TraceIDs[Arr] = TID;
+      traceAlloc(Arr, Elem, AT->size());
       if (Options.Profiler)
         Options.Profiler->recordAllocEvent(ID);
     }
@@ -1367,8 +1364,7 @@ Value Interpreter::evalNew(const NewExpr *N) {
       if (Options.Profiler)
         Options.Profiler->registerObjects(
             Elem, static_cast<uint64_t>(Count), ID, N->location());
-      if (uint64_t TID = traceAlloc(Elem, static_cast<uint64_t>(Count)))
-        TraceIDs[Arr] = TID;
+      traceAlloc(Arr, Elem, static_cast<uint64_t>(Count));
       if (Options.Profiler)
         Options.Profiler->recordAllocEvent(ID);
     }
@@ -1396,8 +1392,7 @@ Value Interpreter::evalNew(const NewExpr *N) {
     Storage *Obj = allocateObject(CD, nullptr, ID);
     if (Options.Profiler)
       Options.Profiler->registerObjects(CD, 1, ID, N->location());
-    if (uint64_t TID = traceAlloc(CD, 1))
-      TraceIDs[Obj] = TID;
+    traceAlloc(Obj, CD, 1);
     if (Options.Profiler)
       Options.Profiler->recordAllocEvent(ID);
     const ConstructorDecl *Ctor = N->constructor();

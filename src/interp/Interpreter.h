@@ -117,7 +117,7 @@ private:
   Storage *allocateObject(const ClassDecl *CD, const FieldDecl *Owner,
                           uint64_t ObjectID);
   Storage *allocateFieldStorage(const FieldDecl *F, uint64_t ObjectID);
-  uint64_t traceAlloc(const ClassDecl *CD, uint64_t Count);
+  void traceAlloc(Storage *Obj, const ClassDecl *CD, uint64_t Count);
   void traceFree(Storage *Obj);
   void construct(Storage *Obj, const ClassDecl *CD,
                  const ConstructorDecl *Ctor, std::vector<Value> Args,
@@ -188,8 +188,6 @@ private:
   uint64_t NumCalls = 0;
   uint64_t NumCompleteObjects = 0;
   uint64_t NextObjectID = 1;
-  /// Maps traced complete objects to their trace IDs.
-  std::unordered_map<const Storage *, uint64_t> TraceIDs;
 };
 
 } // namespace dmm

@@ -19,7 +19,8 @@
 #include "ast/Decl.h"
 #include "interp/Value.h"
 
-#include <deque>
+#include <memory>
+#include <new>
 #include <unordered_map>
 #include <vector>
 
@@ -30,6 +31,9 @@ struct Storage {
   enum class SK { Scalar, Object, Array };
 
   SK Kind = SK::Scalar;
+  /// Bytecode VM only: the Module::Classes index of an object's class,
+  /// or of a class array's element class (0 otherwise).
+  uint32_t ClassPlanIdx = 0;
 
   /// The data member this storage (or aggregate) realizes, when it is a
   /// field subobject; null for locals, globals, temporaries, and array
@@ -59,40 +63,72 @@ struct Storage {
 
   bool Alive = true; ///< Cleared on delete / scope exit (use-after-free
                      ///< detection).
+  /// Set on the one node an allocation-trace record names (a complete
+  /// object, or the array of a class-array allocation) until it is
+  /// freed. Field subobjects and array elements share that node's
+  /// ObjectID, so the ID alone cannot tell which node a free names.
+  bool Traced = false;
 };
 
-/// Owns all Storage nodes of one execution; addresses are stable.
+/// Owns all Storage nodes of one execution; addresses are stable. Nodes
+/// are carved from fixed chunks of kChunkNodes (a std::deque would use
+/// 512-byte blocks, two nodes each) and live until the arena dies.
 class MemoryArena {
 public:
+  MemoryArena() = default;
+  MemoryArena(const MemoryArena &) = delete;
+  MemoryArena &operator=(const MemoryArena &) = delete;
+  ~MemoryArena() {
+    for (size_t C = 0; C != Chunks.size(); ++C) {
+      size_t N = C + 1 == Chunks.size() ? Used : kChunkNodes;
+      std::destroy_n(Chunks[C]->nodes(), N);
+    }
+  }
+
   Storage *createScalar(const FieldDecl *Owner = nullptr) {
-    Storage &S = Nodes.emplace_back();
-    S.Kind = Storage::SK::Scalar;
-    S.OwnerField = Owner;
-    return &S;
+    Storage *S = create();
+    S->Kind = Storage::SK::Scalar;
+    S->OwnerField = Owner;
+    return S;
   }
 
   Storage *createObject(const ClassDecl *CD,
                         const FieldDecl *Owner = nullptr) {
-    Storage &S = Nodes.emplace_back();
-    S.Kind = Storage::SK::Object;
-    S.Class = CD;
-    S.OwnerField = Owner;
-    return &S;
+    Storage *S = create();
+    S->Kind = Storage::SK::Object;
+    S->Class = CD;
+    S->OwnerField = Owner;
+    return S;
   }
 
   Storage *createArray(const Type *ElemType,
                        const FieldDecl *Owner = nullptr) {
-    Storage &S = Nodes.emplace_back();
-    S.Kind = Storage::SK::Array;
-    S.ElemType = ElemType;
-    S.OwnerField = Owner;
-    return &S;
+    Storage *S = create();
+    S->Kind = Storage::SK::Array;
+    S->ElemType = ElemType;
+    S->OwnerField = Owner;
+    return S;
   }
 
-  size_t numNodes() const { return Nodes.size(); }
-
 private:
-  std::deque<Storage> Nodes;
+  static constexpr size_t kChunkNodes = 1024;
+  /// Raw, uninitialized room for kChunkNodes nodes: only the nodes
+  /// handed out are constructed (and touched).
+  struct Chunk {
+    alignas(Storage) unsigned char Bytes[kChunkNodes * sizeof(Storage)];
+    Storage *nodes() { return reinterpret_cast<Storage *>(Bytes); }
+  };
+
+  Storage *create() {
+    if (Used == kChunkNodes) {
+      Chunks.emplace_back(new Chunk);
+      Used = 0;
+    }
+    return new (Chunks.back()->nodes() + Used++) Storage();
+  }
+
+  std::vector<std::unique_ptr<Chunk>> Chunks;
+  size_t Used = kChunkNodes; ///< Nodes handed out from Chunks.back().
 };
 
 } // namespace dmm

@@ -56,32 +56,97 @@ void ShadowProfiler::expandClass(const ClassDecl *CD, uint64_t Base,
       // Scalar arrays fall through: one leaf covering the whole array
       // (element accesses attribute to the array member as a unit).
     }
-    // Leaf: scalar member or scalar array. Merge ranges into an
-    // existing leaf for the same field at the same nesting only when
-    // produced by repeated non-virtual bases (same FieldDecl appears in
-    // AllFields twice); distinct leaves otherwise.
+    // Leaf: scalar member or scalar array, one per AllFields slot.
     LeafInfo Leaf;
     Leaf.Field = S.Field;
-    Leaf.Ranges.push_back({Base + S.Offset, S.Size});
+    Leaf.Offset = Base + S.Offset;
     Leaf.Bytes = S.Size;
     Leaf.StaticDead = FieldDead;
-    CI.LeafIndex[S.Field].push_back(static_cast<uint32_t>(CI.Leaves.size()));
-    CI.Leaves.push_back(std::move(Leaf));
+    CI.Leaves.push_back(Leaf);
   }
 }
 
-const ShadowProfiler::ClassInfo &
-ShadowProfiler::classInfo(const ClassDecl *CD) {
-  auto It = Classes.find(CD);
-  if (It != Classes.end())
-    return *It->second;
+ShadowProfiler::ClassInfo &ShadowProfiler::classInfo(const ClassDecl *CD) {
+  const unsigned ID = CD->declID();
+  if (ID >= Classes.size())
+    Classes.resize(ID + 1);
+  if (Classes[ID])
+    return *Classes[ID];
   auto CI = std::make_unique<ClassInfo>();
   CI->CD = CD;
   CI->Size = Layout.layout(CD).CompleteSize;
   CI->DeadPer = Layout.deadBytes(CD, Dead);
   CI->ShrunkPer = Layout.sizeWithoutDead(CD, Dead);
   expandClass(CD, 0, /*DeadCtx=*/false, *CI);
-  return *Classes.emplace(CD, std::move(CI)).first->second;
+
+  // Give each leaf field a profiler-wide ordinal, then index the leaves
+  // by ordinal: one flat table per class, the same-field leaves chained
+  // in layout order.
+  std::vector<uint32_t> Ords;
+  uint32_t Lo = UINT32_MAX, Hi = 0;
+  for (const LeafInfo &Leaf : CI->Leaves) {
+    const unsigned FID = Leaf.Field->declID();
+    if (FID >= FieldOrd.size())
+      FieldOrd.resize(FID + 1, 0);
+    if (!FieldOrd[FID])
+      FieldOrd[FID] = ++NumFieldOrds;
+    const uint32_t Ord = FieldOrd[FID] - 1;
+    Ords.push_back(Ord);
+    Lo = std::min(Lo, Ord);
+    Hi = std::max(Hi, Ord);
+  }
+  if (!Ords.empty()) {
+    CI->OrdBase = Lo;
+    CI->FirstLeaf.assign(Hi - Lo + 1, 0);
+    for (size_t L = CI->Leaves.size(); L-- > 0;) {
+      uint32_t &Head = CI->FirstLeaf[Ords[L] - Lo];
+      CI->Leaves[L].NextSame = Head;
+      Head = static_cast<uint32_t>(L + 1);
+    }
+    for (size_t L = 0; L != CI->Leaves.size(); ++L) {
+      LeafInfo &Leaf = CI->Leaves[L];
+      const uint32_t First = CI->FirstLeaf[Ords[L] - Lo] - 1;
+      if (First == L) {
+        Leaf.Cell = static_cast<uint32_t>(CI->CellFields.size());
+        CI->CellFields.push_back(Leaf.Field);
+      } else {
+        Leaf.Cell = CI->Leaves[First].Cell;
+      }
+    }
+  }
+  Classes[ID] = std::move(CI);
+  return *Classes[ID];
+}
+
+uint32_t ShadowProfiler::siteGroup(ClassInfo &CI, SourceLocation Site) {
+  const uint64_t Key =
+      (static_cast<uint64_t>(Site.fileID()) << 32) | Site.offset();
+  auto It = std::lower_bound(
+      CI.Sites.begin(), CI.Sites.end(), Key,
+      [](const std::pair<uint64_t, uint32_t> &E, uint64_t K) {
+        return E.first < K;
+      });
+  if (It != CI.Sites.end() && It->first == Key)
+    return It->second;
+  const auto Index = static_cast<uint32_t>(SiteGroups.size());
+  SiteGroup &G = SiteGroups.emplace_back();
+  G.Site = Site;
+  G.CI = &CI;
+  G.Cells.resize(CI.CellFields.size());
+  CI.Sites.insert(It, {Key, Index});
+  return Index;
+}
+
+ShadowProfiler::AllocRecord *ShadowProfiler::liveRecord(uint64_t ObjectID) {
+  if (ObjectID >= RecordOf.size() || !RecordOf[ObjectID])
+    return nullptr;
+  AllocRecord &R = Records[RecordOf[ObjectID] - 1];
+  return R.Live ? &R : nullptr;
+}
+
+ShadowProfiler::AllocRecord *ShadowProfiler::liveGroup(uint64_t FirstID) {
+  AllocRecord *R = liveRecord(FirstID);
+  return R && R->FirstID == FirstID ? R : nullptr;
 }
 
 //===----------------------------------------------------------------------===//
@@ -92,30 +157,29 @@ void ShadowProfiler::registerObjects(const ClassDecl *CD, uint64_t Count,
                                      uint64_t FirstID, SourceLocation Site) {
   if (Finalized || Count == 0)
     return;
-  const ClassInfo &CI = classInfo(CD);
-  AllocRecord R;
-  R.Site = Site;
+  ClassInfo &CI = classInfo(CD);
+  const uint32_t Group = siteGroup(CI, Site);
+  const auto Index = static_cast<uint32_t>(Records.size());
+  AllocRecord &R = Records.emplace_back();
   R.CI = &CI;
   R.FirstID = FirstID;
   R.Count = Count;
-  const auto Index = static_cast<uint32_t>(Records.size());
-  Records.push_back(R);
-  LiveGroups[FirstID] = Index;
-  for (uint64_t I = 0; I < Count; ++I) {
-    ShadowObject &SO = Shadows[FirstID + I];
-    SO.CI = &CI;
-    SO.Record = Index;
-    SO.Bytes.assign(CI.Size, SB_Allocated);
-  }
+  R.Group = Group;
+  R.Live = true;
+  R.Bytes.assign(Count * CI.Size, SB_Allocated);
+  if (RecordOf.size() < FirstID + Count)
+    RecordOf.resize(FirstID + Count, 0);
+  std::fill_n(RecordOf.begin() + static_cast<std::ptrdiff_t>(FirstID), Count,
+              Index + 1);
 }
 
 void ShadowProfiler::recordAllocEvent(uint64_t FirstID) {
   if (Finalized)
     return;
-  auto It = LiveGroups.find(FirstID);
-  if (It == LiveGroups.end())
+  AllocRecord *RP = liveGroup(FirstID);
+  if (!RP)
     return;
-  AllocRecord &R = Records[It->second];
+  AllocRecord &R = *RP;
   if (R.Counted)
     return;
   R.Counted = true;
@@ -172,24 +236,19 @@ void ShadowProfiler::takeSnapshot() {
 void ShadowProfiler::recordFree(uint64_t FirstID) {
   if (Finalized)
     return;
-  auto It = LiveGroups.find(FirstID);
-  if (It == LiveGroups.end())
-    return;
-  const uint32_t Index = It->second;
-  AllocRecord &R = Records[Index];
-  if (!R.Counted)
-    return; // The matching alloc event was never recorded; neither is
-            // the free (mirrors the trace's TraceIDs guard).
+  AllocRecord *R = liveGroup(FirstID);
+  if (!R || !R->Counted)
+    return; // Unknown, already freed, or its alloc event was never
+            // recorded; neither is the free (mirrors the trace).
 
-  const uint64_t Bytes = R.Count * R.CI->Size;
-  const uint64_t Shrunk = R.Count * R.CI->ShrunkPer;
+  const uint64_t Bytes = R->Count * R->CI->Size;
+  const uint64_t Shrunk = R->Count * R->CI->ShrunkPer;
   LiveBytes -= std::min(LiveBytes, Bytes);
   LiveShrunkBytes -= std::min(LiveShrunkBytes, Shrunk);
-  LiveObjects -= std::min(LiveObjects, R.Count);
+  LiveObjects -= std::min(LiveObjects, R->Count);
   ++Sum.FreeEvents;
 
-  foldGroup(Index);
-  LiveGroups.erase(It);
+  foldGroup(*R);
 }
 
 //===----------------------------------------------------------------------===//
@@ -198,25 +257,28 @@ void ShadowProfiler::recordFree(uint64_t FirstID) {
 
 void ShadowProfiler::mark(uint64_t ObjectID, const FieldDecl *F,
                           uint8_t Bits) {
-  if (Finalized || ObjectID == 0 || !F)
+  if (Finalized || !F)
     return;
-  auto It = Shadows.find(ObjectID);
-  if (It == Shadows.end())
+  AllocRecord *R = liveRecord(ObjectID);
+  if (!R)
     return;
-  ShadowObject &SO = It->second;
-  auto LI = SO.CI->LeafIndex.find(F);
-  if (LI == SO.CI->LeafIndex.end())
+  const ClassInfo &CI = *R->CI;
+  // An unseen field (ordinal 0) or one outside the class' ordinal
+  // range wraps to a slot past the table.
+  const unsigned FID = F->declID();
+  const uint32_t Slot =
+      (FID < FieldOrd.size() ? FieldOrd[FID] : 0) - 1 - CI.OrdBase;
+  if (Slot >= CI.FirstLeaf.size())
     return;
-  for (uint32_t LeafIdx : LI->second) {
-    const LeafInfo &Leaf = SO.CI->Leaves[LeafIdx];
-    for (const Range &R : Leaf.Ranges) {
-      // Check the first byte: marks always cover whole ranges, so if it
-      // already carries the bits the rest of the range does too.
-      if (R.Size == 0 || (SO.Bytes[R.Offset] & Bits) == Bits)
-        continue;
-      for (uint64_t B = 0; B < R.Size; ++B)
-        SO.Bytes[R.Offset + B] |= Bits;
-    }
+  uint8_t *Obj = R->Bytes.data() + (ObjectID - R->FirstID) * CI.Size;
+  for (uint32_t L = CI.FirstLeaf[Slot]; L; L = CI.Leaves[L - 1].NextSame) {
+    const LeafInfo &Leaf = CI.Leaves[L - 1];
+    // Check the first byte: marks always cover whole leaves, so if it
+    // already carries the bits the rest of the leaf does too.
+    if (Leaf.Bytes == 0 || (Obj[Leaf.Offset] & Bits) == Bits)
+      continue;
+    for (uint64_t B = 0; B < Leaf.Bytes; ++B)
+      Obj[Leaf.Offset + B] |= Bits;
   }
 }
 
@@ -236,45 +298,38 @@ void ShadowProfiler::recordAddrTaken(uint64_t ObjectID, const FieldDecl *F) {
 // Folding and finalization
 //===----------------------------------------------------------------------===//
 
-void ShadowProfiler::foldObject(const AllocRecord &R, uint64_t ObjectID) {
-  auto It = Shadows.find(ObjectID);
-  if (It == Shadows.end())
-    return;
-  const ShadowObject &SO = It->second;
-  const SourceLocation Site = R.Site;
-  for (const LeafInfo &Leaf : SO.CI->Leaves) {
-    SiteKey Key{Site.fileID(), Site.offset(), SO.CI->CD, Leaf.Field};
-    SiteAccum &A = Cells[Key];
-    uint8_t Flags = 0;
-    for (const Range &Rg : Leaf.Ranges)
-      for (uint64_t B = 0; B < Rg.Size; ++B)
-        Flags |= SO.Bytes[Rg.Offset + B];
-    ++A.Objects;
-    A.AllocBytes += Leaf.Bytes;
-    A.StaticDead = Leaf.StaticDead;
-    if (Flags & SB_Written) {
-      A.WrittenBytes += Leaf.Bytes;
-      Sum.WrittenBytes += Leaf.Bytes;
-    }
-    if (Flags & SB_Read) {
-      A.ReadBytes += Leaf.Bytes;
-      Sum.ReadBytes += Leaf.Bytes;
-    } else {
-      A.NeverReadBytes += Leaf.Bytes;
-      Sum.NeverReadBytes += Leaf.Bytes;
-    }
-    if (Flags & SB_AddrTaken) {
-      A.AddrTakenBytes += Leaf.Bytes;
-      Sum.AddrTakenBytes += Leaf.Bytes;
+void ShadowProfiler::foldGroup(AllocRecord &R) {
+  const ClassInfo &CI = *R.CI;
+  std::vector<SiteAccum> &Cells = SiteGroups[R.Group].Cells;
+  for (uint64_t I = 0; I < R.Count; ++I) {
+    const uint8_t *Obj = R.Bytes.data() + I * CI.Size;
+    for (const LeafInfo &Leaf : CI.Leaves) {
+      SiteAccum &A = Cells[Leaf.Cell];
+      uint8_t Flags = 0;
+      for (uint64_t B = 0; B < Leaf.Bytes; ++B)
+        Flags |= Obj[Leaf.Offset + B];
+      ++A.Objects;
+      A.AllocBytes += Leaf.Bytes;
+      A.StaticDead = Leaf.StaticDead;
+      if (Flags & SB_Written) {
+        A.WrittenBytes += Leaf.Bytes;
+        Sum.WrittenBytes += Leaf.Bytes;
+      }
+      if (Flags & SB_Read) {
+        A.ReadBytes += Leaf.Bytes;
+        Sum.ReadBytes += Leaf.Bytes;
+      } else {
+        A.NeverReadBytes += Leaf.Bytes;
+        Sum.NeverReadBytes += Leaf.Bytes;
+      }
+      if (Flags & SB_AddrTaken) {
+        A.AddrTakenBytes += Leaf.Bytes;
+        Sum.AddrTakenBytes += Leaf.Bytes;
+      }
     }
   }
-  Shadows.erase(It);
-}
-
-void ShadowProfiler::foldGroup(uint32_t RecordIndex) {
-  const AllocRecord &R = Records[RecordIndex];
-  for (uint64_t I = 0; I < R.Count; ++I)
-    foldObject(R, R.FirstID + I);
+  R.Live = false;
+  std::vector<uint8_t>().swap(R.Bytes);
 }
 
 const ProfileSummary &ShadowProfiler::finalize(const SourceManager *SM) {
@@ -283,51 +338,54 @@ const ProfileSummary &ShadowProfiler::finalize(const SourceManager *SM) {
 
   // Objects still live at exit leaked; their shadow state still counts
   // toward the attribution table.
-  for (const auto &[FirstID, Index] : LiveGroups) {
-    const AllocRecord &R = Records[Index];
-    if (!R.Counted)
+  for (AllocRecord &R : Records) {
+    if (!R.Live || !R.Counted)
       continue;
     Sum.LeakedObjects += R.Count;
-    foldGroup(Index);
+    foldGroup(R);
   }
-  LiveGroups.clear();
   Finalized = true;
 
-  // Resolve cells into display rows and order them deterministically.
-  Sum.Sites.reserve(Cells.size());
-  for (const auto &[Key, A] : Cells) {
-    ProfileSiteRow Row;
+  // Resolve cells into display rows and order them deterministically
+  // (ties keep site-group creation order).
+  for (const SiteGroup &G : SiteGroups) {
     PresumedLoc Loc;
     if (SM)
-      Loc = SM->presumedLoc(SourceLocation(Key.File, Key.Offset));
-    if (Loc.isValid()) {
-      Row.File = std::string(Loc.Filename);
-      Row.Line = Loc.Line;
-    } else {
-      Row.File = "<unknown>";
-      Row.Line = 0;
+      Loc = SM->presumedLoc(G.Site);
+    for (size_t C = 0; C != G.Cells.size(); ++C) {
+      const SiteAccum &A = G.Cells[C];
+      if (!A.Objects)
+        continue;
+      ProfileSiteRow Row;
+      if (Loc.isValid()) {
+        Row.File = std::string(Loc.Filename);
+        Row.Line = Loc.Line;
+      } else {
+        Row.File = "<unknown>";
+        Row.Line = 0;
+      }
+      Row.Class = G.CI->CD->name();
+      Row.Member = G.CI->CellFields[C]->qualifiedName();
+      Row.Objects = A.Objects;
+      Row.AllocBytes = A.AllocBytes;
+      Row.WrittenBytes = A.WrittenBytes;
+      Row.ReadBytes = A.ReadBytes;
+      Row.AddrTakenBytes = A.AddrTakenBytes;
+      Row.NeverReadBytes = A.NeverReadBytes;
+      Row.StaticDead = A.StaticDead;
+      Sum.Sites.push_back(std::move(Row));
     }
-    Row.Class = Key.CD->name();
-    Row.Member = Key.Field->qualifiedName();
-    Row.Objects = A.Objects;
-    Row.AllocBytes = A.AllocBytes;
-    Row.WrittenBytes = A.WrittenBytes;
-    Row.ReadBytes = A.ReadBytes;
-    Row.AddrTakenBytes = A.AddrTakenBytes;
-    Row.NeverReadBytes = A.NeverReadBytes;
-    Row.StaticDead = A.StaticDead;
-    Sum.Sites.push_back(std::move(Row));
   }
-  std::sort(Sum.Sites.begin(), Sum.Sites.end(),
-            [](const ProfileSiteRow &L, const ProfileSiteRow &R) {
-              if (L.File != R.File)
-                return L.File < R.File;
-              if (L.Line != R.Line)
-                return L.Line < R.Line;
-              if (L.Class != R.Class)
-                return L.Class < R.Class;
-              return L.Member < R.Member;
-            });
+  std::stable_sort(Sum.Sites.begin(), Sum.Sites.end(),
+                   [](const ProfileSiteRow &L, const ProfileSiteRow &R) {
+                     if (L.File != R.File)
+                       return L.File < R.File;
+                     if (L.Line != R.Line)
+                       return L.Line < R.Line;
+                     if (L.Class != R.Class)
+                       return L.Class < R.Class;
+                     return L.Member < R.Member;
+                   });
   return Sum;
 }
 

@@ -46,7 +46,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace dmm {
@@ -159,17 +158,16 @@ public:
   void emitCounters() const;
 
 private:
-  struct Range {
-    uint64_t Offset = 0;
-    uint64_t Size = 0;
-  };
   /// One leaf member (scalar or scalar-array) of a class' complete
-  /// layout, with every byte range it occupies (several for members of
-  /// repeated non-virtual bases).
+  /// layout at one offset. A member of a repeated non-virtual base, or
+  /// a field nested via two members of the same class type, yields one
+  /// leaf per copy; the copies are chained through NextSame.
   struct LeafInfo {
     const FieldDecl *Field = nullptr;
-    std::vector<Range> Ranges;
+    uint64_t Offset = 0;
     uint64_t Bytes = 0;
+    uint32_t Cell = 0;     ///< The field's index in a site group's Cells.
+    uint32_t NextSame = 0; ///< 1 + next leaf of the same field, or 0.
     bool StaticDead = false;
   };
   /// Cached expansion of one class' complete layout.
@@ -179,23 +177,26 @@ private:
     uint64_t DeadPer = 0;   ///< deadBytes() per object.
     uint64_t ShrunkPer = 0; ///< sizeWithoutDead() per object.
     std::vector<LeafInfo> Leaves;
-    /// FieldDecl -> indices into Leaves (a field nested via two members
-    /// of the same class type yields several leaves).
-    std::unordered_map<const FieldDecl *, std::vector<uint32_t>> LeafIndex;
+    /// Flat leaf index: FirstLeaf[ordinal - OrdBase] is 1 + the first
+    /// leaf of the field with that FieldOrd ordinal, or 0.
+    uint32_t OrdBase = 0;
+    std::vector<uint32_t> FirstLeaf;
+    /// Distinct leaf fields, in first-leaf order (LeafInfo::Cell).
+    std::vector<const FieldDecl *> CellFields;
+    /// (site key, SiteGroups index), sorted by site key.
+    std::vector<std::pair<uint64_t, uint32_t>> Sites;
   };
-  /// Shadow state of one live complete object.
-  struct ShadowObject {
-    const ClassInfo *CI = nullptr;
-    uint32_t Record = 0;        ///< Index into Records.
-    std::vector<uint8_t> Bytes; ///< ShadowBits per object byte.
-  };
-  /// One allocation group (one alloc event; Count objects).
+  /// One allocation group (one alloc event; Count objects) and the
+  /// shadow bytes of its objects, Count * CI->Size of them, released
+  /// when the group is folded.
   struct AllocRecord {
-    SourceLocation Site;
     const ClassInfo *CI = nullptr;
     uint64_t FirstID = 0;
     uint64_t Count = 0;
+    uint32_t Group = 0;   ///< SiteGroups index.
     bool Counted = false; ///< Alloc event recorded.
+    bool Live = false;    ///< Registered and not yet folded.
+    std::vector<uint8_t> Bytes; ///< ShadowBits per object byte.
   };
   /// Accumulator for one (site, class, member) cell.
   struct SiteAccum {
@@ -207,41 +208,36 @@ private:
     uint64_t NeverReadBytes = 0;
     bool StaticDead = false;
   };
-  struct SiteKey {
-    uint32_t File = 0;
-    uint32_t Offset = 0;
-    const ClassDecl *CD = nullptr;
-    const FieldDecl *Field = nullptr;
-    bool operator==(const SiteKey &O) const {
-      return File == O.File && Offset == O.Offset && CD == O.CD &&
-             Field == O.Field;
-    }
-  };
-  struct SiteKeyHash {
-    size_t operator()(const SiteKey &K) const {
-      size_t H = K.File;
-      H = H * 1000003u + K.Offset;
-      H = H * 1000003u + std::hash<const void *>()(K.CD);
-      H = H * 1000003u + std::hash<const void *>()(K.Field);
-      return H;
-    }
+  /// The cells of one (allocation site, class) pair, one per distinct
+  /// leaf field of the class.
+  struct SiteGroup {
+    SourceLocation Site;
+    const ClassInfo *CI = nullptr;
+    std::vector<SiteAccum> Cells;
   };
 
-  const ClassInfo &classInfo(const ClassDecl *CD);
+  ClassInfo &classInfo(const ClassDecl *CD);
   void expandClass(const ClassDecl *CD, uint64_t Base, bool DeadCtx,
                    ClassInfo &CI);
+  uint32_t siteGroup(ClassInfo &CI, SourceLocation Site);
+  /// The live record whose objects include \p ObjectID, or null.
+  AllocRecord *liveRecord(uint64_t ObjectID);
+  /// The live record whose first object is \p FirstID, or null.
+  AllocRecord *liveGroup(uint64_t FirstID);
   void mark(uint64_t ObjectID, const FieldDecl *F, uint8_t Bits);
   void takeSnapshot();
-  void foldObject(const AllocRecord &R, uint64_t ObjectID);
-  void foldGroup(uint32_t RecordIndex);
+  void foldGroup(AllocRecord &R);
 
   LayoutEngine Layout;
   FieldSet Dead;
-  std::unordered_map<const ClassDecl *, std::unique_ptr<ClassInfo>> Classes;
+  std::vector<std::unique_ptr<ClassInfo>> Classes; ///< By class declID.
+  /// By field declID: 1 + the field's dense leaf-field ordinal, or 0.
+  std::vector<uint32_t> FieldOrd;
+  uint32_t NumFieldOrds = 0;
   std::vector<AllocRecord> Records;
-  std::unordered_map<uint64_t, uint32_t> LiveGroups; ///< FirstID -> record.
-  std::unordered_map<uint64_t, ShadowObject> Shadows; ///< By ObjectID.
-  std::unordered_map<SiteKey, SiteAccum, SiteKeyHash> Cells;
+  /// By ObjectID: 1 + the index of the latest record registering it.
+  std::vector<uint32_t> RecordOf;
+  std::vector<SiteGroup> SiteGroups;
 
   ProfileSummary Sum;
   uint64_t LiveBytes = 0;

@@ -19,7 +19,6 @@
 #include "ast/Decl.h"
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace dmm {
@@ -36,39 +35,45 @@ struct TraceEvent {
   uint64_t Time;  ///< Logical timestamp (event order).
 };
 
-/// An append-only execution trace.
+/// An append-only execution trace. Records are keyed by the engine's
+/// ObjectID (dense, handed out from 1), so the live index is a flat
+/// table.
 class AllocationTrace {
 public:
-  /// Records an allocation and returns its object ID.
-  uint64_t recordAlloc(const ClassDecl *CD, uint64_t Count, uint64_t Bytes) {
-    uint64_t ID = NextID++;
+  /// Records the allocation of \p ObjectID.
+  void recordAlloc(uint64_t ObjectID, const ClassDecl *CD, uint64_t Count,
+                   uint64_t Bytes) {
+    if (ObjectID >= LiveIndex.size())
+      LiveIndex.resize(ObjectID + 1, 0);
     Events.push_back(
-        {TraceEvent::EK::Alloc, ID, CD, Count, Bytes, NextTime++});
-    LiveIndex[ID] = Events.size() - 1;
-    return ID;
+        {TraceEvent::EK::Alloc, ObjectID, CD, Count, Bytes, NextTime++});
+    NumLive += LiveIndex[ObjectID] == 0;
+    LiveIndex[ObjectID] = static_cast<uint32_t>(Events.size());
   }
 
   /// Records the deallocation of \p ObjectID. Double frees and unknown
   /// IDs are ignored (the interpreter reports them separately).
   void recordFree(uint64_t ObjectID) {
-    auto It = LiveIndex.find(ObjectID);
-    if (It == LiveIndex.end())
+    if (ObjectID >= LiveIndex.size() || !LiveIndex[ObjectID])
       return;
-    const TraceEvent &Alloc = Events[It->second];
+    const TraceEvent &Alloc = Events[LiveIndex[ObjectID] - 1];
     Events.push_back({TraceEvent::EK::Free, ObjectID, Alloc.Class,
                       Alloc.Count, Alloc.Bytes, NextTime++});
-    LiveIndex.erase(It);
+    LiveIndex[ObjectID] = 0;
+    --NumLive;
   }
 
   const std::vector<TraceEvent> &events() const { return Events; }
 
   /// Number of objects never freed (alive at end of execution).
-  size_t numLeaked() const { return LiveIndex.size(); }
+  size_t numLeaked() const { return NumLive; }
 
 private:
   std::vector<TraceEvent> Events;
-  std::unordered_map<uint64_t, size_t> LiveIndex;
-  uint64_t NextID = 1;
+  /// By ObjectID: 1 + the index of its Alloc event while it is live,
+  /// else 0.
+  std::vector<uint32_t> LiveIndex;
+  size_t NumLive = 0;
   uint64_t NextTime = 0;
 };
 

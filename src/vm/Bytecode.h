@@ -6,12 +6,13 @@
 ///
 /// \file
 /// The flat register-based bytecode the VM executes (docs/VM.md). A
-/// Module is the unit of compilation: one dense function table (every
-/// FunctionDecl in the program, constructors and destructor bodies
-/// included, plus one synthetic global-initializer), an interned
-/// constant pool, per-class object plans with member storage resolved
-/// to dense slot indices, and side tables for allocation sites, string
-/// literals, virtual-call sites, and failure messages.
+/// Module holds one dense function table (every FunctionDecl in the
+/// program, constructors and destructor bodies included, plus one
+/// synthetic global-initializer; a body is compiled on first entry),
+/// an interned constant pool, per-class object plans with member
+/// storage resolved to dense slot indices, and side tables for
+/// allocation sites, string literals, virtual-call sites, and failure
+/// messages. The pool and side tables grow as functions compile.
 ///
 /// Member offsets: every FieldDecl in the program gets one module-wide
 /// *slot color* such that any two fields that co-occur in some class's
@@ -217,13 +218,13 @@ struct FuncEntry {
   /// Constructors bind parameters without the by-value-class share rule
   /// and are invoked through the construction protocol.
   bool IsCtor = false;
+  /// Params, NumRegs, NumLocals and Code are filled in when the VM
+  /// first enters the function (ModuleCompiler::compileFunction).
+  bool Compiled = false;
   std::vector<ParamPlan> Params;
   uint16_t NumRegs = 0;
   uint16_t NumLocals = 0;
   std::vector<Insn> Code;
-  /// Precomputed failure messages (empty when never needed).
-  std::string UndefinedMsg; ///< "call to undefined function '...'"
-  std::string ArgCountMsg;  ///< argument/constructor count mismatch
 };
 
 /// What a direct data member of a class is, for the construction and

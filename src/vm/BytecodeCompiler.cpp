@@ -22,6 +22,7 @@
 #include "support/BitVector.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <set>
 #include <span>
@@ -115,14 +116,23 @@ struct ConstKey {
   }
 };
 
+} // namespace
+
+namespace dmm {
+namespace vm {
+
 class Compiler {
 public:
-  Compiler(const ASTContext &Ctx, const ClassHierarchy &CH,
+  Compiler(const ASTContext &Ctx, const ClassHierarchy &CH, Module &M,
            bool CountDeallocationReads, const CompilerConfig &Config)
       : Ctx(Ctx), CH(CH), Layout(CH),
-        CountDeallocationReads(CountDeallocationReads), Config(Config) {}
+        CountDeallocationReads(CountDeallocationReads), Config(Config),
+        M(M) {}
 
-  Module compile();
+  /// The module-level work: function index, globals, field coloring,
+  /// class plans and the global-initializer function.
+  void compileModule();
+  void compileFunction(uint32_t FnIdx);
 
 private:
   const ASTContext &Ctx;
@@ -130,7 +140,7 @@ private:
   LayoutEngine Layout;
   bool CountDeallocationReads;
   CompilerConfig Config;
-  Module M;
+  Module &M;
 
   std::map<ConstKey, uint32_t> ConstMap;
   std::unordered_map<std::string, uint32_t> MsgMap;
@@ -254,7 +264,7 @@ private:
   void indexFunctions();
   void colorFields();
   void buildClassPlans();
-  void compileFunctions();
+  void compileBody(FuncEntry &E);
   void compileGlobalInit();
 
   ParamPlan planParam(const ParamDecl *P, bool IsCtor);
@@ -429,17 +439,6 @@ void Compiler::indexFunctions() {
     // Constructors run their initializer prologue even without a body
     // (Interpreter::construct); everything else follows isDefined().
     E.Defined = E.IsCtor || FD->isDefined();
-    if (E.IsBuiltin)
-      E.UndefinedMsg = "call to undefined function '" + FD->name() + "'";
-    else
-      E.UndefinedMsg =
-          "call to undefined function '" + FD->qualifiedName() + "'";
-    if (E.IsCtor)
-      E.ArgCountMsg = "constructor argument count mismatch for '" +
-                      cast<ConstructorDecl>(FD)->parent()->name() + "'";
-    else
-      E.ArgCountMsg =
-          "argument count mismatch calling '" + FD->qualifiedName() + "'";
     M.Functions.push_back(std::move(E));
   }
 }
@@ -611,110 +610,122 @@ void Compiler::finishFunction() {
   F = nullptr;
 }
 
-void Compiler::compileFunctions() {
-  for (size_t I = 0; I != M.Functions.size(); ++I) {
-    FuncEntry &E = M.Functions[I];
-    const FunctionDecl *FD = E.Decl;
-    if (!FD || E.IsBuiltin || !E.Defined)
-      continue;
-    beginFunction(E, FD, E.IsCtor);
-    if (const auto *Ctor = dyn_cast<ConstructorDecl>(FD)) {
-      // construct(): virtual bases (most-derived only), non-virtual
-      // bases, members in declaration order, then the body.
-      const ClassDecl *CD = Ctor->parent();
-      const ClassPlan &P = M.Classes[classIdx(CD)];
-      uint16_t This = allocTmp();
-      emit(Op::ThisOp, This, 0, 0, 0, 0,
-           msg("'this' used outside a method")); // Never fails in a ctor.
-      auto FindInit = [&](auto Pred) -> const CtorInitializer * {
-        for (const CtorInitializer &Init : Ctor->initializers())
-          if (Pred(Init))
-            return &Init;
-        return nullptr;
-      };
-      auto EmitCtorCall = [&](uint16_t ObjReg, uint32_t CI,
-                              const CtorInitializer *Init, uint32_t Arity0,
-                              bool MostDerived) {
-        uint16_t SavedTmp = Tmp;
-        uint16_t ArgBase = 0, Argc = 0;
-        uint16_t CtorIdx16 = NoFunc16;
-        if (Init) {
-          const ConstructorDecl *Target = Init->TargetCtor;
-          Argc = static_cast<uint16_t>(Init->Args.size());
-          ArgBase = compileArgs(Init->Args, [&](size_t I) {
-            return ctorParamIsRef(Target, I);
-          });
-          if (Target)
-            CtorIdx16 = fn16(funcIdx(Target));
-        } else if (Arity0 != NoFunc)
-          CtorIdx16 = fn16(Arity0);
-        emit(Op::CtorCall, ObjReg, ArgBase, Argc, MostDerived, CtorIdx16,
-             CI);
-        Tmp = SavedTmp;
-      };
-      if (!P.VBases.empty()) {
-        size_t Skip = emit(Op::JmpNMD, 0, 0, 0, 0, 0, NoTarget);
-        for (uint32_t VBI : P.VBases) {
-          const ClassDecl *VB = M.Classes[VBI].Decl;
-          const CtorInitializer *Init = FindInit(
-              [&](const CtorInitializer &I) { return I.Base == VB; });
-          EmitCtorCall(This, VBI, Init, M.Classes[VBI].Arity0Ctor, false);
-        }
-        patch(Skip);
-      }
-      for (uint32_t BI : P.NVBases) {
-        const ClassDecl *Base = M.Classes[BI].Decl;
-        const CtorInitializer *Init = FindInit(
-            [&](const CtorInitializer &I) { return I.Base == Base; });
-        EmitCtorCall(This, BI, Init, M.Classes[BI].Arity0Ctor, false);
-      }
-      for (const MemberPlan &MP : P.Members) {
-        const CtorInitializer *Init = FindInit(
-            [&](const CtorInitializer &I) { return I.Field == MP.Field; });
-        uint16_t SavedTmp = Tmp;
-        switch (MP.Kind) {
-        case MemberPlan::MK::Class: {
-          uint16_t FP = allocTmp();
-          emit(Op::FieldPlace, FP, This,
-               static_cast<uint16_t>(MP.SlotColor), fieldIdx(MP.Field), 0,
-               msg("object has no storage for member '" +
-                   MP.Field->name() + "'"));
-          EmitCtorCall(FP, MP.ElemClassIdx, Init,
-                       M.Classes[MP.ElemClassIdx].Arity0Ctor, true);
-          break;
-        }
-        case MemberPlan::MK::ClassArray: {
-          uint16_t FP = allocTmp();
-          emit(Op::FieldPlace, FP, This,
-               static_cast<uint16_t>(MP.SlotColor), fieldIdx(MP.Field), 0,
-               msg("object has no storage for member '" +
-                   MP.Field->name() + "'"));
-          emit(Op::CtorElems, FP, 0, 0, 0, 0, MP.ElemClassIdx);
-          break;
-        }
-        case MemberPlan::MK::Scalar:
-        case MemberPlan::MK::Other:
-          if (Init && !Init->Args.empty()) {
-            uint16_t V = rval(Init->Args[0]);
-            uint16_t FP = allocTmp();
-            emit(Op::FieldPlace, FP, This,
-                 static_cast<uint16_t>(MP.SlotColor), fieldIdx(MP.Field), 0,
-                 msg("object has no storage for member '" +
-                     MP.Field->name() + "'"));
-            emit(Op::StoreAt, FP, V,
-                 static_cast<uint16_t>(convFor(MP.Field->type())));
-          }
-          break;
-        }
-        Tmp = SavedTmp;
-      }
-      if (Ctor->body())
-        compileCompound(Ctor->body());
-    } else {
-      compileCompound(FD->body());
-    }
-    finishFunction();
+void Compiler::compileFunction(uint32_t FnIdx) {
+  FuncEntry &E = M.Functions[FnIdx];
+  assert(E.Decl && !E.IsBuiltin && E.Defined && "no body to compile");
+  if (E.Compiled)
+    return;
+  try {
+    compileBody(E);
+  } catch (...) {
+    // A capacity limit: leave the entry as it was, uncompiled.
+    E.Params.clear();
+    E.Code.clear();
+    F = nullptr;
+    throw;
   }
+  E.Compiled = true;
+}
+
+void Compiler::compileBody(FuncEntry &E) {
+  const FunctionDecl *FD = E.Decl;
+  beginFunction(E, FD, E.IsCtor);
+  if (const auto *Ctor = dyn_cast<ConstructorDecl>(FD)) {
+    // construct(): virtual bases (most-derived only), non-virtual
+    // bases, members in declaration order, then the body.
+    const ClassDecl *CD = Ctor->parent();
+    const ClassPlan &P = M.Classes[classIdx(CD)];
+    uint16_t This = allocTmp();
+    emit(Op::ThisOp, This, 0, 0, 0, 0,
+         msg("'this' used outside a method")); // Never fails in a ctor.
+    auto FindInit = [&](auto Pred) -> const CtorInitializer * {
+      for (const CtorInitializer &Init : Ctor->initializers())
+        if (Pred(Init))
+          return &Init;
+      return nullptr;
+    };
+    auto EmitCtorCall = [&](uint16_t ObjReg, uint32_t CI,
+                            const CtorInitializer *Init, uint32_t Arity0,
+                            bool MostDerived) {
+      uint16_t SavedTmp = Tmp;
+      uint16_t ArgBase = 0, Argc = 0;
+      uint16_t CtorIdx16 = NoFunc16;
+      if (Init) {
+        const ConstructorDecl *Target = Init->TargetCtor;
+        Argc = static_cast<uint16_t>(Init->Args.size());
+        ArgBase = compileArgs(Init->Args, [&](size_t I) {
+          return ctorParamIsRef(Target, I);
+        });
+        if (Target)
+          CtorIdx16 = fn16(funcIdx(Target));
+      } else if (Arity0 != NoFunc)
+        CtorIdx16 = fn16(Arity0);
+      emit(Op::CtorCall, ObjReg, ArgBase, Argc, MostDerived, CtorIdx16,
+           CI);
+      Tmp = SavedTmp;
+    };
+    if (!P.VBases.empty()) {
+      size_t Skip = emit(Op::JmpNMD, 0, 0, 0, 0, 0, NoTarget);
+      for (uint32_t VBI : P.VBases) {
+        const ClassDecl *VB = M.Classes[VBI].Decl;
+        const CtorInitializer *Init = FindInit(
+            [&](const CtorInitializer &I) { return I.Base == VB; });
+        EmitCtorCall(This, VBI, Init, M.Classes[VBI].Arity0Ctor, false);
+      }
+      patch(Skip);
+    }
+    for (uint32_t BI : P.NVBases) {
+      const ClassDecl *Base = M.Classes[BI].Decl;
+      const CtorInitializer *Init = FindInit(
+          [&](const CtorInitializer &I) { return I.Base == Base; });
+      EmitCtorCall(This, BI, Init, M.Classes[BI].Arity0Ctor, false);
+    }
+    for (const MemberPlan &MP : P.Members) {
+      const CtorInitializer *Init = FindInit(
+          [&](const CtorInitializer &I) { return I.Field == MP.Field; });
+      uint16_t SavedTmp = Tmp;
+      switch (MP.Kind) {
+      case MemberPlan::MK::Class: {
+        uint16_t FP = allocTmp();
+        emit(Op::FieldPlace, FP, This,
+             static_cast<uint16_t>(MP.SlotColor), fieldIdx(MP.Field), 0,
+             msg("object has no storage for member '" +
+                 MP.Field->name() + "'"));
+        EmitCtorCall(FP, MP.ElemClassIdx, Init,
+                     M.Classes[MP.ElemClassIdx].Arity0Ctor, true);
+        break;
+      }
+      case MemberPlan::MK::ClassArray: {
+        uint16_t FP = allocTmp();
+        emit(Op::FieldPlace, FP, This,
+             static_cast<uint16_t>(MP.SlotColor), fieldIdx(MP.Field), 0,
+             msg("object has no storage for member '" +
+                 MP.Field->name() + "'"));
+        emit(Op::CtorElems, FP, 0, 0, 0, 0, MP.ElemClassIdx);
+        break;
+      }
+      case MemberPlan::MK::Scalar:
+      case MemberPlan::MK::Other:
+        if (Init && !Init->Args.empty()) {
+          uint16_t V = rval(Init->Args[0]);
+          uint16_t FP = allocTmp();
+          emit(Op::FieldPlace, FP, This,
+               static_cast<uint16_t>(MP.SlotColor), fieldIdx(MP.Field), 0,
+               msg("object has no storage for member '" +
+                   MP.Field->name() + "'"));
+          emit(Op::StoreAt, FP, V,
+               static_cast<uint16_t>(convFor(MP.Field->type())));
+        }
+        break;
+      }
+      Tmp = SavedTmp;
+    }
+    if (Ctor->body())
+      compileCompound(Ctor->body());
+  } else {
+    compileCompound(FD->body());
+  }
+  finishFunction();
 }
 
 void Compiler::compileGlobalInit() {
@@ -729,9 +740,10 @@ void Compiler::compileGlobalInit() {
   for (const VarDecl *GV : Ctx.globals())
     compileGlobalVarDecl(GV);
   finishFunction();
+  E.Compiled = true;
 }
 
-Module Compiler::compile() {
+void Compiler::compileModule() {
   indexFunctions();
   // Globals get their table indices before any body compiles: function
   // bodies reference them through GlobPtrPub.
@@ -741,9 +753,7 @@ Module Compiler::compile() {
   }
   colorFields();
   buildClassPlans();
-  compileFunctions();
   compileGlobalInit();
-  return std::move(M);
 }
 
 //===----------------------------------------------------------------------===//
@@ -2143,15 +2153,19 @@ uint16_t Compiler::deallocArg(const Expr *E) {
   return R;
 }
 
-} // namespace
+ModuleCompiler::ModuleCompiler(const ASTContext &Ctx,
+                               const ClassHierarchy &CH, Module &M,
+                               bool CountDeallocationReads,
+                               const CompilerConfig &Config)
+    : Impl(std::make_unique<Compiler>(Ctx, CH, M, CountDeallocationReads,
+                                      Config)) {
+  Impl->compileModule();
+}
 
-namespace dmm {
-namespace vm {
+ModuleCompiler::~ModuleCompiler() = default;
 
-Module compileModule(const ASTContext &Ctx, const ClassHierarchy &CH,
-                     bool CountDeallocationReads,
-                     const CompilerConfig &Config) {
-  return Compiler(Ctx, CH, CountDeallocationReads, Config).compile();
+void ModuleCompiler::compileFunction(uint32_t FnIdx) {
+  Impl->compileFunction(FnIdx);
 }
 
 } // namespace vm

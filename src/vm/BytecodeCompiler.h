@@ -35,6 +35,8 @@
 
 #include "vm/Bytecode.h"
 
+#include <memory>
+
 namespace dmm {
 
 class ASTContext;
@@ -48,14 +50,35 @@ struct CompilerConfig {
   bool FaultAddOffByOne = false;
 };
 
-/// Compiles the whole program into a Module. Total: any construct the
-/// interpreter would reject at run time lowers to code failing with
-/// the identical message at the identical point. When
-/// \p CountDeallocationReads is set (InterpOptions::CountDeallocationReads),
-/// delete/free arguments are loaded with normal read attribution.
-Module compileModule(const ASTContext &Ctx, const ClassHierarchy &CH,
-                     bool CountDeallocationReads,
-                     const CompilerConfig &Config = {});
+class Compiler;
+
+/// Compiles a program into a Module one function at a time. The
+/// constructor does the module-level work: the function index (every
+/// entry, none of them compiled yet), the globals, field coloring,
+/// class plans and the global-initializer function. compileFunction
+/// then lowers one function body when the VM first enters it (Alive2's
+/// `Interpreter::start(IR::Function&)` shape). Total: any construct the
+/// interpreter would reject at run time lowers to code failing with the
+/// identical message at the identical point. A capacity limit of the
+/// bytecode (registers, locals, fields, allocation sites, a 16-bit ctor
+/// index) throws std::runtime_error and leaves the entry uncompiled.
+/// When \p CountDeallocationReads is set
+/// (InterpOptions::CountDeallocationReads), delete/free arguments are
+/// loaded with normal read attribution.
+class ModuleCompiler {
+public:
+  ModuleCompiler(const ASTContext &Ctx, const ClassHierarchy &CH, Module &M,
+                 bool CountDeallocationReads,
+                 const CompilerConfig &Config = {});
+  ~ModuleCompiler();
+
+  /// Compiles the body of M.Functions[FnIdx], a defined non-builtin
+  /// function, unless it is already compiled; sets FuncEntry::Compiled.
+  void compileFunction(uint32_t FnIdx);
+
+private:
+  std::unique_ptr<Compiler> Impl;
+};
 
 } // namespace vm
 } // namespace dmm

@@ -32,6 +32,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 
 namespace dmm {
 namespace vm {
@@ -41,7 +42,7 @@ struct VM::VMError {
 };
 
 //===----------------------------------------------------------------------===//
-// Construction: compile, then precompute allocation recipes
+// Construction: module-level compile, then allocation recipes
 //===----------------------------------------------------------------------===//
 
 /// The zero value of a declared type (Interpreter.cpp zeroValue).
@@ -78,8 +79,14 @@ VM::VM(const ASTContext &Ctx, const ClassHierarchy &CH, InterpOptions Options,
     Options.Heat->Writes.resize(Ctx.numDecls());
   }
   {
+    // Module-level work only: each function body compiles when
+    // execFunction first enters it, and that time falls in "interp".
     Span Timer("vm.compile");
-    Mod = compileModule(Ctx, CH, Options.CountDeallocationReads, Config);
+    try {
+      Comp.emplace(Ctx, CH, Mod, Options.CountDeallocationReads, Config);
+    } catch (const std::runtime_error &E) {
+      CompileError = E.what(); // Reported by run() as a runtime error.
+    }
   }
   // Per-class recipe for allocateFieldStorage, one entry per unique
   // field slot in Fields-map insertion order.
@@ -118,6 +125,21 @@ VM::~VM() = default;
 
 void VM::fail(const std::string &Message) { throw VMError{Message}; }
 
+/// Interpreter::callFunction's message for a call without a body.
+static std::string undefinedMsg(const FuncEntry &FE) {
+  return "call to undefined function '" +
+         (FE.IsBuiltin ? FE.Decl->name() : FE.Decl->qualifiedName()) + "'";
+}
+
+/// The tree-walker's argument-count mismatch message for \p FE.
+static std::string argCountMsg(const FuncEntry &FE) {
+  if (FE.IsCtor)
+    return "constructor argument count mismatch for '" +
+           cast<ConstructorDecl>(FE.Decl)->parent()->name() + "'";
+  return "argument count mismatch calling '" + FE.Decl->qualifiedName() +
+         "'";
+}
+
 void VM::step() {
   if (++Steps > Options.MaxSteps)
     fail("step limit exceeded");
@@ -133,6 +155,7 @@ Storage *VM::allocSlot(const SlotAlloc &SA, uint64_t ID) {
     return allocObject(SA.ClassI, SA.Field, ID);
   case SlotAlloc::K::ClassArray: {
     Storage *Arr = Arena.createArray(SA.ElemType, SA.Field);
+    Arr->ClassPlanIdx = SA.ClassI;
     Arr->ObjectID = ID;
     for (uint64_t J = 0; J != SA.Count; ++J)
       Arr->Elems.push_back(allocObject(SA.ClassI, SA.Field, ID));
@@ -166,6 +189,7 @@ Storage *VM::allocObject(uint32_t ClassI, const FieldDecl *Owner,
   if (!Owner)
     ++NumCompleteObjects;
   Storage *Obj = Arena.createObject(P.Decl, Owner);
+  Obj->ClassPlanIdx = ClassI;
   Obj->ObjectID = ID;
   Obj->Slots.assign(P.NumSlots, nullptr);
   for (const SlotAlloc &SA : AllocPlans[ClassI])
@@ -173,19 +197,20 @@ Storage *VM::allocObject(uint32_t ClassI, const FieldDecl *Owner,
   return Obj;
 }
 
-uint64_t VM::traceAlloc(uint32_t ClassI, uint64_t Count) {
+void VM::traceAlloc(Storage *Obj, uint32_t ClassI, uint64_t Count) {
   if (!Options.Trace)
-    return 0;
+    return;
   const ClassPlan &P = Mod.Classes[ClassI];
-  return Options.Trace->recordAlloc(P.Decl, Count, Count * P.CompleteSize);
+  Options.Trace->recordAlloc(Obj->ObjectID, P.Decl, Count,
+                             Count * P.CompleteSize);
+  Obj->Traced = true;
 }
 
 void VM::traceFree(Storage *Obj) {
-  auto It = TraceIDs.find(Obj);
-  if (It == TraceIDs.end())
+  if (!Obj->Traced)
     return;
-  Options.Trace->recordFree(It->second);
-  TraceIDs.erase(It);
+  Options.Trace->recordFree(Obj->ObjectID);
+  Obj->Traced = false;
 }
 
 void VM::markDead(Storage *S) {
@@ -224,13 +249,11 @@ void VM::destroyCompleteObject(Storage *Obj) {
   if (!Obj->Alive)
     fail("double destruction of object");
   if (Obj->Kind == Storage::SK::Object) {
-    destroyObj(Obj, Mod.ClassIdx.at(Obj->Class), true);
-  } else if (Obj->Kind == Storage::SK::Array && Obj->ElemType) {
-    if (const ClassDecl *Elem = Obj->ElemType->asClassDecl()) {
-      uint32_t CI = Mod.ClassIdx.at(Elem);
-      for (auto It = Obj->Elems.rbegin(); It != Obj->Elems.rend(); ++It)
-        destroyObj(*It, CI, true);
-    }
+    destroyObj(Obj, Obj->ClassPlanIdx, true);
+  } else if (Obj->Kind == Storage::SK::Array && Obj->ElemType &&
+             Obj->ElemType->asClassDecl()) {
+    for (auto It = Obj->Elems.rbegin(); It != Obj->Elems.rend(); ++It)
+      destroyObj(*It, Obj->ClassPlanIdx, true);
   }
   traceFree(Obj);
   if (Options.Profiler)
@@ -246,8 +269,8 @@ void VM::constructVia(Storage *Obj, uint32_t ClassI, uint32_t CtorIdx,
     return;
   }
   const FuncEntry &FE = Mod.Functions[CtorIdx];
-  if (Argc != FE.Params.size())
-    fail(FE.ArgCountMsg);
+  if (Argc != FE.Decl->params().size())
+    fail(argCountMsg(FE));
   // The constructor body carries the initializer prologue; its frame
   // dispatches virtuals against the class under construction.
   execFunction(FE, Obj, Mod.Classes[ClassI].Decl, MostDerived, ArgAbs, Argc);
@@ -358,7 +381,7 @@ void VM::ensureFields(Storage *S) {
   // Insert in SlotFields (first-occurrence AllFields) order: the same
   // keys in the same order as the tree-walker's eager map, so hash-map
   // iteration — which is part of the observable event order — matches.
-  const ClassPlan &P = Mod.Classes[Mod.ClassIdx.at(S->Class)];
+  const ClassPlan &P = Mod.Classes[S->ClassPlanIdx];
   for (size_t K = 0; K != P.SlotFields.size(); ++K)
     if (Storage *FS = S->Slots[P.SlotColors[K]])
       S->Fields.emplace(P.SlotFields[K], FS);
@@ -451,7 +474,7 @@ Value VM::callBuiltin(const FuncEntry &FE, size_t ArgAbs) {
   case BuiltinKind::None:
     break;
   }
-  fail(FE.UndefinedMsg);
+  fail(undefinedMsg(FE));
 }
 
 Value VM::doCall(uint32_t FnIdx, Storage *This, size_t ArgAbs,
@@ -464,17 +487,31 @@ Value VM::doCall(uint32_t FnIdx, Storage *This, size_t ArgAbs,
   if (FE.IsBuiltin)
     return callBuiltin(FE, ArgAbs);
   if (!FE.Defined)
-    fail(FE.UndefinedMsg);
-  if (Argc != FE.Params.size())
-    fail(FE.ArgCountMsg);
+    fail(undefinedMsg(FE));
+  if (Argc != FE.Decl->params().size())
+    fail(argCountMsg(FE));
   return execFunction(FE, This, /*DispatchClass=*/nullptr,
                       /*MostDerived=*/false, ArgAbs, Argc);
+}
+
+void VM::compile(const FuncEntry &FE) {
+  try {
+    Comp->compileFunction(static_cast<uint32_t>(&FE - Mod.Functions.data()));
+  } catch (const std::runtime_error &E) {
+    fail(E.what());
+  }
+  ++NumCompiled;
+  // The new body may name string literals and virtual sites.
+  Strings.resize(Mod.StringSites.size(), nullptr);
+  VCaches.resize(Mod.VSites.size());
 }
 
 Value VM::execFunction(const FuncEntry &FE, Storage *This,
                        const ClassDecl *DispatchClass, bool MostDerived,
                        size_t ArgAbs, uint16_t Argc) {
   (void)Argc; // Arity is validated by the caller (doCall/constructVia).
+  if (!FE.Compiled)
+    compile(FE);
   size_t RBase = Regs.size();
   size_t LBase = Locals.size();
   Regs.resize(RBase + FE.NumRegs);
@@ -1242,8 +1279,7 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
     if (Options.Profiler)
       Options.Profiler->registerObjects(Mod.Classes[I->X].Decl, 1, ID,
                                         Mod.Sites[I->B]);
-    if (uint64_t TID = traceAlloc(I->X, 1))
-      TraceIDs[Obj] = TID;
+    traceAlloc(Obj, I->X, 1);
     if (Options.Profiler)
       Options.Profiler->recordAllocEvent(ID);
     R[I->A] = Value::ofPtr({Obj});
@@ -1272,11 +1308,14 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
     // reserves one ID per element; hooks apply to class-element arrays
     // only, registration before the element loop, trace/alloc-event
     // after.
-    const ArrayDesc &D = Mod.ArrayDescs[I->X];
+    // A copy: constructors compiled in the loop may grow ArrayDescs.
+    const ArrayDesc D = Mod.ArrayDescs[I->X];
     Storage *Arr = Arena.createArray(D.ElemType, nullptr);
     uint64_t ID = NextObjectID;
     NextObjectID += std::max<uint64_t>(D.Count, 1);
     Arr->ObjectID = ID;
+    if (D.ElemClassIdx >= 0)
+      Arr->ClassPlanIdx = static_cast<uint32_t>(D.ElemClassIdx);
     if (D.ElemClassIdx >= 0 && Options.Profiler)
       Options.Profiler->registerObjects(
           Mod.Classes[D.ElemClassIdx].Decl, D.Count, ID,
@@ -1296,9 +1335,7 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
       }
     }
     if (D.ElemClassIdx >= 0) {
-      if (uint64_t TID =
-              traceAlloc(static_cast<uint32_t>(D.ElemClassIdx), D.Count))
-        TraceIDs[Arr] = TID;
+      traceAlloc(Arr, static_cast<uint32_t>(D.ElemClassIdx), D.Count);
       if (Options.Profiler)
         Options.Profiler->recordAllocEvent(ID);
     }
@@ -1313,19 +1350,20 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
     long long Count = R[I->B].asInt();
     if (Count < 0)
       fail("negative array-new extent");
-    const ArrayDesc &D = Mod.ArrayDescs[I->X];
+    const ArrayDesc D = Mod.ArrayDescs[I->X]; // See ArrLocal.
     Storage *Arr = Arena.createArray(D.ElemType, nullptr);
     uint64_t ID = NextObjectID;
     NextObjectID += std::max<uint64_t>(static_cast<uint64_t>(Count), 1);
     Arr->ObjectID = ID;
+    if (D.ElemClassIdx >= 0)
+      Arr->ClassPlanIdx = static_cast<uint32_t>(D.ElemClassIdx);
     if (D.ElemClassIdx >= 0) {
       if (Options.Profiler)
         Options.Profiler->registerObjects(
             Mod.Classes[D.ElemClassIdx].Decl,
             static_cast<uint64_t>(Count), ID, Mod.Sites[D.SiteIdx]);
-      if (uint64_t TID = traceAlloc(static_cast<uint32_t>(D.ElemClassIdx),
-                                    static_cast<uint64_t>(Count)))
-        TraceIDs[Arr] = TID;
+      traceAlloc(Arr, static_cast<uint32_t>(D.ElemClassIdx),
+                 static_cast<uint64_t>(Count));
       if (Options.Profiler)
         Options.Profiler->recordAllocEvent(ID);
     }
@@ -1501,6 +1539,8 @@ ExecResult VM::run(const FunctionDecl *Main) {
   Strings.assign(Mod.StringSites.size(), nullptr);
   VCaches.assign(Mod.VSites.size(), VCache{});
   try {
+    if (!CompileError.empty())
+      fail(CompileError);
     // Global initialization runs inside one synthetic guest frame,
     // like the tree-walker's global-init frame.
     if (Mod.GlobalInitIdx != NoFunc)
@@ -1527,6 +1567,7 @@ ExecResult VM::run(const FunctionDecl *Main) {
   Telemetry::count("interp.steps", Steps);
   Telemetry::count("interp.calls", NumCalls);
   Telemetry::count("interp.objects", NumCompleteObjects);
+  Telemetry::count("vm.functions_compiled", NumCompiled);
   return Result;
 }
 

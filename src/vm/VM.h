@@ -5,16 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The bytecode execution engine: compiles the program once (vm/
-/// BytecodeCompiler.h) and runs it with a direct-threaded dispatch loop
-/// (computed goto under GCC/Clang, a switch otherwise). The VM is a
-/// drop-in replacement for the tree-walking Interpreter: it takes the
-/// same InterpOptions, fires the same allocation-trace / read-write /
-/// profiler hooks at the same points in the same order, produces the
-/// same output, exit code, and runtime-error messages, and emits the
-/// same "interp" span and telemetry counters. Only ExecResult::Steps
-/// differs (bytecode instructions, not AST visits) — the differential
-/// `engine` fuzz oracle compares everything else byte for byte.
+/// The bytecode execution engine: compiles each function on its first
+/// entry (vm/BytecodeCompiler.h) and runs it with a direct-threaded
+/// dispatch loop (computed goto under GCC/Clang, a switch otherwise).
+/// The VM is a drop-in replacement for the tree-walking Interpreter:
+/// it takes the same InterpOptions, fires the same allocation-trace /
+/// read-write / profiler hooks at the same points in the same order,
+/// produces the same output, exit code, and runtime-error messages, and
+/// emits the same "interp" span and telemetry counters. Only
+/// ExecResult::Steps differs (bytecode instructions, not AST visits) —
+/// the differential `engine` fuzz oracle compares everything else byte
+/// for byte.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +26,8 @@
 #include "interp/Memory.h"
 #include "vm/BytecodeCompiler.h"
 
-#include <unordered_map>
+#include <optional>
+#include <string>
 #include <vector>
 
 namespace dmm {
@@ -33,8 +35,10 @@ namespace vm {
 
 class VM {
 public:
-  /// Compiles the program; compilation cost is charged to a
-  /// "vm.compile" span, execution to "interp" (as the tree-walker).
+  /// Does the module-level compile under a "vm.compile" span; function
+  /// bodies compile on first entry, inside "interp" (the span the
+  /// tree-walker also runs in). A capacity limit of the bytecode ends
+  /// the run as a runtime error, never the host.
   VM(const ASTContext &Ctx, const ClassHierarchy &CH,
      InterpOptions Options = {}, CompilerConfig Config = {});
   ~VM();
@@ -43,8 +47,9 @@ public:
   /// Interpreter::run.
   ExecResult run(const FunctionDecl *Main);
 
-  /// The compiled module (tests inspect constant interning, jump
-  /// targets, and member-slot resolution).
+  /// The module (tests inspect constant interning, jump targets, and
+  /// member-slot resolution). Before run() only the global initializer
+  /// has code.
   const Module &module() const { return Mod; }
 
 private:
@@ -73,7 +78,7 @@ private:
 
   Storage *allocObject(uint32_t ClassI, const FieldDecl *Owner, uint64_t ID);
   Storage *allocSlot(const SlotAlloc &SA, uint64_t ID);
-  uint64_t traceAlloc(uint32_t ClassI, uint64_t Count);
+  void traceAlloc(Storage *Obj, uint32_t ClassI, uint64_t Count);
   void traceFree(Storage *Obj);
   void markDead(Storage *S);
   void destroyCompleteObject(Storage *Obj);
@@ -94,6 +99,8 @@ private:
   void ensureFields(Storage *S);
   void copyTree(Storage *Dst, Storage *Src, bool InitForm);
 
+  /// Compiles FE's body; a capacity limit fails the run.
+  void compile(const FuncEntry &FE);
   Value doCall(uint32_t FnIdx, Storage *This, size_t ArgAbs, uint16_t Argc);
   Value callBuiltin(const FuncEntry &FE, size_t ArgAbs);
   Value execFunction(const FuncEntry &FE, Storage *This,
@@ -110,6 +117,8 @@ private:
   const ClassHierarchy &CH;
   InterpOptions Options;
   Module Mod;
+  std::optional<ModuleCompiler> Comp;
+  std::string CompileError; ///< Module-level compile failure, if any.
   MemoryArena Arena;
   std::vector<std::vector<SlotAlloc>> AllocPlans; ///< Parallel to Classes.
 
@@ -128,9 +137,8 @@ private:
   uint64_t NumCalls = 0;
   uint64_t NumCompleteObjects = 0;
   uint64_t NextObjectID = 1;
+  uint64_t NumCompiled = 0; ///< Functions compiled on first entry.
   size_t Depth = 0; ///< Guest frame count (the tree-walker's Stack.size()).
-
-  std::unordered_map<Storage *, uint64_t> TraceIDs;
 };
 
 } // namespace vm

@@ -9,7 +9,8 @@
 /// exact-agreement contract with the allocation-trace replay
 /// (trace/DynamicMetrics.h), per-site dead-byte attribution, the
 /// massif-style snapshot schedule, address-taken and deallocation-read
-/// marking, and agreement on every golden-corpus program.
+/// marking, the dense ID-indexed tables (unknown, freed and reused IDs,
+/// union overlap), and agreement on every golden-corpus program.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -358,6 +359,143 @@ TEST(Profiler, ConvertsToStatsSection) {
     EXPECT_EQ(S.Sites[I].Member, P.Sites[I].Member);
     EXPECT_EQ(S.Sites[I].NeverReadBytes, P.Sites[I].NeverReadBytes);
     EXPECT_EQ(S.Sites[I].StaticDead, P.Sites[I].StaticDead);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Dense tables: unknown, freed and reused object IDs
+//===----------------------------------------------------------------------===//
+
+TEST(ProfilerDense, HooksIgnoreUnregisteredFreedAndDoubleFreedIDs) {
+  auto C = compileOK("class P { public: int a; int b; };\n"
+                     "int main() { return 0; }\n");
+  const ClassDecl *PD = findClass(*C, "P");
+  const FieldDecl *A = findField(*C, "P", "a");
+  ASSERT_TRUE(PD && A);
+  LayoutEngine Layout(C->hierarchy());
+  const uint64_t Size = Layout.layout(PD).CompleteSize;
+  const uint64_t IntBytes = Layout.sizeOf(A->type());
+  ShadowProfiler Prof(C->hierarchy(), {});
+  AllocationTrace Trace;
+
+  // Never registered: 0, an ID a scalar array takes (3), and one past
+  // every table (1000). Nothing may be recorded or crash.
+  for (uint64_t ID : {0ull, 3ull, 1000ull}) {
+    Prof.recordRead(ID, A);
+    Prof.recordWrite(ID, A);
+    Prof.recordAddrTaken(ID, A);
+    Prof.recordAllocEvent(ID);
+    Prof.recordFree(ID);
+    Trace.recordFree(ID);
+  }
+  EXPECT_TRUE(Trace.events().empty());
+
+  Prof.registerObjects(PD, 1, 1, SourceLocation());
+  Trace.recordAlloc(1, PD, 1, Size);
+  Prof.recordAllocEvent(1);
+  Prof.registerObjects(PD, 2, 4, SourceLocation());
+  Trace.recordAlloc(4, PD, 2, 2 * Size);
+  Prof.recordAllocEvent(4);
+  // The second object of a group names no group of its own.
+  Prof.recordFree(5);
+  Trace.recordFree(5);
+
+  Prof.recordRead(1, A);
+  Prof.recordFree(1);
+  Trace.recordFree(1);
+  // After the free, and on a double free: ignored.
+  Prof.recordWrite(1, A);
+  Prof.recordFree(1);
+  Trace.recordFree(1);
+
+  const ProfileSummary &S = Prof.finalize(nullptr);
+  EXPECT_EQ(S.AllocEvents, 2u);
+  EXPECT_EQ(S.FreeEvents, 1u);
+  EXPECT_EQ(S.LeakedObjects, 2u);
+  ASSERT_EQ(Trace.events().size(), 3u);
+  EXPECT_EQ(Trace.events()[2].Kind, TraceEvent::EK::Free);
+  EXPECT_EQ(Trace.events()[2].ObjectID, 1u);
+  EXPECT_EQ(Trace.numLeaked(), 1u);
+  EXPECT_EQ(S.Metrics, computeDynamicMetrics(Trace, Layout, {}));
+  const ProfileSiteRow *Row = findSite(S, "P::a");
+  ASSERT_NE(Row, nullptr);
+  EXPECT_EQ(Row->Objects, 3u);
+  EXPECT_EQ(Row->ReadBytes, IntBytes) << "only object 1 was read";
+  EXPECT_EQ(Row->WrittenBytes, 0u) << "the write after the free is ignored";
+}
+
+/// Profiles \p C on engine \p E; the profiler must agree with the trace.
+ProfileSummary profileOn(Compilation &C, EngineKind E) {
+  AllocationTrace Trace;
+  ShadowProfiler Prof(C.hierarchy(), analyze(C).deadSet());
+  InterpOptions IO;
+  IO.Trace = &Trace;
+  IO.Profiler = &Prof;
+  runWithOK(C, E, IO);
+  ProfileSummary S = Prof.finalize(&C.SM);
+  LayoutEngine Layout(C.hierarchy());
+  EXPECT_EQ(S.Metrics,
+            computeDynamicMetrics(Trace, Layout, analyze(C).deadSet()))
+      << engineName(E);
+  return S;
+}
+
+/// The site row of \p Member allocated on source line \p Line.
+const ProfileSiteRow *findSiteAt(const ProfileSummary &P,
+                                 const std::string &Member, unsigned Line) {
+  for (const ProfileSiteRow &Row : P.Sites)
+    if (Row.Member == Member && Row.Line == Line)
+      return &Row;
+  return nullptr;
+}
+
+TEST(ProfilerDense, ObjectAllocatedAfterAFreeStartsClean) {
+  auto C = compileOK("class P { public: int a; int b; };\n"
+                     "int main() {\n"
+                     "  P *p = new P();\n"
+                     "  p->a = 1;\n"
+                     "  int *q = &p->b;\n"
+                     "  print_int(p->a + *q);\n"
+                     "  delete p;\n"
+                     "  P *r = new P();\n"
+                     "  delete r;\n"
+                     "  return 0;\n"
+                     "}\n");
+  for (EngineKind E : {EngineKind::Tree, EngineKind::Vm}) {
+    SCOPED_TRACE(engineName(E));
+    ProfileSummary S = profileOn(*C, E);
+    for (const char *Member : {"P::a", "P::b"}) {
+      const ProfileSiteRow *First = findSiteAt(S, Member, 3);
+      const ProfileSiteRow *Second = findSiteAt(S, Member, 8);
+      ASSERT_TRUE(First && Second) << Member;
+      EXPECT_EQ(First->ReadBytes, First->AllocBytes) << Member;
+      EXPECT_EQ(Second->WrittenBytes, 0u) << Member;
+      EXPECT_EQ(Second->ReadBytes, 0u) << Member;
+      EXPECT_EQ(Second->AddrTakenBytes, 0u) << Member;
+      EXPECT_EQ(Second->NeverReadBytes, Second->AllocBytes) << Member;
+    }
+  }
+}
+
+TEST(ProfilerDense, UnionWriteShowsInTheOverlappingMember) {
+  auto C = compileOK("union U { public: int i; double d; };\n"
+                     "class H { public: U u; int tag; };\n"
+                     "int main() {\n"
+                     "  H h;\n"
+                     "  h.u.i = 5;\n"
+                     "  h.tag = 1;\n"
+                     "  return h.tag - 1;\n"
+                     "}\n");
+  for (EngineKind E : {EngineKind::Tree, EngineKind::Vm}) {
+    SCOPED_TRACE(engineName(E));
+    ProfileSummary S = profileOn(*C, E);
+    const ProfileSiteRow *I = findSite(S, "U::i");
+    const ProfileSiteRow *D = findSite(S, "U::d");
+    ASSERT_TRUE(I && D);
+    EXPECT_EQ(I->WrittenBytes, I->AllocBytes);
+    EXPECT_EQ(D->WrittenBytes, D->AllocBytes)
+        << "d shares i's bytes, so the write to i writes d too";
+    EXPECT_EQ(D->ReadBytes, 0u);
   }
 }
 

@@ -8,7 +8,8 @@
 /// The bytecode engine's correctness suite (docs/VM.md):
 ///
 ///  - unit tests over the compiled Module: constant-pool interning,
-///    jump patching, and member-offset (slot color) resolution;
+///    jump patching, member-offset (slot color) resolution, and
+///    first-call compilation (VmLazy);
 ///  - differential tests running the same Compilation through the
 ///    tree-walking Interpreter and the VM, asserting byte-identical
 ///    output, exit code, error message, the FieldHeat access record
@@ -22,11 +23,14 @@
 
 #include "TestUtil.h"
 
+#include "callgraph/CallGraph.h"
 #include "profiler/ShadowProfiler.h"
+#include "telemetry/Telemetry.h"
 #include "vm/VM.h"
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 using namespace dmm;
@@ -184,6 +188,8 @@ TEST(VmBytecode, ConstantPoolInternsLiterals) {
     }
   )");
   vm::VM M(C->context(), C->hierarchy());
+  // Bodies compile on first entry: run so main and half have code.
+  ASSERT_TRUE(M.run(C->mainFunction()).Completed);
   const vm::Module &Mod = M.module();
   int Int42 = 0, Double25 = 0;
   for (const Value &V : Mod.Consts) {
@@ -219,6 +225,8 @@ TEST(VmBytecode, JumpTargetsArePatchedAndInBounds) {
     }
   )");
   vm::VM M(C->context(), C->hierarchy());
+  // Bodies compile on first entry: run so every function has code.
+  ASSERT_TRUE(M.run(C->mainFunction()).Completed);
   size_t NumJumps = 0;
   for (const vm::FuncEntry &F : M.module().Functions) {
     for (const vm::Insn &I : F.Code) {
@@ -308,6 +316,176 @@ TEST(VmBytecode, MemberOffsetsResolveToStableSlotColors) {
     MaxD = std::max(MaxD, Col);
   EXPECT_EQ(DP.NumSlots, MaxD + 1);
   EXPECT_EQ(DP.SlotFields.size(), 3u) << "b1, b2, d1";
+}
+
+//===----------------------------------------------------------------------===//
+// First-call compilation
+//===----------------------------------------------------------------------===//
+
+/// Code sizes by qualified name of every function with a body, after a
+/// VM run of \p Source (Before: after construction, without a run).
+/// Both engines must first agree on the program's output and exit.
+std::map<std::string, size_t> codeSizes(const std::string &Source,
+                                        bool Before = false) {
+  expectEnginesAgree(Source);
+  auto C = compileOK(Source);
+  vm::VM M(C->context(), C->hierarchy());
+  if (!Before) {
+    EXPECT_TRUE(M.run(C->mainFunction()).Completed);
+  }
+  std::map<std::string, size_t> Out;
+  for (const vm::FuncEntry &F : M.module().Functions) {
+    if (!F.Decl || F.IsBuiltin || !F.Defined)
+      continue;
+    EXPECT_EQ(F.Compiled, !F.Code.empty()) << F.Decl->qualifiedName();
+    Out[F.Decl->qualifiedName()] = F.Code.size();
+  }
+  return Out;
+}
+
+TEST(VmLazy, NothingButTheGlobalInitializerCompilesBeforeRun) {
+  const char *Source = R"(
+    int g = 2;
+    int twice(int x) { return x * 2; }
+    int main() { return twice(g); }
+  )";
+  auto C = compileOK(Source);
+  vm::VM M(C->context(), C->hierarchy());
+  const vm::Module &Mod = M.module();
+  ASSERT_NE(Mod.GlobalInitIdx, vm::NoFunc);
+  EXPECT_TRUE(Mod.Functions[Mod.GlobalInitIdx].Compiled);
+  EXPECT_FALSE(Mod.Functions[Mod.GlobalInitIdx].Code.empty());
+  for (const auto &[Name, Size] : codeSizes(Source, /*Before=*/true))
+    EXPECT_EQ(Size, 0u) << Name << " compiled before run";
+}
+
+TEST(VmLazy, DirectCallCompilesOnlyTheCallee) {
+  auto Sizes = codeSizes(R"(
+    int unused(int x) { return x * 3; }
+    int used(int x) { return x + 1; }
+    int main() { print_int(used(6)); return 0; }
+  )");
+  EXPECT_GT(Sizes.at("main"), 0u);
+  EXPECT_GT(Sizes.at("used"), 0u);
+  EXPECT_EQ(Sizes.at("unused"), 0u);
+}
+
+TEST(VmLazy, VirtualCallCompilesTheDispatchTarget) {
+  auto Sizes = codeSizes(R"(
+    class B { public: int x; virtual int f() { return 1; } };
+    class D : public B { public: virtual int f() { return 2; } };
+    int main() {
+      B *p = new D();
+      print_int(p->f());
+      delete p;
+      return 0;
+    }
+  )");
+  EXPECT_GT(Sizes.at("D::f"), 0u);
+  EXPECT_EQ(Sizes.at("B::f"), 0u);
+}
+
+TEST(VmLazy, NewCompilesTheConstructor) {
+  auto Sizes = codeSizes(R"(
+    class A { public: int v; A(int x) { v = x; } int get() { return v; } };
+    int main() {
+      A *a = new A(5);
+      print_int(a->v);
+      delete a;
+      return 0;
+    }
+  )");
+  EXPECT_GT(Sizes.at("A::A"), 0u);
+  EXPECT_EQ(Sizes.at("A::get"), 0u);
+}
+
+TEST(VmLazy, MemberSubobjectConstructorCompiles) {
+  // Out has no constructor of its own: the implicit default
+  // construction enters In's constructor for the member.
+  auto Sizes = codeSizes(R"(
+    class In { public: int v; In() { v = 3; print_int(v); } };
+    class Out { public: In in; int w; };
+    class Holder { public: In in; Holder() { print_int(in.v + 1); } };
+    int main() {
+      Out o;
+      Holder h;
+      return o.in.v;
+    }
+  )");
+  EXPECT_GT(Sizes.at("In::In"), 0u);
+  EXPECT_GT(Sizes.at("Holder::Holder"), 0u);
+}
+
+TEST(VmLazy, DeleteCompilesTheDestructor) {
+  auto Sizes = codeSizes(R"(
+    class R { public: int v; ~R() { print_int(v); } };
+    class Never { public: int n; ~Never() { print_int(n); } };
+    int main() {
+      R *r = new R();
+      r->v = 8;
+      delete r;
+      return 0;
+    }
+  )");
+  EXPECT_GT(Sizes.at("R::~R"), 0u);
+  EXPECT_EQ(Sizes.at("Never::~Never"), 0u);
+}
+
+TEST(VmLazy, ScopeExitCompilesTheDestructor) {
+  auto Sizes = codeSizes(R"(
+    class S { public: int v; ~S() { print_int(v); } };
+    int main() {
+      {
+        S s;
+        s.v = 9;
+      }
+      print_int(1);
+      return 0;
+    }
+  )");
+  EXPECT_GT(Sizes.at("S::~S"), 0u);
+}
+
+TEST(VmLazy, GlobalInitializerCompilesWhatItCalls) {
+  auto Sizes = codeSizes(R"(
+    class G { public: int v; G(int x) : v(x) { print_int(v); } };
+    int seed() { return 4; }
+    int g = seed();
+    G obj(7);
+    int main() { return g + obj.v; }
+  )");
+  EXPECT_GT(Sizes.at("seed"), 0u);
+  EXPECT_GT(Sizes.at("G::G"), 0u);
+}
+
+TEST(VmLazy, FunctionPointerCallCompilesTheTarget) {
+  auto Sizes = codeSizes(R"(
+    int one() { return 1; }
+    int two() { return 2; }
+    int main() {
+      int (*f)() = &two;
+      print_int(f());
+      return 0;
+    }
+  )");
+  EXPECT_GT(Sizes.at("two"), 0u);
+  EXPECT_EQ(Sizes.at("one"), 0u);
+}
+
+TEST(VmLazy, FunctionsCompiledCounterMatchesTheCompiledEntries) {
+  auto C = compileOK(R"(
+    int a() { return 1; }
+    int b() { return a() + 1; }
+    int c() { return 3; }
+    int main() { return b() + b(); }
+  )");
+  Telemetry Tel;
+  {
+    TelemetryScope Scope(Tel);
+    vm::VM M(C->context(), C->hierarchy());
+    ASSERT_TRUE(M.run(C->mainFunction()).Completed);
+  }
+  EXPECT_EQ(Tel.counter("vm.functions_compiled"), 3u) << "main, b and a";
 }
 
 //===----------------------------------------------------------------------===//
@@ -771,6 +949,30 @@ TEST_P(VmCorpusTest, EnginesAgreeAtEveryJobsLevel) {
   // an invalid downcast); the engines must still agree byte-for-byte on
   // everything up to and including the error.
   expectSameRun(T, V);
+}
+
+/// First-call compilation compiles no more than RTA finds reachable:
+/// every entered function is one the call graph reaches from main.
+TEST(VmLazy, FunctionsCompiledStayWithinRtaReachable) {
+  for (const CorpusEntry &Entry : kCorpus) {
+    std::vector<SourceFile> Files;
+    for (const CorpusFile &F : Entry.Files)
+      Files.push_back({F.Name, readCorpusFile(F.Name), F.IsLibrary});
+    std::ostringstream Diag;
+    auto C = compileProgram(std::move(Files), &Diag);
+    ASSERT_TRUE(C->Success) << Entry.Name << ": " << Diag.str();
+    CallGraph G = buildCallGraph(C->context(), C->hierarchy(),
+                                 C->mainFunction(), CallGraphKind::RTA);
+    Telemetry Tel;
+    {
+      TelemetryScope Scope(Tel);
+      vm::VM M(C->context(), C->hierarchy());
+      M.run(C->mainFunction()); // casts aborts by design; still counts.
+    }
+    const uint64_t Compiled = Tel.counter("vm.functions_compiled");
+    EXPECT_GT(Compiled, 0u) << Entry.Name;
+    EXPECT_LE(Compiled, G.reachableFunctions().size()) << Entry.Name;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Programs, VmCorpusTest, ::testing::ValuesIn(kCorpus),
