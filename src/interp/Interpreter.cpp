@@ -62,6 +62,7 @@ Interpreter::Interpreter(const ASTContext &Ctx, const ClassHierarchy &CH,
     Options.Heat->Reads.resize(Ctx.numDecls());
     Options.Heat->Writes.resize(Ctx.numDecls());
   }
+  Layouts.assign(Ctx.numDecls(), nullptr);
 }
 
 Interpreter::~Interpreter() = default;
@@ -142,7 +143,7 @@ Storage *Interpreter::allocateObject(const ClassDecl *CD,
     ++NumCompleteObjects;
   Storage *Obj = Arena.createObject(CD, Owner);
   Obj->ObjectID = ObjectID;
-  for (const FieldSlot &Slot : Layout.layout(CD).AllFields) {
+  for (const FieldSlot &Slot : classLayout(CD).AllFields) {
     if (Obj->Fields.count(Slot.Field))
       continue; // Repeated non-virtual base: share the first subobject.
     Obj->Fields[Slot.Field] = allocateFieldStorage(Slot.Field, ObjectID);
@@ -150,11 +151,18 @@ Storage *Interpreter::allocateObject(const ClassDecl *CD,
   return Obj;
 }
 
+const ClassLayout &Interpreter::classLayout(const ClassDecl *CD) {
+  const ClassLayout *&L = Layouts[CD->declID()];
+  if (!L)
+    L = &Layout.layout(CD);
+  return *L;
+}
+
 void Interpreter::traceAlloc(Storage *Obj, const ClassDecl *CD,
                              uint64_t Count) {
   if (!Options.Trace)
     return;
-  uint64_t Bytes = Count * Layout.layout(CD).CompleteSize;
+  uint64_t Bytes = Count * classLayout(CD).CompleteSize;
   Options.Trace->recordAlloc(Obj->ObjectID, CD, Count, Bytes);
   Obj->Traced = true;
 }
@@ -391,7 +399,7 @@ Value Interpreter::callBuiltin(const FunctionDecl *FD,
     Output += '\n';
     return Value::unit();
   case BuiltinKind::PrintStr: {
-    Pointer P = Args[0].Ptr;
+    Pointer P = Args[0].asPtr();
     if (!P.Array) {
       if (P.Pointee && P.Pointee->Kind == Storage::SK::Scalar)
         Output += static_cast<char>(loadScalar(P.Pointee).asInt());
@@ -407,7 +415,7 @@ Value Interpreter::callBuiltin(const FunctionDecl *FD,
     return Value::unit();
   }
   case BuiltinKind::Free: {
-    Pointer P = Args[0].Ptr;
+    Pointer P = Args[0].asPtr();
     if (P.isNull())
       return Value::unit();
     Storage *S = P.Array ? P.Array : P.Pointee;
@@ -1087,28 +1095,29 @@ Value Interpreter::evalBinary(const BinaryExpr *E) {
     case BinaryOpKind::Add:
       if (L.Kind == Value::VK::Ptr)
         return Value::ofPtr(advancePointer(L.Ptr, R.asInt()));
-      return Value::ofPtr(advancePointer(R.Ptr, L.asInt()));
+      return Value::ofPtr(advancePointer(R.asPtr(), L.asInt()));
     case BinaryOpKind::Sub:
       if (L.Kind == Value::VK::Ptr && R.Kind == Value::VK::Ptr) {
         if (L.Ptr.Array && L.Ptr.Array == R.Ptr.Array)
           return Value::ofInt(intSub(L.Ptr.Index, R.Ptr.Index));
         fail("difference of pointers into different arrays");
       }
-      return Value::ofPtr(advancePointer(L.Ptr, intNeg(R.asInt())));
+      return Value::ofPtr(advancePointer(L.asPtr(), intNeg(R.asInt())));
     case BinaryOpKind::EQ:
       if (L.Kind == Value::VK::FnPtr || R.Kind == Value::VK::FnPtr)
-        return Value::ofBool(L.Fn == R.Fn);
-      return Value::ofBool(L.Ptr.Pointee == R.Ptr.Pointee);
+        return Value::ofBool(L.asFn() == R.asFn());
+      return Value::ofBool(L.asPtr().Pointee == R.asPtr().Pointee);
     case BinaryOpKind::NE:
       if (L.Kind == Value::VK::FnPtr || R.Kind == Value::VK::FnPtr)
-        return Value::ofBool(L.Fn != R.Fn);
-      return Value::ofBool(L.Ptr.Pointee != R.Ptr.Pointee);
+        return Value::ofBool(L.asFn() != R.asFn());
+      return Value::ofBool(L.asPtr().Pointee != R.asPtr().Pointee);
     case BinaryOpKind::LT:
     case BinaryOpKind::GT:
     case BinaryOpKind::LE:
     case BinaryOpKind::GE: {
-      if (L.Ptr.Array && L.Ptr.Array == R.Ptr.Array) {
-        long long A = L.Ptr.Index, B = R.Ptr.Index;
+      Pointer LP = L.asPtr(), RP = R.asPtr();
+      if (LP.Array && LP.Array == RP.Array) {
+        long long A = LP.Index, B = RP.Index;
         switch (E->op()) {
         case BinaryOpKind::LT: return Value::ofBool(A < B);
         case BinaryOpKind::GT: return Value::ofBool(A > B);
@@ -1174,13 +1183,13 @@ Value Interpreter::evalBinary(const BinaryExpr *E) {
                                    : L.asInt() >= R.asInt());
   case BinaryOpKind::EQ: {
     if (L.Kind == Value::VK::MemberPtr || R.Kind == Value::VK::MemberPtr)
-      return Value::ofBool(L.Member == R.Member);
+      return Value::ofBool(L.asMember() == R.asMember());
     return Value::ofBool(UseDouble ? L.asDouble() == R.asDouble()
                                    : L.asInt() == R.asInt());
   }
   case BinaryOpKind::NE: {
     if (L.Kind == Value::VK::MemberPtr || R.Kind == Value::VK::MemberPtr)
-      return Value::ofBool(L.Member != R.Member);
+      return Value::ofBool(L.asMember() != R.asMember());
     return Value::ofBool(UseDouble ? L.asDouble() != R.asDouble()
                                    : L.asInt() != R.asInt());
   }

@@ -117,6 +117,7 @@ private:
   Storage *allocateObject(const ClassDecl *CD, const FieldDecl *Owner,
                           uint64_t ObjectID);
   Storage *allocateFieldStorage(const FieldDecl *F, uint64_t ObjectID);
+  const ClassLayout &classLayout(const ClassDecl *CD);
   void traceAlloc(Storage *Obj, const ClassDecl *CD, uint64_t Count);
   void traceFree(Storage *Obj);
   void construct(Storage *Obj, const ClassDecl *CD,
@@ -173,6 +174,10 @@ private:
   const ClassHierarchy &CH;
   InterpOptions Options;
   LayoutEngine Layout;
+  /// Each class's full layout, indexed by declID() and filled on the
+  /// class's first allocation, so allocations do not hash into Layout's
+  /// cache (whose entries never move).
+  std::vector<const ClassLayout *> Layouts;
 
   MemoryArena Arena;
   /// A deque so references to a frame stay valid while nested calls

@@ -70,6 +70,9 @@ struct Storage {
   bool Traced = false;
 };
 
+static_assert(sizeof(Storage) <= 184,
+              "the arena carves 1024 nodes per chunk; keep a node small");
+
 /// Owns all Storage nodes of one execution; addresses are stable. Nodes
 /// are carved from fixed chunks of kChunkNodes (a std::deque would use
 /// 512-byte blocks, two nodes each) and live until the arena dies.

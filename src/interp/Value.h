@@ -17,6 +17,7 @@
 
 #include <climits>
 #include <cstdint>
+#include <type_traits>
 
 namespace dmm {
 
@@ -39,7 +40,14 @@ struct Pointer {
   }
 };
 
-/// A runtime value.
+/// A runtime value: a kind tag and a 24-byte payload that holds only
+/// the member the kind names. Value() zeroes the whole payload.
+///
+/// The accessors read a kind without the asked-for member as if that
+/// member were zero: asInt/asDouble read a pointer kind as 0, asBool
+/// reads a member pointer as false (a data or function pointer tests
+/// itself), and asPtr/asFn/asMember read any other kind as null. Code
+/// that reads a payload member directly must have checked Kind first.
 struct Value {
   enum class VK {
     Unit, ///< No value (void).
@@ -53,11 +61,16 @@ struct Value {
   };
 
   VK Kind = VK::Unit;
-  long long IntVal = 0;
-  double DoubleVal = 0.0;
-  Pointer Ptr;
-  const FunctionDecl *Fn = nullptr;
-  const FieldDecl *Member = nullptr;
+  union {
+    unsigned long long Raw[3]; ///< The whole payload, for zeroing.
+    long long IntVal;          ///< Int, Bool, Char.
+    double DoubleVal;          ///< Double.
+    Pointer Ptr;               ///< Ptr.
+    const FunctionDecl *Fn;    ///< FnPtr.
+    const FieldDecl *Member;   ///< MemberPtr.
+  };
+
+  Value() : Raw{0, 0, 0} {}
 
   static Value unit() { return Value(); }
   static Value ofInt(long long V) {
@@ -105,22 +118,37 @@ struct Value {
   }
 
   /// Numeric coercions (lenient, mirroring Sema's implicit conversions).
+  /// Unit, Int, Double, Bool and Char precede the pointer kinds; Unit's
+  /// payload is zero, so it reads as 0 through IntVal.
   long long asInt() const {
-    return Kind == VK::Double ? static_cast<long long>(DoubleVal) : IntVal;
+    if (Kind == VK::Double)
+      return static_cast<long long>(DoubleVal);
+    return Kind <= VK::Char ? IntVal : 0;
   }
   double asDouble() const {
-    return Kind == VK::Double ? DoubleVal : static_cast<double>(IntVal);
+    if (Kind == VK::Double)
+      return DoubleVal;
+    return Kind <= VK::Char ? static_cast<double>(IntVal) : 0.0;
   }
   bool asBool() const {
+    if (Kind <= VK::Char)
+      return Kind == VK::Double ? DoubleVal != 0.0 : IntVal != 0;
     if (Kind == VK::Ptr)
       return !Ptr.isNull();
-    if (Kind == VK::FnPtr)
-      return Fn != nullptr;
-    if (Kind == VK::Double)
-      return DoubleVal != 0.0;
-    return IntVal != 0;
+    return Kind == VK::FnPtr && Fn != nullptr;
+  }
+  Pointer asPtr() const { return Kind == VK::Ptr ? Ptr : Pointer(); }
+  const FunctionDecl *asFn() const {
+    return Kind == VK::FnPtr ? Fn : nullptr;
+  }
+  const FieldDecl *asMember() const {
+    return Kind == VK::MemberPtr ? Member : nullptr;
   }
 };
+
+static_assert(sizeof(Value) == 32, "Value is a tag and a 24-byte payload");
+static_assert(std::is_trivially_copyable_v<Value>,
+              "registers and Storage payloads are copied as bytes");
 
 /// \name Guest integer division (shared by both engines)
 /// Callers reject a zero divisor first. LLONG_MIN / -1 does not fit in

@@ -11,8 +11,8 @@
 /// synthetic global-initializer; a body is compiled on first entry),
 /// an interned constant pool, per-class object plans with member
 /// storage resolved to dense slot indices, and side tables for
-/// allocation sites, string literals, virtual-call sites, and failure
-/// messages. The pool and side tables grow as functions compile.
+/// allocation sites, string literals, virtually called methods, and
+/// failure messages. The pool and side tables grow as functions compile.
 ///
 /// Member offsets: every FieldDecl in the program gets one module-wide
 /// *slot color* such that any two fields that co-occur in some class's
@@ -149,8 +149,9 @@ enum class Op : uint16_t {
   CallV,    ///< R[A] = call Functions[R[E].IntVal] with This = R[D]
   CallI,    ///< R[A] = indirect call through fn-pointer R[D]
   ChkFn,    ///< validate R[A] as a non-null function pointer
-  VDisp,    ///< R[A] = ofInt(resolved function index) for virtual site
-            ///< X with receiver object R[B] (inline-cached)
+  VDisp,    ///< R[A] = ofInt(function index) of VMethods[X] for the
+            ///< dynamic class of receiver object R[B], read from that
+            ///< class's dispatch table
   Ret,      ///< return R[A]
   RetUnit,  ///< return unit
 
@@ -271,12 +272,16 @@ struct ArrayDesc {
   uint32_t SiteIdx = 0;       ///< Sites[] index for registerObjects.
 };
 
-/// Virtual-call site: the static method plus its failure message; the
-/// VM keeps a parallel per-site inline cache.
-struct VCallSite {
+/// A method called virtually at some site: the static method plus the
+/// failure message of its call sites. Each class's dispatch table in the
+/// VM has one entry per VMethods index.
+struct VMethod {
   const MethodDecl *Method = nullptr;
   std::string FailMsg;
 };
+
+/// Sentinel for a field that no complete class lays out (no slot color).
+constexpr uint32_t NoColor = 0xFFFFFFFFu;
 
 /// A compiled program.
 struct Module {
@@ -286,7 +291,7 @@ struct Module {
   std::vector<ArrayDesc> ArrayDescs;
   std::vector<SourceLocation> Sites;
   std::vector<const StringLiteralExpr *> StringSites;
-  std::vector<VCallSite> VSites;
+  std::vector<VMethod> VMethods;
   std::vector<std::string> Msgs;
   /// Fields referenced by FieldPlace's D operand: the runtime checks
   /// that the slot it indexes actually realizes this field, since slot
@@ -296,10 +301,20 @@ struct Module {
   std::vector<const VarDecl *> Globals;
   uint32_t GlobalInitIdx = NoFunc;
 
-  /// Lookup tables keyed by declaration.
-  std::unordered_map<const FunctionDecl *, uint32_t> FuncIdx;
+  /// Functions index of each FunctionDecl and slot color of each
+  /// FieldDecl, indexed by declID() (NoFunc / NoColor elsewhere), so
+  /// indirect calls and `.*` look them up without hashing.
+  std::vector<uint32_t> FuncIdx;
+  std::vector<uint32_t> FieldColors;
   std::unordered_map<const ClassDecl *, uint32_t> ClassIdx;
-  std::unordered_map<const FieldDecl *, uint32_t> FieldColor;
+
+  uint32_t funcIndex(const FunctionDecl *FD) const {
+    return FD->declID() < FuncIdx.size() ? FuncIdx[FD->declID()] : NoFunc;
+  }
+  uint32_t fieldColor(const FieldDecl *FD) const {
+    return FD->declID() < FieldColors.size() ? FieldColors[FD->declID()]
+                                             : NoColor;
+  }
 };
 
 } // namespace vm

@@ -250,6 +250,21 @@ private:
   }
   std::unordered_map<const FieldDecl *, uint16_t> FieldIdxMap;
 
+  /// VMethods index of a virtually called method, one entry per method
+  /// however many sites call it.
+  uint32_t vmethodIdx(const MethodDecl *MD) {
+    if (VMethodIdx.empty())
+      VMethodIdx.assign(Ctx.numDecls(), NoFunc);
+    uint32_t &Idx = VMethodIdx[MD->declID()];
+    if (Idx == NoFunc) {
+      Idx = static_cast<uint32_t>(M.VMethods.size());
+      M.VMethods.push_back(
+          {MD, "virtual dispatch failed for '" + MD->qualifiedName() + "'"});
+    }
+    return Idx;
+  }
+  std::vector<uint32_t> VMethodIdx; ///< By declID(); NoFunc if unseen.
+
   uint16_t loadConst(const Value &V, uint16_t Dst) {
     uint16_t R = target(Dst);
     emit(Op::LoadK, R, 0, 0, 0, 0, internConst(V));
@@ -257,7 +272,7 @@ private:
   }
 
   uint32_t classIdx(const ClassDecl *CD) { return M.ClassIdx.at(CD); }
-  uint32_t funcIdx(const FunctionDecl *FD) { return M.FuncIdx.at(FD); }
+  uint32_t funcIdx(const FunctionDecl *FD) { return M.funcIndex(FD); }
 
   //===--- Module construction --------------------------------------------===//
 
@@ -340,9 +355,8 @@ private:
   /// Slot color for a field access, 0xFFFF when the field was never
   /// assigned one (the access then fails the slot check at run time).
   uint16_t fieldColor(const FieldDecl *Field) {
-    auto It = M.FieldColor.find(Field);
-    return It == M.FieldColor.end() ? 0xFFFF
-                                    : static_cast<uint16_t>(It->second);
+    uint32_t Color = M.fieldColor(Field);
+    return Color == NoColor ? 0xFFFF : static_cast<uint16_t>(Color);
   }
 
   /// Locals mid-declaration: the tree-walker binds a scalar/reference
@@ -428,9 +442,10 @@ private:
 //===----------------------------------------------------------------------===//
 
 void Compiler::indexFunctions() {
+  M.FuncIdx.assign(Ctx.numDecls(), NoFunc);
   for (const FunctionDecl *FD : Ctx.functions()) {
     uint32_t Idx = static_cast<uint32_t>(M.Functions.size());
-    M.FuncIdx.emplace(FD, Idx);
+    M.FuncIdx[FD->declID()] = Idx;
     FuncEntry E;
     E.Decl = FD;
     E.IsBuiltin = FD->isBuiltin();
@@ -473,6 +488,7 @@ void Compiler::colorFields() {
     if (Checked)
       Used.emplace_back();
   }
+  M.FieldColors.assign(Ctx.numDecls(), NoColor);
   for (const FieldDecl *FD : Order) {
     const std::vector<uint32_t> &In = FieldClasses[FD];
     uint32_t Color = 0;
@@ -481,7 +497,7 @@ void Compiler::colorFields() {
       ++Color;
     for (uint32_t CI : In)
       Used[CI].set(Color);
-    M.FieldColor.emplace(FD, Color);
+    M.FieldColors[FD->declID()] = Color;
   }
 }
 
@@ -502,7 +518,7 @@ void Compiler::buildClassPlans() {
       if (!Seen.insert(Slot.Field).second)
         continue; // Repeated non-virtual base: share the first subobject.
       P.SlotFields.push_back(Slot.Field);
-      uint32_t Color = M.FieldColor.at(Slot.Field);
+      uint32_t Color = M.fieldColor(Slot.Field);
       P.SlotColors.push_back(Color);
       P.NumSlots = std::max(P.NumSlots, Color + 1);
     }
@@ -515,7 +531,7 @@ void Compiler::buildClassPlans() {
     for (const FieldDecl *Field : CD->fields()) {
       MemberPlan MP;
       MP.Field = Field;
-      MP.SlotColor = M.FieldColor.at(Field);
+      MP.SlotColor = M.fieldColor(Field);
       if (const ClassDecl *Member = Field->type()->asClassDecl()) {
         MP.Kind = MemberPlan::MK::Class;
         MP.ElemClassIdx = classIdx(Member);
@@ -1296,11 +1312,7 @@ uint16_t Compiler::place(const Expr *E, uint16_t Dst) {
       uint16_t R = target(Dst);
       emit(Op::ThisOp, R, 0, 0, 0, 0,
            msg("member '" + Field->name() + "' used outside a method"));
-      auto It = M.FieldColor.find(Field);
-      uint16_t Color =
-          It == M.FieldColor.end() ? 0xFFFF
-                                   : static_cast<uint16_t>(It->second);
-      emit(Op::FieldPlace, R, R, Color, fieldIdx(Field), 0,
+      emit(Op::FieldPlace, R, R, fieldColor(Field), fieldIdx(Field), 0,
            msg("object has no storage for member '" + Field->name() + "'"));
       return R;
     }
@@ -1315,12 +1327,8 @@ uint16_t Compiler::place(const Expr *E, uint16_t Dst) {
       return emitFail("member expression does not name a data member",
                       target(Dst));
     uint16_t Base = objectBase(ME->base(), ME->isArrow());
-    auto It = M.FieldColor.find(Field);
-    uint16_t Color = It == M.FieldColor.end()
-                         ? 0xFFFF
-                         : static_cast<uint16_t>(It->second);
     uint16_t R = target(Dst);
-    emit(Op::FieldPlace, R, Base, Color, fieldIdx(Field), 0,
+    emit(Op::FieldPlace, R, Base, fieldColor(Field), fieldIdx(Field), 0,
          msg("object has no storage for member '" + Field->name() + "'"));
     return R;
   }
@@ -2053,14 +2061,8 @@ uint16_t Compiler::compileCall(const CallExpr *Call, uint16_t Dst) {
       HasThis = true;
       if (Call->isVirtualCall()) {
         // Dispatch resolves before the arguments evaluate.
-        VCallSite Site;
-        Site.Method = Method;
-        Site.FailMsg =
-            "virtual dispatch failed for '" + Method->qualifiedName() + "'";
-        M.VSites.push_back(Site);
         uint16_t FnIdxReg = allocTmp();
-        emit(Op::VDisp, FnIdxReg, ThisReg, 0, 0, 0,
-             static_cast<uint32_t>(M.VSites.size() - 1));
+        emit(Op::VDisp, FnIdxReg, ThisReg, 0, 0, 0, vmethodIdx(Method));
         uint16_t Argc = static_cast<uint16_t>(Call->args().size());
         uint16_t ArgBase = compileArgs(Call->args(), [&](size_t I) {
           return callParamIsRef(Callee, nullptr, I);

@@ -41,6 +41,13 @@ struct VM::VMError {
   std::string Message;
 };
 
+/// The DispatchClass of a frame that is not a constructor or destructor
+/// body.
+constexpr uint32_t NoClass = 0xFFFFFFFFu;
+/// Dispatch-table entries: not yet resolved, and resolution failed.
+constexpr uint32_t VUnfilled = NoFunc;
+constexpr uint32_t VFailed = NoFunc - 1;
+
 //===----------------------------------------------------------------------===//
 // Construction: module-level compile, then allocation recipes
 //===----------------------------------------------------------------------===//
@@ -119,6 +126,7 @@ VM::VM(const ASTContext &Ctx, const ClassHierarchy &CH, InterpOptions Options,
       AllocPlans[CI].push_back(SA);
     }
   }
+  DispatchTables.resize(Mod.Classes.size());
 }
 
 VM::~VM() = default;
@@ -226,7 +234,7 @@ void VM::destroyObj(Storage *Obj, uint32_t ClassI, bool MostDerived) {
   step(); // Interpreter::destroy
   const ClassPlan &P = Mod.Classes[ClassI];
   if (P.DtorBody != NoFunc)
-    execFunction(Mod.Functions[P.DtorBody], Obj, P.Decl,
+    execFunction(Mod.Functions[P.DtorBody], Obj, ClassI,
                  /*MostDerived=*/false, /*ArgAbs=*/0, /*Argc=*/0);
   // Members in reverse declaration order, then bases in reverse.
   for (auto It = P.Members.rbegin(); It != P.Members.rend(); ++It) {
@@ -273,7 +281,7 @@ void VM::constructVia(Storage *Obj, uint32_t ClassI, uint32_t CtorIdx,
     fail(argCountMsg(FE));
   // The constructor body carries the initializer prologue; its frame
   // dispatches virtuals against the class under construction.
-  execFunction(FE, Obj, Mod.Classes[ClassI].Decl, MostDerived, ArgAbs, Argc);
+  execFunction(FE, Obj, ClassI, MostDerived, ArgAbs, Argc);
 }
 
 void VM::defaultConstructMembers(Storage *Obj, uint32_t ClassI,
@@ -445,7 +453,7 @@ Value VM::callBuiltin(const FuncEntry &FE, size_t ArgAbs) {
     Output += '\n';
     return Value::unit();
   case BuiltinKind::PrintStr: {
-    Pointer P = A0.Ptr;
+    Pointer P = A0.asPtr();
     if (!P.Array) {
       if (P.Pointee && P.Pointee->Kind == Storage::SK::Scalar)
         Output += static_cast<char>(loadScalar(P.Pointee).asInt());
@@ -461,7 +469,7 @@ Value VM::callBuiltin(const FuncEntry &FE, size_t ArgAbs) {
     return Value::unit();
   }
   case BuiltinKind::Free: {
-    Pointer P = A0.Ptr;
+    Pointer P = A0.asPtr();
     if (P.isNull())
       return Value::unit();
     Storage *S = P.Array ? P.Array : P.Pointee;
@@ -490,8 +498,8 @@ Value VM::doCall(uint32_t FnIdx, Storage *This, size_t ArgAbs,
     fail(undefinedMsg(FE));
   if (Argc != FE.Decl->params().size())
     fail(argCountMsg(FE));
-  return execFunction(FE, This, /*DispatchClass=*/nullptr,
-                      /*MostDerived=*/false, ArgAbs, Argc);
+  return execFunction(FE, This, NoClass, /*MostDerived=*/false, ArgAbs,
+                      Argc);
 }
 
 void VM::compile(const FuncEntry &FE) {
@@ -501,13 +509,28 @@ void VM::compile(const FuncEntry &FE) {
     fail(E.what());
   }
   ++NumCompiled;
-  // The new body may name string literals and virtual sites.
+  // The new body may name string literals.
   Strings.resize(Mod.StringSites.size(), nullptr);
-  VCaches.resize(Mod.VSites.size());
+}
+
+uint32_t VM::resolveVirtual(uint32_t ClassI, uint32_t MethodI) {
+  std::vector<uint32_t> &Table = DispatchTables[ClassI];
+  if (Table.size() <= MethodI)
+    Table.resize(Mod.VMethods.size(), VUnfilled);
+  const VMethod &VMeth = Mod.VMethods[MethodI];
+  if (Table[MethodI] == VUnfilled) {
+    ++NumVResolves;
+    const MethodDecl *Target =
+        CH.resolveVirtualCall(Mod.Classes[ClassI].Decl, VMeth.Method);
+    Table[MethodI] = Target ? Mod.funcIndex(Target) : VFailed;
+  }
+  if (Table[MethodI] == VFailed)
+    fail(VMeth.FailMsg);
+  return Table[MethodI];
 }
 
 Value VM::execFunction(const FuncEntry &FE, Storage *This,
-                       const ClassDecl *DispatchClass, bool MostDerived,
+                       uint32_t DispatchClass, bool MostDerived,
                        size_t ArgAbs, uint16_t Argc) {
   (void)Argc; // Arity is validated by the caller (doCall/constructVia).
   if (!FE.Compiled)
@@ -563,28 +586,29 @@ Value VM::binaryOp(const Value &L, unsigned OpKRaw, const Value &R) {
     case BinaryOpKind::Add:
       if (L.Kind == Value::VK::Ptr)
         return Value::ofPtr(advancePtr(L.Ptr, R.asInt()));
-      return Value::ofPtr(advancePtr(R.Ptr, L.asInt()));
+      return Value::ofPtr(advancePtr(R.asPtr(), L.asInt()));
     case BinaryOpKind::Sub:
       if (L.Kind == Value::VK::Ptr && R.Kind == Value::VK::Ptr) {
         if (L.Ptr.Array && L.Ptr.Array == R.Ptr.Array)
           return Value::ofInt(intSub(L.Ptr.Index, R.Ptr.Index));
         fail("difference of pointers into different arrays");
       }
-      return Value::ofPtr(advancePtr(L.Ptr, intNeg(R.asInt())));
+      return Value::ofPtr(advancePtr(L.asPtr(), intNeg(R.asInt())));
     case BinaryOpKind::EQ:
       if (L.Kind == Value::VK::FnPtr || R.Kind == Value::VK::FnPtr)
-        return Value::ofBool(L.Fn == R.Fn);
-      return Value::ofBool(L.Ptr.Pointee == R.Ptr.Pointee);
+        return Value::ofBool(L.asFn() == R.asFn());
+      return Value::ofBool(L.asPtr().Pointee == R.asPtr().Pointee);
     case BinaryOpKind::NE:
       if (L.Kind == Value::VK::FnPtr || R.Kind == Value::VK::FnPtr)
-        return Value::ofBool(L.Fn != R.Fn);
-      return Value::ofBool(L.Ptr.Pointee != R.Ptr.Pointee);
+        return Value::ofBool(L.asFn() != R.asFn());
+      return Value::ofBool(L.asPtr().Pointee != R.asPtr().Pointee);
     case BinaryOpKind::LT:
     case BinaryOpKind::GT:
     case BinaryOpKind::LE:
     case BinaryOpKind::GE: {
-      if (L.Ptr.Array && L.Ptr.Array == R.Ptr.Array) {
-        long long A = L.Ptr.Index, B = R.Ptr.Index;
+      Pointer LP = L.asPtr(), RP = R.asPtr();
+      if (LP.Array && LP.Array == RP.Array) {
+        long long A = LP.Index, B = RP.Index;
         switch (OpK) {
         case BinaryOpKind::LT:
           return Value::ofBool(A < B);
@@ -654,12 +678,12 @@ Value VM::binaryOp(const Value &L, unsigned OpKRaw, const Value &R) {
                                    : L.asInt() >= R.asInt());
   case BinaryOpKind::EQ:
     if (L.Kind == Value::VK::MemberPtr || R.Kind == Value::VK::MemberPtr)
-      return Value::ofBool(L.Member == R.Member);
+      return Value::ofBool(L.asMember() == R.asMember());
     return Value::ofBool(UseDouble ? L.asDouble() == R.asDouble()
                                    : L.asInt() == R.asInt());
   case BinaryOpKind::NE:
     if (L.Kind == Value::VK::MemberPtr || R.Kind == Value::VK::MemberPtr)
-      return Value::ofBool(L.Member != R.Member);
+      return Value::ofBool(L.asMember() != R.asMember());
     return Value::ofBool(UseDouble ? L.asDouble() != R.asDouble()
                                    : L.asInt() != R.asInt());
   case BinaryOpKind::LAnd:
@@ -741,8 +765,7 @@ Storage *VM::stringStorage(uint32_t SiteIdx) {
 #endif
 
 Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
-                   Storage *This, const ClassDecl *DispatchClass,
-                   bool MostDerived) {
+                   Storage *This, uint32_t DispatchClass, bool MostDerived) {
   const Insn *Code = FE.Code.data();
   size_t PC = 0;
   // Cached frame windows; MUST be reloaded (VM_RELOAD) after any
@@ -952,9 +975,9 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
     Storage *S = R[I->B].Ptr.Pointee;
     Storage *FS = nullptr;
     if (S && S->Kind == Storage::SK::Object) {
-      auto It = Mod.FieldColor.find(PM.Member);
-      if (It != Mod.FieldColor.end() && It->second < S->Slots.size()) {
-        Storage *Cand = S->Slots[It->second];
+      uint32_t Color = Mod.fieldColor(PM.Member);
+      if (Color < S->Slots.size()) {
+        Storage *Cand = S->Slots[Color];
         if (Cand && Cand->OwnerField == PM.Member)
           FS = Cand;
       }
@@ -1113,9 +1136,11 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
   VM_NEXT();
 
   // The int fast-path handlers write Kind/IntVal in place instead of
-  // constructing a full Value: stale Double/Ptr fields are unobservable
-  // once Kind says Int/Bool, and the destination may alias an operand,
-  // so the result is computed before anything is stored.
+  // constructing a full Value. The rest of the payload keeps whatever
+  // the register held before, which no accessor reads once Kind says
+  // Int/Bool (asPtr and friends check Kind first). The destination may
+  // alias an operand, so the result is computed before anything is
+  // stored.
 
   VM_CASE(AddII) : {
     long long V = intAdd(
@@ -1232,11 +1257,11 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
   VM_NEXT();
 
   VM_CASE(CallI) : {
-    const FunctionDecl *FD = R[I->D].Fn;
-    auto It = Mod.FuncIdx.find(FD);
-    if (It == Mod.FuncIdx.end())
+    // ChkFn has checked that R[D] is a non-null function pointer.
+    uint32_t FnIdx = Mod.funcIndex(R[I->D].Fn);
+    if (FnIdx == NoFunc)
       fail("indirect call through null function pointer");
-    Value Ret = doCall(It->second, nullptr, RBase + I->B, I->C);
+    Value Ret = doCall(FnIdx, nullptr, RBase + I->B, I->C);
     VM_RELOAD();
     R[I->A] = Ret;
   }
@@ -1251,21 +1276,17 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
 
   VM_CASE(VDisp) : {
     Storage *Recv = R[I->B].Ptr.Pointee;
-    const ClassDecl *Dyn = Recv->Class;
-    // A method body calling a virtual on its own receiver dispatches
-    // against the construction/destruction class.
-    if (DispatchClass && This == Recv)
-      Dyn = DispatchClass;
-    VCache &C = VCaches[I->X];
-    if (C.Class != Dyn) {
-      const VCallSite &Site = Mod.VSites[I->X];
-      const MethodDecl *Target = CH.resolveVirtualCall(Dyn, Site.Method);
-      if (!Target)
-        fail(Site.FailMsg);
-      C.Class = Dyn;
-      C.Fn = Mod.FuncIdx.at(Target);
-    }
-    R[I->A] = Value::ofInt(C.Fn);
+    // A constructor or destructor body calling a virtual on its own
+    // receiver dispatches against the class under construction or
+    // destruction.
+    uint32_t Dyn = DispatchClass != NoClass && This == Recv
+                       ? DispatchClass
+                       : Recv->ClassPlanIdx;
+    const std::vector<uint32_t> &Table = DispatchTables[Dyn];
+    uint32_t Fn = I->X < Table.size() ? Table[I->X] : VUnfilled;
+    if (Fn >= VFailed)
+      Fn = resolveVirtual(Dyn, I->X);
+    R[I->A] = Value::ofInt(Fn);
   }
   VM_NEXT();
 
@@ -1537,19 +1558,18 @@ ExecResult VM::run(const FunctionDecl *Main) {
   GS.assign(Mod.Globals.size(), nullptr);
   GP.assign(Mod.Globals.size(), nullptr);
   Strings.assign(Mod.StringSites.size(), nullptr);
-  VCaches.assign(Mod.VSites.size(), VCache{});
   try {
     if (!CompileError.empty())
       fail(CompileError);
     // Global initialization runs inside one synthetic guest frame,
     // like the tree-walker's global-init frame.
     if (Mod.GlobalInitIdx != NoFunc)
-      execFunction(Mod.Functions[Mod.GlobalInitIdx], nullptr, nullptr,
+      execFunction(Mod.Functions[Mod.GlobalInitIdx], nullptr, NoClass,
                    /*MostDerived=*/false, /*ArgAbs=*/0, /*Argc=*/0);
-    auto It = Mod.FuncIdx.find(Main);
-    if (It == Mod.FuncIdx.end())
+    uint32_t MainIdx = Mod.funcIndex(Main);
+    if (MainIdx == NoFunc)
       fail("call to undefined function '" + Main->qualifiedName() + "'");
-    Value Exit = doCall(It->second, nullptr, /*ArgAbs=*/0, /*Argc=*/0);
+    Value Exit = doCall(MainIdx, nullptr, /*ArgAbs=*/0, /*Argc=*/0);
     // Global teardown runs inside a frame of its own.
     ++Depth;
     for (auto OI = GlobalObjects.rbegin(); OI != GlobalObjects.rend(); ++OI)
@@ -1568,6 +1588,7 @@ ExecResult VM::run(const FunctionDecl *Main) {
   Telemetry::count("interp.calls", NumCalls);
   Telemetry::count("interp.objects", NumCompleteObjects);
   Telemetry::count("vm.functions_compiled", NumCompiled);
+  Telemetry::count("vm.vcall_resolves", NumVResolves);
   return Result;
 }
 

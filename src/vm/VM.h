@@ -67,11 +67,6 @@ private:
     uint64_t Count = 0;           ///< Arrays: static extent.
     Value Zero;                   ///< Scalar(+array) zero value.
   };
-  /// Per-VSites inline cache: last receiver class -> function index.
-  struct VCache {
-    const ClassDecl *Class = nullptr;
-    uint32_t Fn = 0;
-  };
 
   [[noreturn]] void fail(const std::string &Message);
   void step();
@@ -103,12 +98,18 @@ private:
   void compile(const FuncEntry &FE);
   Value doCall(uint32_t FnIdx, Storage *This, size_t ArgAbs, uint16_t Argc);
   Value callBuiltin(const FuncEntry &FE, size_t ArgAbs);
+  /// DispatchClass is the Classes index a constructor or destructor
+  /// body dispatches its own receiver's virtual calls against, NoClass
+  /// in every other frame.
   Value execFunction(const FuncEntry &FE, Storage *This,
-                     const ClassDecl *DispatchClass, bool MostDerived,
-                     size_t ArgAbs, uint16_t Argc);
+                     uint32_t DispatchClass, bool MostDerived, size_t ArgAbs,
+                     uint16_t Argc);
   Value execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
-                 Storage *This, const ClassDecl *DispatchClass,
-                 bool MostDerived);
+                 Storage *This, uint32_t DispatchClass, bool MostDerived);
+  /// Fills (or re-reads) class ClassI's dispatch-table entry for
+  /// VMethods[MethodI]; fails with the method's message when the call
+  /// cannot resolve.
+  uint32_t resolveVirtual(uint32_t ClassI, uint32_t MethodI);
 
   Value binaryOp(const Value &L, unsigned OpK, const Value &R);
   Value compoundCompute(const Value &Old, unsigned OpK, const Value &R);
@@ -130,7 +131,9 @@ private:
   std::vector<Storage *> GP; ///< Globals published after declaration.
   std::vector<Storage *> GlobalObjects; ///< Teardown list.
   std::vector<Storage *> Strings;       ///< Parallel to StringSites.
-  std::vector<VCache> VCaches;          ///< Parallel to VSites.
+  /// Parallel to Classes: VMethods index -> Functions index, filled on
+  /// the first virtual call of that method on that class.
+  std::vector<std::vector<uint32_t>> DispatchTables;
 
   std::string Output;
   uint64_t Steps = 0;
@@ -138,6 +141,7 @@ private:
   uint64_t NumCompleteObjects = 0;
   uint64_t NextObjectID = 1;
   uint64_t NumCompiled = 0; ///< Functions compiled on first entry.
+  uint64_t NumVResolves = 0; ///< Dispatch-table entries filled.
   size_t Depth = 0; ///< Guest frame count (the tree-walker's Stack.size()).
 };
 

@@ -580,6 +580,37 @@ TEST_P(InterpSemantics, IntegerArithmeticWrapsInTwosComplement) {
             "-9223372036854775808\n");
 }
 
+// A Value's payload is a union, so a conversion that reads a member
+// the kind does not name would read another member's bytes (a heap
+// address, a function pointer's bits). Each conversion must instead
+// give what it gives for a kind without a number: 0, false, or the
+// pointer's own null test. The engine oracle cannot catch a mistake
+// here because both engines share Value; this test pins the results.
+TEST_P(InterpSemantics, CrossKindReadsOfPointerValuesAreZero) {
+  EXPECT_EQ(outputOf(R"(
+    class A { public: int x; int y; };
+    int f(int v) { return v + 1; }
+    int main() {
+      A *p = new A();
+      print_int((int)p);
+      int A::*pm = &A::y;
+      if (pm) print_int(1); else print_int(2);
+      print_bool((bool)pm);
+      int (*fp)(int) = &f;
+      print_double((double)fp);
+      print_int((int)pm);
+      print_int((int)fp);
+      print_double((double)p);
+      print_bool((bool)fp);
+      print_bool((bool)p);
+      print_bool(!pm);
+      delete p;
+      return 0;
+    }
+  )"),
+            "0\n2\nfalse\n0\n0\n0\n0\ntrue\ntrue\ntrue\n");
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Engines, InterpSemantics,
     ::testing::Values(EngineKind::Tree, EngineKind::Vm),

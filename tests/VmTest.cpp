@@ -17,6 +17,8 @@
 ///    events, and the full shadow-profiler summary. ExecResult::Steps
 ///    is deliberately NOT compared: the VM counts bytecode
 ///    instructions, the tree counts AST visits.
+///  - virtual-dispatch tables (VmDispatch): differential runs that
+///    also pin how many table entries vm.vcall_resolves counts.
 ///  - a sweep of the tests/corpus/ programs through both engines.
 ///
 //===----------------------------------------------------------------------===//
@@ -276,12 +278,12 @@ TEST(VmBytecode, MemberOffsetsResolveToStableSlotColors) {
 
   // Every field referenced by the program has a module-wide color, and
   // co-located fields have distinct colors.
-  ASSERT_TRUE(Mod.FieldColor.count(B1));
-  ASSERT_TRUE(Mod.FieldColor.count(B2));
-  ASSERT_TRUE(Mod.FieldColor.count(D1));
-  uint32_t CB1 = Mod.FieldColor.at(B1);
-  uint32_t CB2 = Mod.FieldColor.at(B2);
-  uint32_t CD1 = Mod.FieldColor.at(D1);
+  ASSERT_NE(Mod.fieldColor(B1), vm::NoColor);
+  ASSERT_NE(Mod.fieldColor(B2), vm::NoColor);
+  ASSERT_NE(Mod.fieldColor(D1), vm::NoColor);
+  uint32_t CB1 = Mod.fieldColor(B1);
+  uint32_t CB2 = Mod.fieldColor(B2);
+  uint32_t CD1 = Mod.fieldColor(D1);
   EXPECT_NE(CB1, CB2);
   EXPECT_NE(CB1, CD1);
   EXPECT_NE(CB2, CD1);
@@ -572,8 +574,8 @@ TEST(VmDifferential, VirtualDispatchAndInlineCache) {
       shapes[2] = new Sq(5);
       shapes[3] = new Tri(2, 2);
       int total = 0;
-      // A polymorphic call site: the VM's inline cache must stay
-      // transparent when the receiver class flips every iteration.
+      // A polymorphic call site: the receiver class flips every
+      // iteration, and each class's dispatch table answers for it.
       for (int i = 0; i < 4; i = i + 1) {
         total = total + shapes[i]->area();
       }
@@ -821,6 +823,218 @@ TEST(VmDifferentialError, NullVirtualCall) {
     }
   )",
                             "null");
+}
+
+//===----------------------------------------------------------------------===//
+// Virtual dispatch tables: one entry per (class, method), filled once
+//===----------------------------------------------------------------------===//
+
+/// Runs both engines on \p Source, asserts the runs are identical, and
+/// returns the VM's run; \p Resolves receives vm.vcall_resolves.
+EngineRun vmRunAgreeingWithTree(const std::string &Source,
+                                uint64_t &Resolves) {
+  auto C = compileOK(Source);
+  EXPECT_TRUE(C->Success);
+  if (!C->Success)
+    return {};
+  DeadMemberResult Dead = analyze(*C);
+  EngineRun T = runEngine(*C, Engine::Tree, Dead.deadSet());
+  Telemetry Tel;
+  EngineRun V;
+  {
+    TelemetryScope Scope(Tel);
+    V = runEngine(*C, Engine::Vm, Dead.deadSet());
+  }
+  Resolves = Tel.counter("vm.vcall_resolves");
+  expectSameRun(T, V);
+  return V;
+}
+
+TEST(VmDispatch, OneSiteCyclesThroughFourReceiverClasses) {
+  uint64_t Resolves = 0;
+  EngineRun V = vmRunAgreeingWithTree(R"(
+    class S { public: int k; virtual int f(int x) { return x + 1; } };
+    class T : public S { public: int f(int x) { return x * 2; } };
+    class U : public S { public: int f(int x) { return x - 3; } };
+    class W : public T { public: int f(int x) { return x % 7 + 10; } };
+    int main() {
+      S *objs[4];
+      objs[0] = new S();
+      objs[1] = new T();
+      objs[2] = new U();
+      objs[3] = new W();
+      int acc = 1;
+      for (int i = 0; i < 400; i = i + 1) {
+        acc = (objs[i % 4]->f(acc) + 1000) % 9973;
+      }
+      print_int(acc);
+      return 0;
+    }
+  )",
+                                      Resolves);
+  EXPECT_TRUE(V.R.Completed) << V.R.Error;
+  // One fill per receiver class; the 396 later calls read the tables.
+  EXPECT_EQ(Resolves, 4u);
+}
+
+TEST(VmDispatch, ConstructorAndDestructorDispatchShareTheSiteWithMostDerived) {
+  // The same site in B's constructor (and in its destructor) resolves
+  // against D when the receiver is another, finished D, and against B
+  // when it is the object under construction or destruction; the
+  // calls alternate between the two.
+  uint64_t Resolves = 0;
+  EngineRun V = vmRunAgreeingWithTree(R"(
+    class B {
+    public:
+      int x;
+      B *peer;
+      B(B *p) {
+        peer = p;
+        B *r = p;
+        if (r == nullptr) r = this;
+        print_int(r->tag());
+      }
+      virtual int tag() { return 1; }
+      virtual ~B() {
+        B *r = peer;
+        if (r == nullptr) r = this;
+        print_int(r->tag() + 10);
+      }
+    };
+    class D : public B {
+    public:
+      int y;
+      D(B *p) : B(p) {}
+      virtual int tag() { return 2; }
+      ~D() {}
+    };
+    int main() {
+      B *a = new D(nullptr);
+      D *b = new D(a);
+      D *c = new D(nullptr);
+      D *d = new D(a);
+      print_int(a->tag());
+      delete b;
+      delete c;
+      delete d;
+      delete a;
+      return 0;
+    }
+  )",
+                                      Resolves);
+  EXPECT_TRUE(V.R.Completed) << V.R.Error;
+  EXPECT_EQ(V.R.Output, "1\n2\n1\n2\n2\n12\n11\n12\n11\n");
+  // (B, tag) and (D, tag), shared by the three sites.
+  EXPECT_EQ(Resolves, 2u);
+}
+
+TEST(VmDispatch, PureVirtualCallAfterSuccessfulCallsAtTheSameSite) {
+  uint64_t Resolves = 0;
+  EngineRun V = vmRunAgreeingWithTree(R"(
+    class Op {
+    public:
+      int bias;
+      Op(Op *p, bool self) {
+        Op *r = p;
+        if (self) r = this;
+        if (r != nullptr) print_int(r->apply());
+      }
+      virtual int apply() = 0;
+      virtual ~Op() {}
+    };
+    class Add : public Op {
+    public:
+      Add(Op *p, bool self) : Op(p, self) {}
+      int apply() { return 5; }
+    };
+    int main() {
+      Add first(nullptr, false);
+      Op *second = new Add(&first, false);
+      Add *third = new Add(second, false);
+      Add *bad = new Add(nullptr, true);
+      return 0;
+    }
+  )",
+                                      Resolves);
+  EXPECT_FALSE(V.R.Completed);
+  EXPECT_EQ(V.R.Error, "call to undefined function 'Op::apply'");
+  EXPECT_EQ(V.R.Output, "5\n5\n");
+}
+
+TEST(VmDispatch, UnrelatedReceiverFailsAfterSuccessfulCalls) {
+  uint64_t Resolves = 0;
+  EngineRun V = vmRunAgreeingWithTree(R"(
+    class Op { public: int bias; virtual int apply() { return 1; } };
+    class Sq : public Op { public: int apply() { return 4; } };
+    class Other { public: int z; virtual int apply() { return 9; } };
+    int call(Op *o) { return o->apply(); }
+    int main() {
+      Op *a = new Op();
+      Op *b = new Sq();
+      print_int(call(a));
+      print_int(call(b));
+      print_int(call(a));
+      Other *o = new Other();
+      print_int(call(reinterpret_cast<Op *>(o)));
+      return 0;
+    }
+  )",
+                                      Resolves);
+  EXPECT_FALSE(V.R.Completed);
+  EXPECT_EQ(V.R.Error, "virtual dispatch failed for 'Op::apply'");
+  EXPECT_EQ(V.R.Output, "1\n4\n1\n");
+  EXPECT_EQ(Resolves, 3u) << "Op, Sq, and the failed Other";
+}
+
+TEST(VmDispatch, KernelShapedLoopResolvesOncePerClass) {
+  // perfbench's kvirtual kernel: 100,000 calls at one site over four
+  // receivers of three classes.
+  uint64_t Resolves = 0;
+  EngineRun V = vmRunAgreeingWithTree(R"(
+    class Op {
+    public:
+      int bias;
+      Op(int b) : bias(b) {}
+      virtual ~Op() {}
+      virtual int apply(int x) = 0;
+    };
+    class AddOp : public Op {
+    public:
+      AddOp(int b) : Op(b) {}
+      int apply(int x) { return (x + bias) % 65521; }
+    };
+    class MulOp : public Op {
+    public:
+      MulOp(int b) : Op(b) {}
+      int apply(int x) { return (x * bias) % 65521 + 1; }
+    };
+    class SubOp : public Op {
+    public:
+      SubOp(int b) : Op(b) {}
+      int apply(int x) { return (x + 65521 - bias) % 65521; }
+    };
+    int main() {
+      Op *ops[4];
+      ops[0] = new AddOp(8);
+      ops[1] = new MulOp(3);
+      ops[2] = new SubOp(11);
+      ops[3] = new MulOp(8);
+      int x = 1;
+      int sum = 0;
+      for (int i = 0; i < 100000; i = i + 1) {
+        x = ops[i % 4]->apply(x);
+        sum = (sum + x) % 1000003;
+      }
+      for (int k = 0; k < 4; k = k + 1) {
+        delete ops[k];
+      }
+      print_int(sum);
+      return 0;
+    }
+  )",
+                                      Resolves);
+  EXPECT_TRUE(V.R.Completed) << V.R.Error;
+  EXPECT_EQ(Resolves, 3u) << "(AddOp|MulOp|SubOp, apply)";
 }
 
 //===----------------------------------------------------------------------===//
