@@ -57,12 +57,11 @@ struct Interpreter::Frame {
 
 Interpreter::Interpreter(const ASTContext &Ctx, const ClassHierarchy &CH,
                          InterpOptions Options)
-    : Ctx(Ctx), CH(CH), Options(Options), Layout(CH) {
+    : Ctx(Ctx), CH(CH), Options(Options), Layout(CH), Objects(Ctx, Layout) {
   if (Options.Heat) {
     Options.Heat->Reads.resize(Ctx.numDecls());
     Options.Heat->Writes.resize(Ctx.numDecls());
   }
-  Layouts.assign(Ctx.numDecls(), nullptr);
 }
 
 Interpreter::~Interpreter() = default;
@@ -80,50 +79,24 @@ void Interpreter::fail(const std::string &Message) {
 // Storage construction
 //===----------------------------------------------------------------------===//
 
-/// The zero value of a declared type.
-static Value zeroValue(const Type *Ty) {
-  if (Ty->isPointer()) {
-    if (isa<FunctionType>(cast<PointerType>(Ty)->pointee()))
-      return Value::ofFn(nullptr);
-    return Value::nullPtr();
-  }
-  if (Ty->isMemberPointer())
-    return Value::ofMemberPtr(nullptr);
-  if (const auto *BT = dyn_cast<BuiltinType>(Ty)) {
-    switch (BT->builtinKind()) {
-    case BuiltinType::BK::Double:
-      return Value::ofDouble(0.0);
-    case BuiltinType::BK::Bool:
-      return Value::ofBool(false);
-    case BuiltinType::BK::Char:
-      return Value::ofChar(0);
-    case BuiltinType::BK::NullPtr:
-      return Value::nullPtr();
-    default:
-      return Value::ofInt(0);
-    }
-  }
-  return Value::ofInt(0);
-}
-
 Storage *Interpreter::allocateFieldStorage(const FieldDecl *F,
                                            uint64_t ObjectID) {
   const Type *Ty = F->type();
-  if (const ClassDecl *CD = Ty->asClassDecl()) {
-    Storage *S = allocateObject(CD, F, ObjectID);
-    return S;
-  }
+  if (const ClassDecl *CD = Ty->asClassDecl())
+    return allocateObject(CD, F, ObjectID);
   if (const auto *AT = dyn_cast<ArrayType>(Ty)) {
-    Storage *Arr = Arena.createArray(AT->element(), F);
+    const ClassDecl *Elem = AT->element()->asClassDecl();
+    Storage *Arr =
+        Arena.createArray(Elem ? Objects.classIndex(Elem) : NoClass, F);
     Arr->ObjectID = ObjectID;
     for (uint64_t I = 0; I != AT->size(); ++I) {
-      if (const ClassDecl *Elem = AT->element()->asClassDecl()) {
-        Arr->Elems.push_back(allocateObject(Elem, F, ObjectID));
+      if (Elem) {
+        Arr->Children.push_back(allocateObject(Elem, F, ObjectID));
       } else {
         Storage *S = Arena.createScalar(F);
         S->V = zeroValue(AT->element());
         S->ObjectID = ObjectID;
-        Arr->Elems.push_back(S);
+        Arr->Children.push_back(S);
       }
     }
     return Arr;
@@ -141,28 +114,22 @@ Storage *Interpreter::allocateObject(const ClassDecl *CD,
     fail("cannot create object of incomplete class '" + CD->name() + "'");
   if (!Owner)
     ++NumCompleteObjects;
-  Storage *Obj = Arena.createObject(CD, Owner);
+  uint32_t CI = Objects.classIndex(CD);
+  const ClassSlots &CS = Objects.slots(CI);
+  Storage *Obj = Arena.createObject(CI, Owner);
   Obj->ObjectID = ObjectID;
-  for (const FieldSlot &Slot : classLayout(CD).AllFields) {
-    if (Obj->Fields.count(Slot.Field))
-      continue; // Repeated non-virtual base: share the first subobject.
-    Obj->Fields[Slot.Field] = allocateFieldStorage(Slot.Field, ObjectID);
-  }
+  Obj->Children.assign(CS.NumSlots, nullptr);
+  for (size_t K = 0; K != CS.SlotFields.size(); ++K)
+    Obj->Children[CS.SlotColors[K]] =
+        allocateFieldStorage(CS.SlotFields[K], ObjectID);
   return Obj;
-}
-
-const ClassLayout &Interpreter::classLayout(const ClassDecl *CD) {
-  const ClassLayout *&L = Layouts[CD->declID()];
-  if (!L)
-    L = &Layout.layout(CD);
-  return *L;
 }
 
 void Interpreter::traceAlloc(Storage *Obj, const ClassDecl *CD,
                              uint64_t Count) {
   if (!Options.Trace)
     return;
-  uint64_t Bytes = Count * classLayout(CD).CompleteSize;
+  uint64_t Bytes = Count * Objects.slots(Objects.classIndex(CD)).CompleteSize;
   Options.Trace->recordAlloc(Obj->ObjectID, CD, Count, Bytes);
   Obj->Traced = true;
 }
@@ -196,14 +163,14 @@ void Interpreter::defaultConstructBasesAndMembers(Storage *Obj,
       construct(Obj, BS.Base, arityCtor(BS.Base, 0), {},
                 /*MostDerived=*/false);
   for (const FieldDecl *F : CD->fields()) {
-    Storage *FS = Obj->Fields.at(F);
+    Storage *FS = memberOf(Obj, F);
     if (const ClassDecl *Member = F->type()->asClassDecl()) {
       construct(FS, Member, arityCtor(Member, 0), {}, /*MostDerived=*/true);
       continue;
     }
     if (const auto *AT = dyn_cast<ArrayType>(F->type()))
       if (const ClassDecl *Elem = AT->element()->asClassDecl())
-        for (Storage *ES : FS->Elems)
+        for (Storage *ES : FS->Children)
           construct(ES, Elem, arityCtor(Elem, 0), {}, /*MostDerived=*/true);
   }
 }
@@ -282,7 +249,7 @@ void Interpreter::construct(Storage *Obj, const ClassDecl *CD,
       construct(Obj, BS.Base, arityCtor(BS.Base, 0), {}, false);
   }
   for (const FieldDecl *Field : CD->fields()) {
-    Storage *FS = Obj->Fields.at(Field);
+    Storage *FS = memberOf(Obj, Field);
     const CtorInitializer *Init = FindInit(
         [&](const CtorInitializer &I) { return I.Field == Field; });
     if (const ClassDecl *Member = Field->type()->asClassDecl()) {
@@ -294,7 +261,7 @@ void Interpreter::construct(Storage *Obj, const ClassDecl *CD,
     }
     if (const auto *AT = dyn_cast<ArrayType>(Field->type())) {
       if (const ClassDecl *Elem = AT->element()->asClassDecl())
-        for (Storage *ES : FS->Elems)
+        for (Storage *ES : FS->Children)
           construct(ES, Elem, arityCtor(Elem, 0), {}, true);
       continue;
     }
@@ -325,14 +292,15 @@ void Interpreter::destroy(Storage *Obj, const ClassDecl *CD,
   const auto &Fields = CD->fields();
   for (auto It = Fields.rbegin(), E = Fields.rend(); It != E; ++It) {
     const FieldDecl *Field = *It;
-    Storage *FS = Obj->Fields.at(Field);
+    Storage *FS = memberOf(Obj, Field);
     if (const ClassDecl *Member = Field->type()->asClassDecl()) {
       destroy(FS, Member, true);
       continue;
     }
     if (const auto *AT = dyn_cast<ArrayType>(Field->type()))
       if (const ClassDecl *Elem = AT->element()->asClassDecl())
-        for (auto EIt = FS->Elems.rbegin(); EIt != FS->Elems.rend(); ++EIt)
+        for (auto EIt = FS->Children.rbegin(); EIt != FS->Children.rend();
+             ++EIt)
           destroy(*EIt, Elem, true);
   }
   // Bases in reverse order.
@@ -351,26 +319,49 @@ void Interpreter::destroy(Storage *Obj, const ClassDecl *CD,
 /// use-after-free.
 static void markDeadRecursive(Storage *S) {
   S->Alive = false;
-  for (auto &[Field, FS] : S->Fields)
-    markDeadRecursive(FS);
-  for (Storage *ES : S->Elems)
-    markDeadRecursive(ES);
+  for (Storage *C : S->Children)
+    if (C)
+      markDeadRecursive(C);
 }
 
 void Interpreter::destroyCompleteObject(Storage *Obj) {
   if (!Obj->Alive)
     fail("double destruction of object");
   if (Obj->Kind == Storage::SK::Object) {
-    destroy(Obj, Obj->Class, /*MostDerived=*/true);
-  } else if (Obj->Kind == Storage::SK::Array) {
-    if (const ClassDecl *Elem = Obj->ElemType->asClassDecl())
-      for (auto It = Obj->Elems.rbegin(); It != Obj->Elems.rend(); ++It)
-        destroy(*It, Elem, /*MostDerived=*/true);
+    destroy(Obj, Objects.slots(Obj->ClassIdx).Decl, /*MostDerived=*/true);
+  } else if (Obj->Kind == Storage::SK::Array && Obj->ClassIdx != NoClass) {
+    const ClassDecl *Elem = Objects.slots(Obj->ClassIdx).Decl;
+    for (auto It = Obj->Children.rbegin(); It != Obj->Children.rend(); ++It)
+      destroy(*It, Elem, /*MostDerived=*/true);
   }
   traceFree(Obj);
   if (Options.Profiler)
     Options.Profiler->recordFree(Obj->ObjectID);
   markDeadRecursive(Obj);
+}
+
+void Interpreter::copyMembers(Storage *Dst, Storage *Src, bool InitForm) {
+  if (Dst->Kind == Storage::SK::Scalar && Src->Kind == Storage::SK::Scalar) {
+    if (Dst->OwnerField) {
+      if (!InitForm && Options.Heat)
+        Options.Heat->noteWrite(Dst->OwnerField);
+      if (Options.Profiler)
+        Options.Profiler->recordWrite(Dst->ObjectID, Dst->OwnerField);
+    }
+    Dst->V = loadScalar(Src);
+    return;
+  }
+  if (Dst->Kind == Storage::SK::Object) {
+    const ClassSlots &CS = Objects.slots(Dst->ClassIdx);
+    for (size_t K = 0; K != CS.SlotFields.size(); ++K)
+      if (Storage *From = Src->member(CS.SlotFields[K], CS.SlotColors[K]))
+        copyMembers(Dst->Children[CS.SlotColors[K]], From, InitForm);
+    return;
+  }
+  if (Dst->Kind == Storage::SK::Array && Src->Kind == Storage::SK::Array)
+    for (size_t E = 0; E < Dst->Children.size() && E < Src->Children.size();
+         ++E)
+      copyMembers(Dst->Children[E], Src->Children[E], InitForm);
 }
 
 //===----------------------------------------------------------------------===//
@@ -405,9 +396,9 @@ Value Interpreter::callBuiltin(const FunctionDecl *FD,
         Output += static_cast<char>(loadScalar(P.Pointee).asInt());
       return Value::unit();
     }
-    for (size_t I = static_cast<size_t>(P.Index); I < P.Array->Elems.size();
+    for (size_t I = static_cast<size_t>(P.Index); I < P.Array->Children.size();
          ++I) {
-      char C = static_cast<char>(loadScalar(P.Array->Elems[I]).asInt());
+      char C = static_cast<char>(loadScalar(P.Array->Children[I]).asInt());
       if (C == 0)
         break;
       Output += C;
@@ -528,30 +519,8 @@ void Interpreter::execVarDecl(const VarDecl *V,
     if (V->init()) {
       // Copy-initialization: memberwise copy from the source object.
       Value Src = evalRValue(V->init());
-      if (Src.Kind == Value::VK::Ptr && !Src.Ptr.isNull()) {
-        struct Copier {
-          Interpreter &I;
-          void copy(Storage *Dst, Storage *SrcS) {
-            if (Dst->Kind == Storage::SK::Scalar &&
-                SrcS->Kind == Storage::SK::Scalar) {
-              if (Dst->OwnerField && I.Options.Profiler)
-                I.Options.Profiler->recordWrite(Dst->ObjectID,
-                                                Dst->OwnerField);
-              Dst->V = I.loadScalar(SrcS);
-              return;
-            }
-            if (Dst->Kind == Storage::SK::Object)
-              for (auto &[Field, FS] : Dst->Fields)
-                if (SrcS->Fields.count(Field))
-                  copy(FS, SrcS->Fields.at(Field));
-            if (Dst->Kind == Storage::SK::Array)
-              for (size_t E = 0;
-                   E < Dst->Elems.size() && E < SrcS->Elems.size(); ++E)
-                copy(Dst->Elems[E], SrcS->Elems[E]);
-          }
-        };
-        Copier{*this}.copy(Obj, Src.Ptr.Pointee);
-      }
+      if (Src.Kind == Value::VK::Ptr && !Src.Ptr.isNull())
+        copyMembers(Obj, Src.Ptr.Pointee, /*InitForm=*/true);
     } else {
       std::vector<Value> Args;
       const ConstructorDecl *Ctor = V->ctor();
@@ -570,24 +539,25 @@ void Interpreter::execVarDecl(const VarDecl *V,
   }
 
   if (const auto *AT = dyn_cast<ArrayType>(Ty)) {
-    Storage *Arr = Arena.createArray(AT->element(), nullptr);
+    const ClassDecl *Elem = AT->element()->asClassDecl();
+    Storage *Arr =
+        Arena.createArray(Elem ? Objects.classIndex(Elem) : NoClass, nullptr);
     // Each array element is a complete object of its own: reserve one
     // ID per element so the shadow profiler can track them separately.
     uint64_t ID = NextObjectID;
     NextObjectID += std::max<uint64_t>(AT->size(), 1);
     Arr->ObjectID = ID;
-    const ClassDecl *Elem = AT->element()->asClassDecl();
     if (Elem && Options.Profiler)
       Options.Profiler->registerObjects(Elem, AT->size(), ID, V->location());
     for (uint64_t I = 0; I != AT->size(); ++I) {
       if (Elem) {
         Storage *ES = allocateObject(Elem, nullptr, ID + I);
         construct(ES, Elem, arityCtor(Elem, 0), {}, true);
-        Arr->Elems.push_back(ES);
+        Arr->Children.push_back(ES);
       } else {
         Storage *ES = Arena.createScalar();
         ES->V = zeroValue(AT->element());
-        Arr->Elems.push_back(ES);
+        Arr->Children.push_back(ES);
       }
     }
     if (Elem) {
@@ -789,10 +759,10 @@ Storage *Interpreter::evalLValue(const Expr *E) {
       Storage *This = Stack.empty() ? nullptr : Stack.back().This;
       if (!This)
         fail("member '" + Field->name() + "' used outside a method");
-      auto It = This->Fields.find(Field);
-      if (It == This->Fields.end())
+      Storage *FS = memberOf(This, Field);
+      if (!FS)
         fail("object has no storage for member '" + Field->name() + "'");
-      return It->second;
+      return FS;
     }
     fail("cannot take the location of '" + std::string(DRE->declName()) +
          "'");
@@ -803,10 +773,10 @@ Storage *Interpreter::evalLValue(const Expr *E) {
     if (!Field)
       fail("member expression does not name a data member");
     Storage *Obj = evalObjectBase(ME->base(), ME->isArrow());
-    auto It = Obj->Fields.find(Field);
-    if (It == Obj->Fields.end())
+    Storage *FS = memberOf(Obj, Field);
+    if (!FS)
       fail("object has no storage for member '" + Field->name() + "'");
-    return It->second;
+    return FS;
   }
   case Expr::Kind::MemberPointerAccess: {
     const auto *MPA = cast<MemberPointerAccessExpr>(E);
@@ -814,10 +784,10 @@ Storage *Interpreter::evalLValue(const Expr *E) {
     Value PM = evalRValue(MPA->pointer());
     if (PM.Kind != Value::VK::MemberPtr || !PM.Member)
       fail("'.*' through null pointer-to-member");
-    auto It = Obj->Fields.find(PM.Member);
-    if (It == Obj->Fields.end())
+    Storage *FS = memberOf(Obj, PM.Member);
+    if (!FS)
       fail("object has no member for pointer-to-member access");
-    return It->second;
+    return FS;
   }
   case Expr::Kind::Subscript: {
     const auto *SE = cast<SubscriptExpr>(E);
@@ -825,9 +795,9 @@ Storage *Interpreter::evalLValue(const Expr *E) {
     const Type *BaseTy = SE->base()->type();
     if (BaseTy && BaseTy->isArray()) {
       Storage *Arr = evalLValue(SE->base());
-      if (Index < 0 || static_cast<size_t>(Index) >= Arr->Elems.size())
+      if (Index < 0 || static_cast<size_t>(Index) >= Arr->Children.size())
         fail("array index out of bounds");
-      return Arr->Elems[static_cast<size_t>(Index)];
+      return Arr->Children[static_cast<size_t>(Index)];
     }
     Value P = evalRValue(SE->base());
     if (P.Kind != Value::VK::Ptr || P.Ptr.isNull())
@@ -839,9 +809,9 @@ Storage *Interpreter::evalLValue(const Expr *E) {
     }
     long long Absolute = intAdd(P.Ptr.Index, Index);
     if (Absolute < 0 ||
-        static_cast<size_t>(Absolute) >= P.Ptr.Array->Elems.size())
+        static_cast<size_t>(Absolute) >= P.Ptr.Array->Children.size())
       fail("pointer subscript out of bounds");
-    return P.Ptr.Array->Elems[static_cast<size_t>(Absolute)];
+    return P.Ptr.Array->Children[static_cast<size_t>(Absolute)];
   }
   case Expr::Kind::Unary: {
     const auto *UE = cast<UnaryExpr>(E);
@@ -893,7 +863,7 @@ Value Interpreter::evalRValue(const Expr *E) {
     Pointer P;
     P.Array = Arr;
     P.Index = 0;
-    P.Pointee = Arr->Elems.empty() ? nullptr : Arr->Elems[0];
+    P.Pointee = Arr->Children.empty() ? nullptr : Arr->Children[0];
     return Value::ofPtr(P);
   }
   case Expr::Kind::This: {
@@ -978,7 +948,7 @@ Value Interpreter::loadOrDecay(Storage *S) {
     Pointer P;
     P.Array = S;
     P.Index = 0;
-    P.Pointee = S->Elems.empty() ? nullptr : S->Elems[0];
+    P.Pointee = S->Children.empty() ? nullptr : S->Children[0];
     return Value::ofPtr(P);
   }
   }
@@ -992,8 +962,8 @@ static Pointer advancePointer(Pointer P, long long Delta) {
     return P; // Arithmetic on a non-array pointer: only +0 is meaningful.
   P.Index = intAdd(P.Index, Delta);
   P.Pointee = (P.Index >= 0 &&
-               static_cast<size_t>(P.Index) < P.Array->Elems.size())
-                  ? P.Array->Elems[static_cast<size_t>(P.Index)]
+               static_cast<size_t>(P.Index) < P.Array->Children.size())
+                  ? P.Array->Children[static_cast<size_t>(P.Index)]
                   : nullptr;
   return P;
 }
@@ -1037,8 +1007,8 @@ Value Interpreter::evalUnary(const UnaryExpr *E) {
       }
       P.Index = Index;
       P.Pointee = (Index >= 0 &&
-                   static_cast<size_t>(Index) < P.Array->Elems.size())
-                      ? P.Array->Elems[static_cast<size_t>(Index)]
+                   static_cast<size_t>(Index) < P.Array->Children.size())
+                      ? P.Array->Children[static_cast<size_t>(Index)]
                       : nullptr;
       if (Options.Profiler && P.Array->OwnerField)
         Options.Profiler->recordAddrTaken(P.Array->ObjectID,
@@ -1208,32 +1178,7 @@ Value Interpreter::evalAssign(const AssignExpr *E) {
     Value Src = evalRValue(E->rhs());
     if (Src.Kind != Value::VK::Ptr || Src.Ptr.isNull())
       fail("class assignment from non-object");
-    struct Copier {
-      Interpreter &I;
-      void copy(Storage *DstS, Storage *SrcS) {
-        if (DstS->Kind == Storage::SK::Scalar &&
-            SrcS->Kind == Storage::SK::Scalar) {
-          if (DstS->OwnerField) {
-            if (I.Options.Heat)
-              I.Options.Heat->noteWrite(DstS->OwnerField);
-            if (I.Options.Profiler)
-              I.Options.Profiler->recordWrite(DstS->ObjectID,
-                                              DstS->OwnerField);
-          }
-          DstS->V = I.loadScalar(SrcS);
-          return;
-        }
-        if (DstS->Kind == Storage::SK::Object)
-          for (auto &[Field, FS] : DstS->Fields)
-            if (SrcS->Fields.count(Field))
-              copy(FS, SrcS->Fields.at(Field));
-        if (DstS->Kind == Storage::SK::Array)
-          for (size_t EI = 0;
-               EI < DstS->Elems.size() && EI < SrcS->Elems.size(); ++EI)
-            copy(DstS->Elems[EI], SrcS->Elems[EI]);
-      }
-    };
-    Copier{*this}.copy(Dst, Src.Ptr.Pointee);
+    copyMembers(Dst, Src.Ptr.Pointee, /*InitForm=*/false);
     return Src;
   }
 
@@ -1318,7 +1263,10 @@ Value Interpreter::evalCall(const CallExpr *Call) {
         fail("method call without receiver object");
 
       if (Call->isVirtualCall()) {
-        const ClassDecl *Dyn = This->Class;
+        if (This->Kind != Storage::SK::Object)
+          fail("virtual call of '" + M->qualifiedName() +
+               "' on a non-object receiver");
+        const ClassDecl *Dyn = Objects.slots(This->ClassIdx).Decl;
         // Virtual dispatch on the object currently being constructed or
         // destroyed resolves against that class, as in C++.
         if (!Stack.empty() && Stack.back().DispatchClass &&
@@ -1363,12 +1311,13 @@ Value Interpreter::evalNew(const NewExpr *N) {
     long long Count = evalRValue(N->arraySize()).asInt();
     if (Count < 0)
       fail("negative array-new extent");
-    Storage *Arr = Arena.createArray(Ty, nullptr);
+    const ClassDecl *Elem = Ty->asClassDecl();
+    Storage *Arr =
+        Arena.createArray(Elem ? Objects.classIndex(Elem) : NoClass, nullptr);
     // One ID per element (see execVarDecl's array case).
     uint64_t ID = NextObjectID;
     NextObjectID += std::max<uint64_t>(static_cast<uint64_t>(Count), 1);
     Arr->ObjectID = ID;
-    const ClassDecl *Elem = Ty->asClassDecl();
     if (Elem) {
       if (Options.Profiler)
         Options.Profiler->registerObjects(
@@ -1382,17 +1331,17 @@ Value Interpreter::evalNew(const NewExpr *N) {
         Storage *ES =
             allocateObject(Elem, nullptr, ID + static_cast<uint64_t>(I));
         construct(ES, Elem, arityCtor(Elem, 0), {}, true);
-        Arr->Elems.push_back(ES);
+        Arr->Children.push_back(ES);
       } else {
         Storage *ES = Arena.createScalar();
         ES->V = zeroValue(Ty);
-        Arr->Elems.push_back(ES);
+        Arr->Children.push_back(ES);
       }
     }
     Pointer P;
     P.Array = Arr;
     P.Index = 0;
-    P.Pointee = Arr->Elems.empty() ? nullptr : Arr->Elems[0];
+    P.Pointee = Arr->Children.empty() ? nullptr : Arr->Children[0];
     return Value::ofPtr(P);
   }
 
@@ -1481,15 +1430,15 @@ Storage *Interpreter::stringStorage(const StringLiteralExpr *S) {
   auto It = StringLiterals.find(S);
   if (It != StringLiterals.end())
     return It->second;
-  Storage *Arr = Arena.createArray(nullptr, nullptr);
+  Storage *Arr = Arena.createArray(NoClass);
   for (char C : S->value()) {
     Storage *CS = Arena.createScalar();
     CS->V = Value::ofChar(C);
-    Arr->Elems.push_back(CS);
+    Arr->Children.push_back(CS);
   }
   Storage *Nul = Arena.createScalar();
   Nul->V = Value::ofChar(0);
-  Arr->Elems.push_back(Nul);
+  Arr->Children.push_back(Nul);
   StringLiterals[S] = Arr;
   return Arr;
 }

@@ -31,6 +31,7 @@
 #include "hierarchy/ClassHierarchy.h"
 #include "hierarchy/ObjectLayout.h"
 #include "interp/Memory.h"
+#include "interp/ObjectModel.h"
 #include "interp/Value.h"
 #include "trace/AllocationTrace.h"
 
@@ -117,7 +118,10 @@ private:
   Storage *allocateObject(const ClassDecl *CD, const FieldDecl *Owner,
                           uint64_t ObjectID);
   Storage *allocateFieldStorage(const FieldDecl *F, uint64_t ObjectID);
-  const ClassLayout &classLayout(const ClassDecl *CD);
+  /// Storage::member at F's slot color.
+  Storage *memberOf(Storage *Obj, const FieldDecl *F) const {
+    return Obj->member(F, Objects.fieldColor(F));
+  }
   void traceAlloc(Storage *Obj, const ClassDecl *CD, uint64_t Count);
   void traceFree(Storage *Obj);
   void construct(Storage *Obj, const ClassDecl *CD,
@@ -126,9 +130,15 @@ private:
   void defaultConstructBasesAndMembers(Storage *Obj, const ClassDecl *CD,
                                        bool MostDerived);
   void destroy(Storage *Obj, const ClassDecl *CD, bool MostDerived);
-  /// Runs the full destruction (dynamic dispatch from Obj->Class) and
-  /// records the trace event.
+  /// Runs the full destruction (dynamic dispatch from the object's
+  /// class) and records the trace event.
   void destroyCompleteObject(Storage *Obj);
+  /// Memberwise copy of Src into Dst: each slot of Dst's class is copied
+  /// from the node at the same color of Src only when that node realizes
+  /// the same field. \p InitForm (copy-initialization) attributes each
+  /// scalar write to the profiler only; class assignment also counts it
+  /// in FieldHeat.
+  void copyMembers(Storage *Dst, Storage *Src, bool InitForm);
   /// @}
 
   /// \name Execution
@@ -174,10 +184,7 @@ private:
   const ClassHierarchy &CH;
   InterpOptions Options;
   LayoutEngine Layout;
-  /// Each class's full layout, indexed by declID() and filled on the
-  /// class's first allocation, so allocations do not hash into Layout's
-  /// cache (whose entries never move).
-  std::vector<const ClassLayout *> Layouts;
+  ObjectModel Objects;
 
   MemoryArena Arena;
   /// A deque so references to a frame stay valid while nested calls

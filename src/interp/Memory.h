@@ -1,15 +1,16 @@
-//===-- interp/Memory.h - Interpreter storage model -------------*- C++ -*-==//
+//===-- interp/Memory.h - Storage nodes of both engines ---------*- C++ -*-==//
 //
 // Part of the deadmember project (Sweeney & Tip, PLDI 1998 reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Storage nodes for the interpreter: scalars, class instances, and
-/// arrays. Scalar storages owned by a data member record that member, so
-/// every dynamic read/write can be attributed to a FieldDecl — the hook
-/// the soundness property tests and the dynamic dead-space measurements
-/// rely on.
+/// Storage nodes shared by both execution engines: scalars, class
+/// instances, and arrays. Scalar storages owned by a data member record
+/// that member, so every dynamic read/write can be attributed to a
+/// FieldDecl — the hook the soundness property tests and the dynamic
+/// dead-space measurements rely on. An object's field nodes sit at
+/// their slot colors (interp/ObjectModel.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,23 +18,30 @@
 #define DMM_INTERP_MEMORY_H
 
 #include "ast/Decl.h"
+#include "interp/ObjectModel.h"
 #include "interp/Value.h"
 
 #include <memory>
 #include <new>
-#include <unordered_map>
 #include <vector>
 
 namespace dmm {
 
 /// One storage node. A tagged union of scalar / object / array.
 struct Storage {
-  enum class SK { Scalar, Object, Array };
+  enum class SK : uint8_t { Scalar, Object, Array };
 
   SK Kind = SK::Scalar;
-  /// Bytecode VM only: the Module::Classes index of an object's class,
-  /// or of a class array's element class (0 otherwise).
-  uint32_t ClassPlanIdx = 0;
+  bool Alive = true; ///< Cleared on delete / scope exit (use-after-free
+                     ///< detection).
+  /// Set on the one node an allocation-trace record names (a complete
+  /// object, or the array of a class-array allocation) until it is
+  /// freed. Field subobjects and array elements share that node's
+  /// ObjectID, so the ID alone cannot tell which node a free names.
+  bool Traced = false;
+  /// ObjectModel index of an object's class, or of a class array's
+  /// element class; NoClass for scalars and other arrays.
+  uint32_t ClassIdx = NoClass;
 
   /// The data member this storage (or aggregate) realizes, when it is a
   /// field subobject; null for locals, globals, temporaries, and array
@@ -43,34 +51,26 @@ struct Storage {
   /// Scalar payload.
   Value V;
 
-  /// Object payload.
-  const ClassDecl *Class = nullptr;
-  std::unordered_map<const FieldDecl *, Storage *> Fields;
-  /// Dense field-slot vector used by the bytecode VM (src/vm): indexed
-  /// by the module-wide slot color of a FieldDecl, holes null. The
-  /// tree-walking interpreter populates Fields instead; the VM fills
-  /// Slots eagerly and materializes Fields lazily only for memberwise
-  /// copies (where hash-map iteration order is part of the observable
-  /// event order both engines must share).
-  std::vector<Storage *> Slots;
   /// Identity of the complete object this node belongs to (for trace
   /// attribution); 0 when not part of a traced object.
   uint64_t ObjectID = 0;
 
-  /// Array payload.
-  const Type *ElemType = nullptr;
-  std::vector<Storage *> Elems;
+  /// An object's field nodes, indexed by slot color (holes null), or an
+  /// array's elements.
+  std::vector<Storage *> Children;
 
-  bool Alive = true; ///< Cleared on delete / scope exit (use-after-free
-                     ///< detection).
-  /// Set on the one node an allocation-trace record names (a complete
-  /// object, or the array of a class-array allocation) until it is
-  /// freed. Field subobjects and array elements share that node's
-  /// ObjectID, so the ID alone cannot tell which node a free names.
-  bool Traced = false;
+  /// The node realizing \p F, whose slot color is \p Color, when this
+  /// is an object that lays F out; null otherwise. Colors are shared
+  /// between fields of unrelated classes, so the slot must realize F.
+  Storage *member(const FieldDecl *F, uint32_t Color) const {
+    if (Kind != SK::Object || Color >= Children.size())
+      return nullptr;
+    Storage *S = Children[Color];
+    return S && S->OwnerField == F ? S : nullptr;
+  }
 };
 
-static_assert(sizeof(Storage) <= 184,
+static_assert(sizeof(Storage) <= 96,
               "the arena carves 1024 nodes per chunk; keep a node small");
 
 /// Owns all Storage nodes of one execution; addresses are stable. Nodes
@@ -95,20 +95,21 @@ public:
     return S;
   }
 
-  Storage *createObject(const ClassDecl *CD,
+  Storage *createObject(uint32_t ClassIdx,
                         const FieldDecl *Owner = nullptr) {
     Storage *S = create();
     S->Kind = Storage::SK::Object;
-    S->Class = CD;
+    S->ClassIdx = ClassIdx;
     S->OwnerField = Owner;
     return S;
   }
 
-  Storage *createArray(const Type *ElemType,
+  /// \p ElemClassIdx is NoClass unless the elements are objects.
+  Storage *createArray(uint32_t ElemClassIdx,
                        const FieldDecl *Owner = nullptr) {
     Storage *S = create();
     S->Kind = Storage::SK::Array;
-    S->ElemType = ElemType;
+    S->ClassIdx = ElemClassIdx;
     S->OwnerField = Owner;
     return S;
   }

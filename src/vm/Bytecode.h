@@ -14,13 +14,10 @@
 /// allocation sites, string literals, virtually called methods, and
 /// failure messages. The pool and side tables grow as functions compile.
 ///
-/// Member offsets: every FieldDecl in the program gets one module-wide
-/// *slot color* such that any two fields that co-occur in some class's
-/// complete-object layout (LayoutEngine::layout().AllFields) have
-/// distinct colors. An object's Storage::Slots vector is sized to its
-/// class's color count, so a compiled member access is a bounds check
-/// plus one indexed load — valid for any dynamic receiver class, since
-/// a field keeps its color in every class that embeds it.
+/// Member offsets: a compiled member access names the field's slot
+/// color in the object model both engines share (interp/ObjectModel.h),
+/// so it is a bounds check plus one indexed load, valid for any dynamic
+/// receiver class.
 ///
 /// Instructions are fixed width: a 16-bit opcode, five 16-bit operands
 /// (registers, local slots, small indices) and one 32-bit operand for
@@ -32,11 +29,11 @@
 #define DMM_VM_BYTECODE_H
 
 #include "ast/Decl.h"
+#include "interp/ObjectModel.h"
 #include "interp/Value.h"
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace dmm {
@@ -238,19 +235,10 @@ struct MemberPlan {
   uint32_t ElemClassIdx = 0; ///< For Class/ClassArray: Classes[] index.
 };
 
-/// Per-class object plan: slot layout, construction/destruction walk
-/// data, and the allocation-failure message.
+/// Per-class construction/destruction walk data and the
+/// allocation-failure message, parallel to the object model's classes
+/// (which hold the slot layout).
 struct ClassPlan {
-  const ClassDecl *Decl = nullptr;
-  bool Complete = false;
-  /// Unique fields of the complete object in first-occurrence
-  /// AllFields order (the interpreter's Fields-map insertion order).
-  std::vector<const FieldDecl *> SlotFields;
-  /// Parallel to SlotFields: each field's module-wide color.
-  std::vector<uint32_t> SlotColors;
-  /// Storage::Slots size for instances (1 + max color, 0 if none).
-  uint32_t NumSlots = 0;
-  uint64_t CompleteSize = 0; ///< Layout bytes, for the allocation trace.
   /// Direct members in declaration order.
   std::vector<MemberPlan> Members;
   /// Transitive virtual bases (ClassHierarchy order) and direct
@@ -260,16 +248,17 @@ struct ClassPlan {
   uint32_t Arity0Ctor = NoFunc;  ///< Functions[] index, or NoFunc.
   uint32_t DtorBody = NoFunc;    ///< Functions[] index of a destructor
                                  ///< with a body, or NoFunc.
-  std::string IncompleteMsg; ///< "cannot create object of incomplete..."
+  /// "cannot create object of incomplete class ..." for an incomplete
+  /// class; empty for a complete one.
+  std::string IncompleteMsg;
 };
 
 /// Allocation-site descriptor for array creation ops.
 struct ArrayDesc {
-  const Type *ElemType = nullptr;
-  int32_t ElemClassIdx = -1;  ///< -1 for non-class elements.
-  uint32_t ZeroConstIdx = 0;  ///< Element zero value (non-class).
-  uint64_t Count = 0;         ///< Static extent (ArrLocal only).
-  uint32_t SiteIdx = 0;       ///< Sites[] index for registerObjects.
+  uint32_t ElemClassIdx = NoClass; ///< NoClass for non-class elements.
+  uint32_t ZeroConstIdx = 0;       ///< Element zero value (non-class).
+  uint64_t Count = 0;              ///< Static extent (ArrLocal only).
+  uint32_t SiteIdx = 0;            ///< Sites[] index for registerObjects.
 };
 
 /// A method called virtually at some site: the static method plus the
@@ -280,13 +269,13 @@ struct VMethod {
   std::string FailMsg;
 };
 
-/// Sentinel for a field that no complete class lays out (no slot color).
-constexpr uint32_t NoColor = 0xFFFFFFFFu;
-
 /// A compiled program.
 struct Module {
   std::vector<Value> Consts;
   std::vector<FuncEntry> Functions;
+  /// The slot layout of every class; Classes and the dispatch tables
+  /// share its class indices.
+  ObjectModel Objects;
   std::vector<ClassPlan> Classes;
   std::vector<ArrayDesc> ArrayDescs;
   std::vector<SourceLocation> Sites;
@@ -301,19 +290,12 @@ struct Module {
   std::vector<const VarDecl *> Globals;
   uint32_t GlobalInitIdx = NoFunc;
 
-  /// Functions index of each FunctionDecl and slot color of each
-  /// FieldDecl, indexed by declID() (NoFunc / NoColor elsewhere), so
-  /// indirect calls and `.*` look them up without hashing.
+  /// Functions index of each FunctionDecl, indexed by declID() (NoFunc
+  /// elsewhere), so indirect calls look it up without hashing.
   std::vector<uint32_t> FuncIdx;
-  std::vector<uint32_t> FieldColors;
-  std::unordered_map<const ClassDecl *, uint32_t> ClassIdx;
 
   uint32_t funcIndex(const FunctionDecl *FD) const {
     return FD->declID() < FuncIdx.size() ? FuncIdx[FD->declID()] : NoFunc;
-  }
-  uint32_t fieldColor(const FieldDecl *FD) const {
-    return FD->declID() < FieldColors.size() ? FieldColors[FD->declID()]
-                                             : NoColor;
   }
 };
 

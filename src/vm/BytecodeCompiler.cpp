@@ -19,7 +19,6 @@
 #include "ast/Stmt.h"
 #include "hierarchy/ClassHierarchy.h"
 #include "hierarchy/ObjectLayout.h"
-#include "support/BitVector.h"
 
 #include <algorithm>
 #include <cassert>
@@ -27,38 +26,12 @@
 #include <set>
 #include <span>
 #include <stdexcept>
-#include <unordered_set>
+#include <unordered_map>
 
 using namespace dmm;
 using namespace dmm::vm;
 
 namespace {
-
-/// The zero value of a declared type (Interpreter.cpp zeroValue).
-Value zeroValue(const Type *Ty) {
-  if (Ty->isPointer()) {
-    if (isa<FunctionType>(cast<PointerType>(Ty)->pointee()))
-      return Value::ofFn(nullptr);
-    return Value::nullPtr();
-  }
-  if (Ty->isMemberPointer())
-    return Value::ofMemberPtr(nullptr);
-  if (const auto *BT = dyn_cast<BuiltinType>(Ty)) {
-    switch (BT->builtinKind()) {
-    case BuiltinType::BK::Double:
-      return Value::ofDouble(0.0);
-    case BuiltinType::BK::Bool:
-      return Value::ofBool(false);
-    case BuiltinType::BK::Char:
-      return Value::ofChar(0);
-    case BuiltinType::BK::NullPtr:
-      return Value::nullPtr();
-    default:
-      return Value::ofInt(0);
-    }
-  }
-  return Value::ofInt(0);
-}
 
 /// Store conversion of a declared type (convertForStore, precompiled).
 Conv convFor(const Type *Ty) {
@@ -129,7 +102,7 @@ public:
         CountDeallocationReads(CountDeallocationReads), Config(Config),
         M(M) {}
 
-  /// The module-level work: function index, globals, field coloring,
+  /// The module-level work: function index, globals, object model,
   /// class plans and the global-initializer function.
   void compileModule();
   void compileFunction(uint32_t FnIdx);
@@ -271,13 +244,12 @@ private:
     return R;
   }
 
-  uint32_t classIdx(const ClassDecl *CD) { return M.ClassIdx.at(CD); }
+  uint32_t classIdx(const ClassDecl *CD) { return M.Objects.classIndex(CD); }
   uint32_t funcIdx(const FunctionDecl *FD) { return M.funcIndex(FD); }
 
   //===--- Module construction --------------------------------------------===//
 
   void indexFunctions();
-  void colorFields();
   void buildClassPlans();
   void compileBody(FuncEntry &E);
   void compileGlobalInit();
@@ -355,8 +327,12 @@ private:
   /// Slot color for a field access, 0xFFFF when the field was never
   /// assigned one (the access then fails the slot check at run time).
   uint16_t fieldColor(const FieldDecl *Field) {
-    uint32_t Color = M.fieldColor(Field);
-    return Color == NoColor ? 0xFFFF : static_cast<uint16_t>(Color);
+    uint32_t Color = M.Objects.fieldColor(Field);
+    if (Color == NoColor)
+      return 0xFFFF;
+    if (Color >= 0xFFFF)
+      throw std::runtime_error("vm: too many slot colors");
+    return static_cast<uint16_t>(Color);
   }
 
   /// Locals mid-declaration: the tree-walker binds a scalar/reference
@@ -425,9 +401,8 @@ private:
 
   uint32_t arrayDesc(const Type *ElemTy, uint64_t Count, SourceLocation Loc) {
     ArrayDesc D;
-    D.ElemType = ElemTy;
     if (const ClassDecl *CD = ElemTy->asClassDecl())
-      D.ElemClassIdx = static_cast<int32_t>(classIdx(CD));
+      D.ElemClassIdx = classIdx(CD);
     else
       D.ZeroConstIdx = internConst(zeroValue(ElemTy));
     D.Count = Count;
@@ -458,71 +433,16 @@ void Compiler::indexFunctions() {
   }
 }
 
-void Compiler::colorFields() {
-  // Interference: two fields conflict when they co-occur in some
-  // complete class's unique field list. A base's list is contained in
-  // each derived class's, so only the classes nothing derives from
-  // (only complete classes have bases) need checking; each keeps the
-  // set of colors it uses. Greedy coloring in global first-appearance
-  // order.
-  std::unordered_set<const ClassDecl *> Covered;
-  for (const ClassDecl *CD : Ctx.classes())
-    for (const BaseSpecifier &BS : CD->bases())
-      Covered.insert(BS.Base);
-
-  std::vector<BitVector> Used; // Per checked class.
-  std::unordered_map<const FieldDecl *, std::vector<uint32_t>> FieldClasses;
-  std::vector<const FieldDecl *> Order;
-  for (const ClassDecl *CD : Ctx.classes()) {
-    if (!CD->isComplete())
-      continue;
-    bool Checked = !Covered.count(CD);
-    uint32_t CI = static_cast<uint32_t>(Used.size());
-    for (const FieldSlot &Slot : Layout.layout(CD).AllFields) {
-      auto [It, Fresh] = FieldClasses.try_emplace(Slot.Field);
-      if (Fresh)
-        Order.push_back(Slot.Field);
-      if (Checked && (It->second.empty() || It->second.back() != CI))
-        It->second.push_back(CI);
-    }
-    if (Checked)
-      Used.emplace_back();
-  }
-  M.FieldColors.assign(Ctx.numDecls(), NoColor);
-  for (const FieldDecl *FD : Order) {
-    const std::vector<uint32_t> &In = FieldClasses[FD];
-    uint32_t Color = 0;
-    while (std::any_of(In.begin(), In.end(),
-                       [&](uint32_t CI) { return Used[CI].test(Color); }))
-      ++Color;
-    for (uint32_t CI : In)
-      Used[CI].set(Color);
-    M.FieldColors[FD->declID()] = Color;
-  }
-}
-
 void Compiler::buildClassPlans() {
-  for (const ClassDecl *CD : Ctx.classes())
-    M.ClassIdx.emplace(CD, static_cast<uint32_t>(M.Classes.size())),
-        M.Classes.push_back(ClassPlan{});
+  M.Objects = ObjectModel(Ctx, Layout);
+  M.Classes.resize(M.Objects.numClasses());
   for (const ClassDecl *CD : Ctx.classes()) {
     ClassPlan &P = M.Classes[classIdx(CD)];
-    P.Decl = CD;
-    P.Complete = CD->isComplete();
-    P.IncompleteMsg =
-        "cannot create object of incomplete class '" + CD->name() + "'";
-    if (!P.Complete)
+    if (!CD->isComplete()) {
+      P.IncompleteMsg =
+          "cannot create object of incomplete class '" + CD->name() + "'";
       continue;
-    std::set<const FieldDecl *> Seen;
-    for (const FieldSlot &Slot : Layout.layout(CD).AllFields) {
-      if (!Seen.insert(Slot.Field).second)
-        continue; // Repeated non-virtual base: share the first subobject.
-      P.SlotFields.push_back(Slot.Field);
-      uint32_t Color = M.fieldColor(Slot.Field);
-      P.SlotColors.push_back(Color);
-      P.NumSlots = std::max(P.NumSlots, Color + 1);
     }
-    P.CompleteSize = Layout.layout(CD).CompleteSize;
     for (const ClassDecl *VB : CH.virtualBases(CD))
       P.VBases.push_back(classIdx(VB));
     for (const BaseSpecifier &BS : CD->bases())
@@ -531,7 +451,7 @@ void Compiler::buildClassPlans() {
     for (const FieldDecl *Field : CD->fields()) {
       MemberPlan MP;
       MP.Field = Field;
-      MP.SlotColor = M.fieldColor(Field);
+      MP.SlotColor = M.Objects.fieldColor(Field);
       if (const ClassDecl *Member = Field->type()->asClassDecl()) {
         MP.Kind = MemberPlan::MK::Class;
         MP.ElemClassIdx = classIdx(Member);
@@ -683,7 +603,7 @@ void Compiler::compileBody(FuncEntry &E) {
     if (!P.VBases.empty()) {
       size_t Skip = emit(Op::JmpNMD, 0, 0, 0, 0, 0, NoTarget);
       for (uint32_t VBI : P.VBases) {
-        const ClassDecl *VB = M.Classes[VBI].Decl;
+        const ClassDecl *VB = M.Objects.slots(VBI).Decl;
         const CtorInitializer *Init = FindInit(
             [&](const CtorInitializer &I) { return I.Base == VB; });
         EmitCtorCall(This, VBI, Init, M.Classes[VBI].Arity0Ctor, false);
@@ -691,7 +611,7 @@ void Compiler::compileBody(FuncEntry &E) {
       patch(Skip);
     }
     for (uint32_t BI : P.NVBases) {
-      const ClassDecl *Base = M.Classes[BI].Decl;
+      const ClassDecl *Base = M.Objects.slots(BI).Decl;
       const CtorInitializer *Init = FindInit(
           [&](const CtorInitializer &I) { return I.Base == Base; });
       EmitCtorCall(This, BI, Init, M.Classes[BI].Arity0Ctor, false);
@@ -704,7 +624,7 @@ void Compiler::compileBody(FuncEntry &E) {
       case MemberPlan::MK::Class: {
         uint16_t FP = allocTmp();
         emit(Op::FieldPlace, FP, This,
-             static_cast<uint16_t>(MP.SlotColor), fieldIdx(MP.Field), 0,
+             fieldColor(MP.Field), fieldIdx(MP.Field), 0,
              msg("object has no storage for member '" +
                  MP.Field->name() + "'"));
         EmitCtorCall(FP, MP.ElemClassIdx, Init,
@@ -714,7 +634,7 @@ void Compiler::compileBody(FuncEntry &E) {
       case MemberPlan::MK::ClassArray: {
         uint16_t FP = allocTmp();
         emit(Op::FieldPlace, FP, This,
-             static_cast<uint16_t>(MP.SlotColor), fieldIdx(MP.Field), 0,
+             fieldColor(MP.Field), fieldIdx(MP.Field), 0,
              msg("object has no storage for member '" +
                  MP.Field->name() + "'"));
         emit(Op::CtorElems, FP, 0, 0, 0, 0, MP.ElemClassIdx);
@@ -726,7 +646,7 @@ void Compiler::compileBody(FuncEntry &E) {
           uint16_t V = rval(Init->Args[0]);
           uint16_t FP = allocTmp();
           emit(Op::FieldPlace, FP, This,
-               static_cast<uint16_t>(MP.SlotColor), fieldIdx(MP.Field), 0,
+               fieldColor(MP.Field), fieldIdx(MP.Field), 0,
                msg("object has no storage for member '" +
                    MP.Field->name() + "'"));
           emit(Op::StoreAt, FP, V,
@@ -767,7 +687,6 @@ void Compiler::compileModule() {
     GlobalIdx.emplace(GV, static_cast<uint32_t>(M.Globals.size()));
     M.Globals.push_back(GV);
   }
-  colorFields();
   buildClassPlans();
   compileGlobalInit();
 }

@@ -14,8 +14,9 @@
 /// oracle demand byte-identical behaviour from both executors.
 ///
 /// Key lowering decisions (docs/VM.md):
-///  - a module-wide field coloring turns member accesses into dense
-///    Storage::Slots indices valid for any receiver class;
+///  - member accesses compile to the fields' slot colors in the shared
+///    object model (interp/ObjectModel.h), dense Storage::Children
+///    indices valid for any receiver class;
 ///  - scalar locals whose address is never taken (no AddrOf, never
 ///    bound to a reference) live in registers; everything else is
 ///    storage-backed so use-after-free and attribution semantics match
@@ -54,7 +55,7 @@ class Compiler;
 
 /// Compiles a program into a Module one function at a time. The
 /// constructor does the module-level work: the function index (every
-/// entry, none of them compiled yet), the globals, field coloring,
+/// entry, none of them compiled yet), the globals, the object model,
 /// class plans and the global-initializer function. compileFunction
 /// then lowers one function body when the VM first enters it (Alive2's
 /// `Interpreter::start(IR::Function&)` shape). Total: any construct the

@@ -41,9 +41,6 @@ struct VM::VMError {
   std::string Message;
 };
 
-/// The DispatchClass of a frame that is not a constructor or destructor
-/// body.
-constexpr uint32_t NoClass = 0xFFFFFFFFu;
 /// Dispatch-table entries: not yet resolved, and resolution failed.
 constexpr uint32_t VUnfilled = NoFunc;
 constexpr uint32_t VFailed = NoFunc - 1;
@@ -51,32 +48,6 @@ constexpr uint32_t VFailed = NoFunc - 1;
 //===----------------------------------------------------------------------===//
 // Construction: module-level compile, then allocation recipes
 //===----------------------------------------------------------------------===//
-
-/// The zero value of a declared type (Interpreter.cpp zeroValue).
-static Value zeroValueOf(const Type *Ty) {
-  if (Ty->isPointer()) {
-    if (isa<FunctionType>(cast<PointerType>(Ty)->pointee()))
-      return Value::ofFn(nullptr);
-    return Value::nullPtr();
-  }
-  if (Ty->isMemberPointer())
-    return Value::ofMemberPtr(nullptr);
-  if (const auto *BT = dyn_cast<BuiltinType>(Ty)) {
-    switch (BT->builtinKind()) {
-    case BuiltinType::BK::Double:
-      return Value::ofDouble(0.0);
-    case BuiltinType::BK::Bool:
-      return Value::ofBool(false);
-    case BuiltinType::BK::Char:
-      return Value::ofChar(0);
-    case BuiltinType::BK::NullPtr:
-      return Value::nullPtr();
-    default:
-      return Value::ofInt(0);
-    }
-  }
-  return Value::ofInt(0);
-}
 
 VM::VM(const ASTContext &Ctx, const ClassHierarchy &CH, InterpOptions Options,
        CompilerConfig Config)
@@ -95,33 +66,29 @@ VM::VM(const ASTContext &Ctx, const ClassHierarchy &CH, InterpOptions Options,
       CompileError = E.what(); // Reported by run() as a runtime error.
     }
   }
-  // Per-class recipe for allocateFieldStorage, one entry per unique
-  // field slot in Fields-map insertion order.
+  // Per-class recipe for allocateFieldStorage, parallel to the class's
+  // ClassSlots::SlotFields.
   AllocPlans.resize(Mod.Classes.size());
-  for (size_t CI = 0; CI != Mod.Classes.size(); ++CI) {
-    const ClassPlan &P = Mod.Classes[CI];
-    for (size_t K = 0; K != P.SlotFields.size(); ++K) {
-      const FieldDecl *F = P.SlotFields[K];
+  for (uint32_t CI = 0; CI != Mod.Classes.size(); ++CI) {
+    const ClassSlots &CS = Mod.Objects.slots(CI);
+    for (const FieldDecl *F : CS.SlotFields) {
       SlotAlloc SA;
-      SA.Field = F;
-      SA.Color = P.SlotColors[K];
       const Type *Ty = F->type();
       if (const ClassDecl *CD = Ty->asClassDecl()) {
         SA.Kind = SlotAlloc::K::Class;
-        SA.ClassI = Mod.ClassIdx.at(CD);
+        SA.ClassI = Mod.Objects.classIndex(CD);
       } else if (const auto *AT = dyn_cast<ArrayType>(Ty)) {
-        SA.ElemType = AT->element();
         SA.Count = AT->size();
         if (const ClassDecl *Elem = AT->element()->asClassDecl()) {
           SA.Kind = SlotAlloc::K::ClassArray;
-          SA.ClassI = Mod.ClassIdx.at(Elem);
+          SA.ClassI = Mod.Objects.classIndex(Elem);
         } else {
           SA.Kind = SlotAlloc::K::ScalarArray;
-          SA.Zero = zeroValueOf(AT->element());
+          SA.Zero = zeroValue(AT->element());
         }
       } else {
         SA.Kind = SlotAlloc::K::Scalar;
-        SA.Zero = zeroValueOf(Ty);
+        SA.Zero = zeroValue(Ty);
       }
       AllocPlans[CI].push_back(SA);
     }
@@ -157,33 +124,33 @@ void VM::step() {
 // Storage construction and destruction
 //===----------------------------------------------------------------------===//
 
-Storage *VM::allocSlot(const SlotAlloc &SA, uint64_t ID) {
+Storage *VM::allocSlot(const SlotAlloc &SA, const FieldDecl *Field,
+                       uint64_t ID) {
   switch (SA.Kind) {
   case SlotAlloc::K::Class:
-    return allocObject(SA.ClassI, SA.Field, ID);
+    return allocObject(SA.ClassI, Field, ID);
   case SlotAlloc::K::ClassArray: {
-    Storage *Arr = Arena.createArray(SA.ElemType, SA.Field);
-    Arr->ClassPlanIdx = SA.ClassI;
+    Storage *Arr = Arena.createArray(SA.ClassI, Field);
     Arr->ObjectID = ID;
     for (uint64_t J = 0; J != SA.Count; ++J)
-      Arr->Elems.push_back(allocObject(SA.ClassI, SA.Field, ID));
+      Arr->Children.push_back(allocObject(SA.ClassI, Field, ID));
     return Arr;
   }
   case SlotAlloc::K::ScalarArray: {
-    Storage *Arr = Arena.createArray(SA.ElemType, SA.Field);
+    Storage *Arr = Arena.createArray(NoClass, Field);
     Arr->ObjectID = ID;
     for (uint64_t J = 0; J != SA.Count; ++J) {
-      Storage *S = Arena.createScalar(SA.Field);
+      Storage *S = Arena.createScalar(Field);
       S->V = SA.Zero;
       S->ObjectID = ID;
-      Arr->Elems.push_back(S);
+      Arr->Children.push_back(S);
     }
     return Arr;
   }
   case SlotAlloc::K::Scalar:
     break;
   }
-  Storage *S = Arena.createScalar(SA.Field);
+  Storage *S = Arena.createScalar(Field);
   S->V = SA.Zero;
   S->ObjectID = ID;
   return S;
@@ -191,26 +158,27 @@ Storage *VM::allocSlot(const SlotAlloc &SA, uint64_t ID) {
 
 Storage *VM::allocObject(uint32_t ClassI, const FieldDecl *Owner,
                          uint64_t ID) {
-  const ClassPlan &P = Mod.Classes[ClassI];
-  if (!P.Complete)
-    fail(P.IncompleteMsg);
+  const std::string &IncompleteMsg = Mod.Classes[ClassI].IncompleteMsg;
+  if (!IncompleteMsg.empty())
+    fail(IncompleteMsg);
   if (!Owner)
     ++NumCompleteObjects;
-  Storage *Obj = Arena.createObject(P.Decl, Owner);
-  Obj->ClassPlanIdx = ClassI;
+  Storage *Obj = Arena.createObject(ClassI, Owner);
   Obj->ObjectID = ID;
-  Obj->Slots.assign(P.NumSlots, nullptr);
-  for (const SlotAlloc &SA : AllocPlans[ClassI])
-    Obj->Slots[SA.Color] = allocSlot(SA, ID);
+  const ClassSlots &CS = Mod.Objects.slots(ClassI);
+  const std::vector<SlotAlloc> &Plan = AllocPlans[ClassI];
+  Obj->Children.assign(CS.NumSlots, nullptr);
+  for (size_t K = 0; K != Plan.size(); ++K)
+    Obj->Children[CS.SlotColors[K]] = allocSlot(Plan[K], CS.SlotFields[K], ID);
   return Obj;
 }
 
 void VM::traceAlloc(Storage *Obj, uint32_t ClassI, uint64_t Count) {
   if (!Options.Trace)
     return;
-  const ClassPlan &P = Mod.Classes[ClassI];
-  Options.Trace->recordAlloc(Obj->ObjectID, P.Decl, Count,
-                             Count * P.CompleteSize);
+  const ClassSlots &CS = Mod.Objects.slots(ClassI);
+  Options.Trace->recordAlloc(Obj->ObjectID, CS.Decl, Count,
+                             Count * CS.CompleteSize);
   Obj->Traced = true;
 }
 
@@ -223,11 +191,9 @@ void VM::traceFree(Storage *Obj) {
 
 void VM::markDead(Storage *S) {
   S->Alive = false;
-  for (Storage *FS : S->Slots)
-    if (FS)
-      markDead(FS);
-  for (Storage *ES : S->Elems)
-    markDead(ES);
+  for (Storage *C : S->Children)
+    if (C)
+      markDead(C);
 }
 
 void VM::destroyObj(Storage *Obj, uint32_t ClassI, bool MostDerived) {
@@ -239,10 +205,10 @@ void VM::destroyObj(Storage *Obj, uint32_t ClassI, bool MostDerived) {
   // Members in reverse declaration order, then bases in reverse.
   for (auto It = P.Members.rbegin(); It != P.Members.rend(); ++It) {
     if (It->Kind == MemberPlan::MK::Class) {
-      destroyObj(Obj->Slots[It->SlotColor], It->ElemClassIdx, true);
+      destroyObj(Obj->Children[It->SlotColor], It->ElemClassIdx, true);
     } else if (It->Kind == MemberPlan::MK::ClassArray) {
-      Storage *FS = Obj->Slots[It->SlotColor];
-      for (auto EI = FS->Elems.rbegin(); EI != FS->Elems.rend(); ++EI)
+      Storage *FS = Obj->Children[It->SlotColor];
+      for (auto EI = FS->Children.rbegin(); EI != FS->Children.rend(); ++EI)
         destroyObj(*EI, It->ElemClassIdx, true);
     }
   }
@@ -257,11 +223,10 @@ void VM::destroyCompleteObject(Storage *Obj) {
   if (!Obj->Alive)
     fail("double destruction of object");
   if (Obj->Kind == Storage::SK::Object) {
-    destroyObj(Obj, Obj->ClassPlanIdx, true);
-  } else if (Obj->Kind == Storage::SK::Array && Obj->ElemType &&
-             Obj->ElemType->asClassDecl()) {
-    for (auto It = Obj->Elems.rbegin(); It != Obj->Elems.rend(); ++It)
-      destroyObj(*It, Obj->ClassPlanIdx, true);
+    destroyObj(Obj, Obj->ClassIdx, true);
+  } else if (Obj->Kind == Storage::SK::Array && Obj->ClassIdx != NoClass) {
+    for (auto It = Obj->Children.rbegin(); It != Obj->Children.rend(); ++It)
+      destroyObj(*It, Obj->ClassIdx, true);
   }
   traceFree(Obj);
   if (Options.Profiler)
@@ -294,12 +259,12 @@ void VM::defaultConstructMembers(Storage *Obj, uint32_t ClassI,
     constructVia(Obj, B, Mod.Classes[B].Arity0Ctor, 0, 0, false);
   for (const MemberPlan &MP : P.Members) {
     if (MP.Kind == MemberPlan::MK::Class) {
-      constructVia(Obj->Slots[MP.SlotColor], MP.ElemClassIdx,
+      constructVia(Obj->Children[MP.SlotColor], MP.ElemClassIdx,
                    Mod.Classes[MP.ElemClassIdx].Arity0Ctor, 0, 0, true);
     } else if (MP.Kind == MemberPlan::MK::ClassArray) {
-      Storage *FS = Obj->Slots[MP.SlotColor];
+      Storage *FS = Obj->Children[MP.SlotColor];
       uint32_t A0 = Mod.Classes[MP.ElemClassIdx].Arity0Ctor;
-      for (Storage *ES : FS->Elems)
+      for (Storage *ES : FS->Children)
         constructVia(ES, MP.ElemClassIdx, A0, 0, 0, true);
     }
   }
@@ -361,7 +326,7 @@ Value VM::loadOrDecay(Storage *S) {
   Pointer P;
   P.Array = S;
   P.Index = 0;
-  P.Pointee = S->Elems.empty() ? nullptr : S->Elems.front();
+  P.Pointee = S->Children.empty() ? nullptr : S->Children.front();
   return Value::ofPtr(P);
 }
 
@@ -371,8 +336,8 @@ static Pointer advancePtr(Pointer P, long long Delta) {
     return P;
   P.Index = intAdd(P.Index, Delta);
   if (P.Index >= 0 &&
-      static_cast<size_t>(P.Index) < P.Array->Elems.size())
-    P.Pointee = P.Array->Elems[static_cast<size_t>(P.Index)];
+      static_cast<size_t>(P.Index) < P.Array->Children.size())
+    P.Pointee = P.Array->Children[static_cast<size_t>(P.Index)];
   else
     P.Pointee = nullptr;
   return P;
@@ -381,19 +346,6 @@ static Pointer advancePtr(Pointer P, long long Delta) {
 //===----------------------------------------------------------------------===//
 // Memberwise copies
 //===----------------------------------------------------------------------===//
-
-void VM::ensureFields(Storage *S) {
-  if (S->Kind != Storage::SK::Object || !S->Fields.empty() ||
-      S->Slots.empty())
-    return;
-  // Insert in SlotFields (first-occurrence AllFields) order: the same
-  // keys in the same order as the tree-walker's eager map, so hash-map
-  // iteration — which is part of the observable event order — matches.
-  const ClassPlan &P = Mod.Classes[S->ClassPlanIdx];
-  for (size_t K = 0; K != P.SlotFields.size(); ++K)
-    if (Storage *FS = S->Slots[P.SlotColors[K]])
-      S->Fields.emplace(P.SlotFields[K], FS);
-}
 
 void VM::copyTree(Storage *Dst, Storage *Src, bool InitForm) {
   if (Dst->Kind == Storage::SK::Scalar && Src->Kind == Storage::SK::Scalar) {
@@ -414,15 +366,16 @@ void VM::copyTree(Storage *Dst, Storage *Src, bool InitForm) {
     return;
   }
   if (Dst->Kind == Storage::SK::Object) {
-    ensureFields(Dst);
-    ensureFields(Src);
-    for (auto &[Field, FS] : Dst->Fields)
-      if (Src->Fields.count(Field))
-        copyTree(FS, Src->Fields.at(Field), InitForm);
+    const ClassSlots &CS = Mod.Objects.slots(Dst->ClassIdx);
+    for (size_t K = 0; K != CS.SlotFields.size(); ++K)
+      if (Storage *From = Src->member(CS.SlotFields[K], CS.SlotColors[K]))
+        copyTree(Dst->Children[CS.SlotColors[K]], From, InitForm);
+    return;
   }
-  if (Dst->Kind == Storage::SK::Array)
-    for (size_t E = 0; E < Dst->Elems.size() && E < Src->Elems.size(); ++E)
-      copyTree(Dst->Elems[E], Src->Elems[E], InitForm);
+  if (Dst->Kind == Storage::SK::Array && Src->Kind == Storage::SK::Array)
+    for (size_t E = 0; E < Dst->Children.size() && E < Src->Children.size();
+         ++E)
+      copyTree(Dst->Children[E], Src->Children[E], InitForm);
 }
 
 //===----------------------------------------------------------------------===//
@@ -459,9 +412,9 @@ Value VM::callBuiltin(const FuncEntry &FE, size_t ArgAbs) {
         Output += static_cast<char>(loadScalar(P.Pointee).asInt());
       return Value::unit();
     }
-    for (size_t I = static_cast<size_t>(P.Index); I < P.Array->Elems.size();
+    for (size_t I = static_cast<size_t>(P.Index); I < P.Array->Children.size();
          ++I) {
-      char C = static_cast<char>(loadScalar(P.Array->Elems[I]).asInt());
+      char C = static_cast<char>(loadScalar(P.Array->Children[I]).asInt());
       if (C == 0)
         break;
       Output += C;
@@ -521,7 +474,7 @@ uint32_t VM::resolveVirtual(uint32_t ClassI, uint32_t MethodI) {
   if (Table[MethodI] == VUnfilled) {
     ++NumVResolves;
     const MethodDecl *Target =
-        CH.resolveVirtualCall(Mod.Classes[ClassI].Decl, VMeth.Method);
+        CH.resolveVirtualCall(Mod.Objects.slots(ClassI).Decl, VMeth.Method);
     Table[MethodI] = Target ? Mod.funcIndex(Target) : VFailed;
   }
   if (Table[MethodI] == VFailed)
@@ -741,15 +694,15 @@ Storage *VM::stringStorage(uint32_t SiteIdx) {
   if (Storage *S = Strings[SiteIdx])
     return S;
   const StringLiteralExpr *SL = Mod.StringSites[SiteIdx];
-  Storage *Arr = Arena.createArray(nullptr, nullptr);
+  Storage *Arr = Arena.createArray(NoClass);
   for (char C : SL->value()) {
     Storage *CS = Arena.createScalar();
     CS->V = Value::ofChar(C);
-    Arr->Elems.push_back(CS);
+    Arr->Children.push_back(CS);
   }
   Storage *Nul = Arena.createScalar();
   Nul->V = Value::ofChar(0);
-  Arr->Elems.push_back(Nul);
+  Arr->Children.push_back(Nul);
   Strings[SiteIdx] = Arr;
   return Arr;
 }
@@ -835,7 +788,7 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
     Pointer P;
     P.Array = Arr;
     P.Index = 0;
-    P.Pointee = Arr->Elems.front();
+    P.Pointee = Arr->Children.front();
     R[I->A] = Value::ofPtr(P);
   }
   VM_NEXT();
@@ -954,14 +907,7 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
 
   VM_CASE(FieldPlace) : {
     Storage *S = R[I->B].Ptr.Pointee;
-    Storage *FS = nullptr;
-    if (S && S->Kind == Storage::SK::Object && I->C < S->Slots.size()) {
-      Storage *Cand = S->Slots[I->C];
-      // Colors are shared across unrelated classes: the slot must
-      // actually realize the requested field.
-      if (Cand && Cand->OwnerField == Mod.FieldTable[I->D])
-        FS = Cand;
-    }
+    Storage *FS = S ? S->member(Mod.FieldTable[I->D], I->C) : nullptr;
     if (!FS)
       fail(Mod.Msgs[I->X]);
     R[I->A] = Value::ofPtr({FS});
@@ -973,15 +919,8 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
     if (PM.Kind != Value::VK::MemberPtr || !PM.Member)
       fail("'.*' through null pointer-to-member");
     Storage *S = R[I->B].Ptr.Pointee;
-    Storage *FS = nullptr;
-    if (S && S->Kind == Storage::SK::Object) {
-      uint32_t Color = Mod.fieldColor(PM.Member);
-      if (Color < S->Slots.size()) {
-        Storage *Cand = S->Slots[Color];
-        if (Cand && Cand->OwnerField == PM.Member)
-          FS = Cand;
-      }
-    }
+    Storage *FS =
+        S ? S->member(PM.Member, Mod.Objects.fieldColor(PM.Member)) : nullptr;
     if (!FS)
       fail("object has no member for pointer-to-member access");
     R[I->A] = Value::ofPtr({FS});
@@ -991,9 +930,9 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
   VM_CASE(IdxArr) : {
     Storage *Arr = R[I->B].Ptr.Pointee;
     long long Index = R[I->C].asInt();
-    if (Index < 0 || static_cast<size_t>(Index) >= Arr->Elems.size())
+    if (Index < 0 || static_cast<size_t>(Index) >= Arr->Children.size())
       fail("array index out of bounds");
-    R[I->A] = Value::ofPtr({Arr->Elems[static_cast<size_t>(Index)]});
+    R[I->A] = Value::ofPtr({Arr->Children[static_cast<size_t>(Index)]});
   }
   VM_NEXT();
 
@@ -1009,10 +948,10 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
     } else {
       long long Abs = intAdd(P.Ptr.Index, Index);
       if (Abs < 0 ||
-          static_cast<size_t>(Abs) >= P.Ptr.Array->Elems.size())
+          static_cast<size_t>(Abs) >= P.Ptr.Array->Children.size())
         fail("pointer subscript out of bounds");
       R[I->A] =
-          Value::ofPtr({P.Ptr.Array->Elems[static_cast<size_t>(Abs)]});
+          Value::ofPtr({P.Ptr.Array->Children[static_cast<size_t>(Abs)]});
     }
   }
   VM_NEXT();
@@ -1080,8 +1019,8 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
     P.Array = Arr;
     P.Index = Index;
     P.Pointee = (Index >= 0 &&
-                 static_cast<size_t>(Index) < Arr->Elems.size())
-                    ? Arr->Elems[static_cast<size_t>(Index)]
+                 static_cast<size_t>(Index) < Arr->Children.size())
+                    ? Arr->Children[static_cast<size_t>(Index)]
                     : nullptr;
     if (Options.Profiler && Arr->OwnerField)
       Options.Profiler->recordAddrTaken(Arr->ObjectID, Arr->OwnerField);
@@ -1099,8 +1038,8 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
       P.Array = BaseV.Ptr.Array;
       P.Index = Index;
       P.Pointee = (Index >= 0 &&
-                   static_cast<size_t>(Index) < P.Array->Elems.size())
-                      ? P.Array->Elems[static_cast<size_t>(Index)]
+                   static_cast<size_t>(Index) < P.Array->Children.size())
+                      ? P.Array->Children[static_cast<size_t>(Index)]
                       : nullptr;
       if (Options.Profiler && P.Array->OwnerField)
         Options.Profiler->recordAddrTaken(P.Array->ObjectID,
@@ -1276,12 +1215,15 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
 
   VM_CASE(VDisp) : {
     Storage *Recv = R[I->B].Ptr.Pointee;
+    if (Recv->Kind != Storage::SK::Object)
+      fail("virtual call of '" + Mod.VMethods[I->X].Method->qualifiedName() +
+           "' on a non-object receiver");
     // A constructor or destructor body calling a virtual on its own
     // receiver dispatches against the class under construction or
     // destruction.
     uint32_t Dyn = DispatchClass != NoClass && This == Recv
                        ? DispatchClass
-                       : Recv->ClassPlanIdx;
+                       : Recv->ClassIdx;
     const std::vector<uint32_t> &Table = DispatchTables[Dyn];
     uint32_t Fn = I->X < Table.size() ? Table[I->X] : VUnfilled;
     if (Fn >= VFailed)
@@ -1298,7 +1240,7 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
     uint64_t ID = NextObjectID++;
     Storage *Obj = allocObject(I->X, nullptr, ID);
     if (Options.Profiler)
-      Options.Profiler->registerObjects(Mod.Classes[I->X].Decl, 1, ID,
+      Options.Profiler->registerObjects(Mod.Objects.slots(I->X).Decl, 1, ID,
                                         Mod.Sites[I->B]);
     traceAlloc(Obj, I->X, 1);
     if (Options.Profiler)
@@ -1318,7 +1260,7 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
   VM_CASE(CtorElems) : {
     Storage *Arr = R[I->A].Ptr.Pointee;
     uint32_t A0 = Mod.Classes[I->X].Arity0Ctor;
-    for (Storage *ES : Arr->Elems)
+    for (Storage *ES : Arr->Children)
       constructVia(ES, I->X, A0, 0, 0, true);
     VM_RELOAD();
   }
@@ -1331,32 +1273,28 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
     // after.
     // A copy: constructors compiled in the loop may grow ArrayDescs.
     const ArrayDesc D = Mod.ArrayDescs[I->X];
-    Storage *Arr = Arena.createArray(D.ElemType, nullptr);
+    bool ClassElems = D.ElemClassIdx != NoClass;
+    Storage *Arr = Arena.createArray(D.ElemClassIdx, nullptr);
     uint64_t ID = NextObjectID;
     NextObjectID += std::max<uint64_t>(D.Count, 1);
     Arr->ObjectID = ID;
-    if (D.ElemClassIdx >= 0)
-      Arr->ClassPlanIdx = static_cast<uint32_t>(D.ElemClassIdx);
-    if (D.ElemClassIdx >= 0 && Options.Profiler)
-      Options.Profiler->registerObjects(
-          Mod.Classes[D.ElemClassIdx].Decl, D.Count, ID,
-          Mod.Sites[D.SiteIdx]);
+    if (ClassElems && Options.Profiler)
+      Options.Profiler->registerObjects(Mod.Objects.slots(D.ElemClassIdx).Decl,
+                                        D.Count, ID, Mod.Sites[D.SiteIdx]);
     for (uint64_t J = 0; J != D.Count; ++J) {
-      if (D.ElemClassIdx >= 0) {
-        Storage *ES =
-            allocObject(static_cast<uint32_t>(D.ElemClassIdx), nullptr,
-                        ID + J);
-        Arr->Elems.push_back(ES);
-        constructVia(ES, static_cast<uint32_t>(D.ElemClassIdx),
+      if (ClassElems) {
+        Storage *ES = allocObject(D.ElemClassIdx, nullptr, ID + J);
+        Arr->Children.push_back(ES);
+        constructVia(ES, D.ElemClassIdx,
                      Mod.Classes[D.ElemClassIdx].Arity0Ctor, 0, 0, true);
       } else {
         Storage *ES = Arena.createScalar();
         ES->V = Mod.Consts[D.ZeroConstIdx];
-        Arr->Elems.push_back(ES);
+        Arr->Children.push_back(ES);
       }
     }
-    if (D.ElemClassIdx >= 0) {
-      traceAlloc(Arr, static_cast<uint32_t>(D.ElemClassIdx), D.Count);
+    if (ClassElems) {
+      traceAlloc(Arr, D.ElemClassIdx, D.Count);
       if (Options.Profiler)
         Options.Profiler->recordAllocEvent(ID);
     }
@@ -1372,41 +1310,38 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
     if (Count < 0)
       fail("negative array-new extent");
     const ArrayDesc D = Mod.ArrayDescs[I->X]; // See ArrLocal.
-    Storage *Arr = Arena.createArray(D.ElemType, nullptr);
+    bool ClassElems = D.ElemClassIdx != NoClass;
+    Storage *Arr = Arena.createArray(D.ElemClassIdx, nullptr);
     uint64_t ID = NextObjectID;
     NextObjectID += std::max<uint64_t>(static_cast<uint64_t>(Count), 1);
     Arr->ObjectID = ID;
-    if (D.ElemClassIdx >= 0)
-      Arr->ClassPlanIdx = static_cast<uint32_t>(D.ElemClassIdx);
-    if (D.ElemClassIdx >= 0) {
+    if (ClassElems) {
       if (Options.Profiler)
         Options.Profiler->registerObjects(
-            Mod.Classes[D.ElemClassIdx].Decl,
+            Mod.Objects.slots(D.ElemClassIdx).Decl,
             static_cast<uint64_t>(Count), ID, Mod.Sites[D.SiteIdx]);
-      traceAlloc(Arr, static_cast<uint32_t>(D.ElemClassIdx),
-                 static_cast<uint64_t>(Count));
+      traceAlloc(Arr, D.ElemClassIdx, static_cast<uint64_t>(Count));
       if (Options.Profiler)
         Options.Profiler->recordAllocEvent(ID);
     }
     for (long long J = 0; J != Count; ++J) {
-      if (D.ElemClassIdx >= 0) {
-        Storage *ES =
-            allocObject(static_cast<uint32_t>(D.ElemClassIdx), nullptr,
-                        ID + static_cast<uint64_t>(J));
-        Arr->Elems.push_back(ES);
-        constructVia(ES, static_cast<uint32_t>(D.ElemClassIdx),
+      if (ClassElems) {
+        Storage *ES = allocObject(D.ElemClassIdx, nullptr,
+                                  ID + static_cast<uint64_t>(J));
+        Arr->Children.push_back(ES);
+        constructVia(ES, D.ElemClassIdx,
                      Mod.Classes[D.ElemClassIdx].Arity0Ctor, 0, 0, true);
       } else {
         Storage *ES = Arena.createScalar();
         ES->V = Mod.Consts[D.ZeroConstIdx];
-        Arr->Elems.push_back(ES);
+        Arr->Children.push_back(ES);
       }
     }
     VM_RELOAD();
     Pointer P;
     P.Array = Arr;
     P.Index = 0;
-    P.Pointee = Arr->Elems.empty() ? nullptr : Arr->Elems.front();
+    P.Pointee = Arr->Children.empty() ? nullptr : Arr->Children.front();
     R[I->A] = Value::ofPtr(P);
   }
   VM_NEXT();
@@ -1480,18 +1415,11 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
   }
   VM_NEXT();
 
-  // LdFld/StFld repeat FieldPlace's slot check verbatim: colors are
-  // shared across unrelated classes, so the slot must realize the
-  // requested field.
+  // LdFld/StFld do FieldPlace's slot check (Storage::member).
 
   VM_CASE(LdFld) : {
     Storage *S = R[I->B].Ptr.Pointee;
-    Storage *FS = nullptr;
-    if (S && S->Kind == Storage::SK::Object && I->C < S->Slots.size()) {
-      Storage *Cand = S->Slots[I->C];
-      if (Cand && Cand->OwnerField == Mod.FieldTable[I->D])
-        FS = Cand;
-    }
+    Storage *FS = S ? S->member(Mod.FieldTable[I->D], I->C) : nullptr;
     if (!FS)
       fail(Mod.Msgs[I->X]);
     R[I->A] = loadOrDecay(FS);
@@ -1500,12 +1428,7 @@ Value VM::execCode(const FuncEntry &FE, size_t RBase, size_t LBase,
 
   VM_CASE(StFld) : {
     Storage *S = R[I->B].Ptr.Pointee;
-    Storage *FS = nullptr;
-    if (S && S->Kind == Storage::SK::Object && I->C < S->Slots.size()) {
-      Storage *Cand = S->Slots[I->C];
-      if (Cand && Cand->OwnerField == Mod.FieldTable[I->D])
-        FS = Cand;
-    }
+    Storage *FS = S ? S->member(Mod.FieldTable[I->D], I->C) : nullptr;
     if (!FS)
       fail(Mod.Msgs[I->X]);
     storeScalar(FS, R[I->A], static_cast<Conv>(I->E));

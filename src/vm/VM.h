@@ -56,23 +56,22 @@ private:
   struct VMError;
 
   /// How to create the storage of one field slot at allocation time
-  /// (Interpreter::allocateFieldStorage, precompiled per class).
+  /// (Interpreter::allocateFieldStorage, precompiled per class); the
+  /// field and its color are the ClassSlots entry at the same index.
   struct SlotAlloc {
-    const FieldDecl *Field = nullptr;
-    uint32_t Color = 0;
     enum class K : uint8_t { Scalar, Class, ClassArray, ScalarArray } Kind =
         K::Scalar;
-    uint32_t ClassI = 0;          ///< Class/ClassArray: Classes[] index.
-    const Type *ElemType = nullptr; ///< Arrays: element type.
-    uint64_t Count = 0;           ///< Arrays: static extent.
-    Value Zero;                   ///< Scalar(+array) zero value.
+    uint32_t ClassI = NoClass; ///< Class/ClassArray: Classes[] index.
+    uint64_t Count = 0;        ///< Arrays: static extent.
+    Value Zero;                ///< Scalar(+array) zero value.
   };
 
   [[noreturn]] void fail(const std::string &Message);
   void step();
 
   Storage *allocObject(uint32_t ClassI, const FieldDecl *Owner, uint64_t ID);
-  Storage *allocSlot(const SlotAlloc &SA, uint64_t ID);
+  Storage *allocSlot(const SlotAlloc &SA, const FieldDecl *Field,
+                     uint64_t ID);
   void traceAlloc(Storage *Obj, uint32_t ClassI, uint64_t Count);
   void traceFree(Storage *Obj);
   void markDead(Storage *S);
@@ -88,10 +87,7 @@ private:
   Value loadOrDecay(Storage *S);
   static Value convert(const Value &V, Conv C);
 
-  /// Materializes Storage::Fields from Slots in SlotFields order so
-  /// memberwise copies iterate the hash map in the same order as the
-  /// tree-walker's eagerly built map.
-  void ensureFields(Storage *S);
+  /// Interpreter::copyMembers.
   void copyTree(Storage *Dst, Storage *Src, bool InitForm);
 
   /// Compiles FE's body; a capacity limit fails the run.
@@ -121,7 +117,8 @@ private:
   std::optional<ModuleCompiler> Comp;
   std::string CompileError; ///< Module-level compile failure, if any.
   MemoryArena Arena;
-  std::vector<std::vector<SlotAlloc>> AllocPlans; ///< Parallel to Classes.
+  /// By class index, parallel to its ClassSlots::SlotFields.
+  std::vector<std::vector<SlotAlloc>> AllocPlans;
 
   /// Shared register/local stacks (frames take [base, base+N) windows).
   std::vector<Value> Regs;

@@ -484,6 +484,55 @@ TEST_P(InterpSemantics, MemberAccessThroughNullObjectPointer) {
                      "null", "5\n");
 }
 
+// A virtual call whose receiver is not an object (here an int reached
+// through reinterpret_cast) has no class to dispatch on: a runtime
+// error, never a host crash or a dispatch against some class.
+TEST_P(InterpSemantics, VirtualCallOnPunnedScalarReceiverIsARuntimeError) {
+  const char *const Prelude = R"(
+    class A { public: int x; virtual int f() { return 7; } };
+    int main() {
+      int i = 3;
+      print_int(5);
+  )";
+  for (const char *Call : {"A &r = *reinterpret_cast<A *>(&i); "
+                           "print_int(r.f());",
+                           "A *p = reinterpret_cast<A *>(&i); "
+                           "print_int((*p).f());"}) {
+    SCOPED_TRACE(Call);
+    expectRuntimeError(std::string(Prelude) + Call + " return 0; }",
+                       "virtual call of 'A::f' on a non-object receiver",
+                       "5\n");
+  }
+}
+
+// A memberwise copy takes a member from the source only where the
+// source lays out that same member. A::a and B::b share slot color 0
+// (the classes are unrelated), so a copy from a B punned as an A copies
+// nothing; a slicing copy copies the base's members.
+TEST_P(InterpSemantics, MemberwiseCopiesTakeOnlyTheSameMember) {
+  EXPECT_EQ(outputOf(R"(
+    class A { public: int a; };
+    class B { public: int b; };
+    class Base { public: int v; };
+    class Derived : public Base { public: int w; };
+    int main() {
+      B y;
+      y.b = 5;
+      A x = *reinterpret_cast<A *>(&y);
+      A z;
+      z = *reinterpret_cast<A *>(&y);
+      print_int(x.a + z.a);
+      Derived dd;
+      dd.v = 3;
+      dd.w = 4;
+      Base bb = dd;
+      print_int(bb.v);
+      return 0;
+    }
+  )"),
+            "0\n3\n");
+}
+
 // LLONG_MIN / -1 overflows (the host CPU traps on it), so it is a guest
 // runtime error; LLONG_MIN % -1 is 0. Each form is pinned: register
 // operands (the VM's DivII/RemII fast path), a member operand (the

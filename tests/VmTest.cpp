@@ -269,7 +269,7 @@ TEST(VmBytecode, MemberOffsetsResolveToStableSlotColors) {
     }
   )");
   vm::VM M(C->context(), C->hierarchy());
-  const vm::Module &Mod = M.module();
+  const ObjectModel &OM = M.module().Objects;
 
   const FieldDecl *B1 = findField(*C, "B", "b1");
   const FieldDecl *B2 = findField(*C, "B", "b2");
@@ -278,26 +278,26 @@ TEST(VmBytecode, MemberOffsetsResolveToStableSlotColors) {
 
   // Every field referenced by the program has a module-wide color, and
   // co-located fields have distinct colors.
-  ASSERT_NE(Mod.fieldColor(B1), vm::NoColor);
-  ASSERT_NE(Mod.fieldColor(B2), vm::NoColor);
-  ASSERT_NE(Mod.fieldColor(D1), vm::NoColor);
-  uint32_t CB1 = Mod.fieldColor(B1);
-  uint32_t CB2 = Mod.fieldColor(B2);
-  uint32_t CD1 = Mod.fieldColor(D1);
+  ASSERT_NE(OM.fieldColor(B1), NoColor);
+  ASSERT_NE(OM.fieldColor(B2), NoColor);
+  ASSERT_NE(OM.fieldColor(D1), NoColor);
+  uint32_t CB1 = OM.fieldColor(B1);
+  uint32_t CB2 = OM.fieldColor(B2);
+  uint32_t CD1 = OM.fieldColor(D1);
   EXPECT_NE(CB1, CB2);
   EXPECT_NE(CB1, CD1);
   EXPECT_NE(CB2, CD1);
 
-  // The derived class's plan covers the inherited fields under the SAME
-  // colors the base's plan uses — a compiled access through a B* works
-  // unchanged on a D receiver.
+  // The derived class's slot layout covers the inherited fields under
+  // the SAME colors the base's layout uses — a compiled access through a
+  // B* works unchanged on a D receiver.
   const ClassDecl *BD = findClass(*C, "B");
   const ClassDecl *DD = findClass(*C, "D");
   ASSERT_TRUE(BD && DD);
-  ASSERT_TRUE(Mod.ClassIdx.count(BD) && Mod.ClassIdx.count(DD));
-  const vm::ClassPlan &BP = Mod.Classes[Mod.ClassIdx.at(BD)];
-  const vm::ClassPlan &DP = Mod.Classes[Mod.ClassIdx.at(DD)];
-  auto colorIn = [](const vm::ClassPlan &P, const FieldDecl *F,
+  ASSERT_TRUE(OM.classIndex(BD) != NoClass && OM.classIndex(DD) != NoClass);
+  const ClassSlots &BP = OM.slots(OM.classIndex(BD));
+  const ClassSlots &DP = OM.slots(OM.classIndex(DD));
+  auto colorIn = [](const ClassSlots &P, const FieldDecl *F,
                     uint32_t &Out) {
     for (size_t I = 0; I != P.SlotFields.size(); ++I)
       if (P.SlotFields[I] == F) {
@@ -717,6 +717,39 @@ TEST(VmDifferential, CopySemanticsAndByValueParams) {
   )");
 }
 
+// A memberwise copy that is the first read of its source's members
+// reads them in the slot layout's order (ClassSlots::SlotFields), on
+// both engines: base members first, then the class's own, each in
+// declaration order.
+TEST(VmDifferential, MemberwiseCopyFirstReadsFollowTheSlotLayout) {
+  auto C = compileOK(R"(
+    class B { public: int b2; int b1; };
+    class D : public B { public: int d2; int d1; };
+    int main() {
+      D s;
+      s.d1 = 1; s.d2 = 2; s.b1 = 3; s.b2 = 4;
+      D t = s;
+      D u;
+      u = t;
+      return u.d1 + u.b2 - 5;
+    }
+  )");
+  DeadMemberResult Dead = analyze(*C);
+  EngineRun T = runEngine(*C, Engine::Tree, Dead.deadSet());
+  EngineRun V = runEngine(*C, Engine::Vm, Dead.deadSet());
+  ASSERT_TRUE(T.R.Completed) << T.R.Error;
+  expectSameRun(T, V);
+  std::vector<const FieldDecl *> Expected = {
+      findField(*C, "B", "b2"), findField(*C, "B", "b1"),
+      findField(*C, "D", "d2"), findField(*C, "D", "d1")};
+  EXPECT_EQ(T.Heat.FirstReads, Expected);
+  EXPECT_EQ(V.Heat.FirstReads, Expected);
+
+  vm::VM M(C->context(), C->hierarchy());
+  const ObjectModel &OM = M.module().Objects;
+  EXPECT_EQ(OM.slots(OM.classIndex(findClass(*C, "D"))).SlotFields, Expected);
+}
+
 TEST(VmDifferential, RecursionDepthMatches) {
   expectEnginesAgree(R"(
     int fib(int n) { return n < 2 ? n : fib(n - 1) + fib(n - 2); }
@@ -1086,8 +1119,10 @@ std::string readCorpusFile(const char *Name) {
 /// every class's slot vector is exactly as long as its largest color.
 void expectDistinctSlotColors(Compilation &C, const std::string &Program) {
   vm::VM M(C.context(), C.hierarchy());
-  for (const vm::ClassPlan &P : M.module().Classes) {
-    if (!P.Complete)
+  const ObjectModel &OM = M.module().Objects;
+  for (uint32_t CI = 0; CI != OM.numClasses(); ++CI) {
+    const ClassSlots &P = OM.slots(CI);
+    if (!P.Decl->isComplete())
       continue;
     std::set<uint32_t> Seen;
     uint32_t Max = 0;
