@@ -24,7 +24,8 @@ Subcommands:
   check-crash FILE          check a dmm-crash-<pid>.json crash report:
                             dmm-crash schema v1, a non-empty span stack,
                             at least one flight-recorder event with the
-                            required fields, and integer counters
+                            required fields and thread 0, and integer
+                            counters
 
 Exits 0 on success, 1 with a diagnostic on the first violation.
 Only the standard library is used.
@@ -47,8 +48,9 @@ DIAGNOSTICS_FIELDS = (
     "recorder_events", "recorder_dropped", "crashes",
 )
 # Flight-recorder totals count every span and log event, so they move
-# with the span set (ring wrap-around is per-thread); compare skips
-# them, but the log counters and crash count must still match.
+# with the span set (and "recorder_dropped" with how far the one ring
+# wrapped); compare skips them, but the log counters and crash count
+# must still match.
 DIAGNOSTICS_RUN_VARYING = frozenset(("recorder_events", "recorder_dropped"))
 
 CRASH_COUNTER_FIELDS = DIAGNOSTICS_FIELDS[:-1]  # No "crashes" key.
@@ -374,6 +376,9 @@ def cmd_check_crash(path):
                 fail("%s lacks string %r" % (label, key))
         if e["kind"] not in ("log", "span_begin", "span_end"):
             fail("%s: unknown kind %r" % (label, e["kind"]))
+        # The recorder has one ring, owned by the one pipeline thread.
+        if e["thread"] != 0:
+            fail("%s: thread is %r, want 0" % (label, e["thread"]))
 
     counters = doc.get("counters")
     if not isinstance(counters, dict):

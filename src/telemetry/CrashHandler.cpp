@@ -28,8 +28,8 @@ using namespace dmm;
 namespace {
 
 // All handler state is plain data captured at install() time; the
-// handler itself reads only this, the logger's atomic counters, and
-// the flight recorder's preallocated rings.
+// handler itself reads only this, the logger's counters, and the
+// flight recorder's static ring.
 constexpr size_t kMaxPath = 512;
 constexpr size_t kMaxName = 128;
 
@@ -38,7 +38,8 @@ const char *const *InstallArgv = nullptr;
 char ToolName[kMaxName] = "dmm";
 char ToolVersion[kMaxName] = "unknown";
 char CrashDir[kMaxPath] = ".";
-std::atomic<uint64_t> ReportsWritten{0};
+uint64_t ReportsWritten = 0;
+// A second signal can arrive while a report is being written.
 std::atomic_flag DumpInProgress = ATOMIC_FLAG_INIT;
 std::terminate_handler PrevTerminate = nullptr;
 
@@ -133,9 +134,7 @@ const char *levelNameForCrash(uint8_t Level) {
 
 } // namespace
 
-uint64_t dmm::crashReportsWritten() {
-  return ReportsWritten.load(std::memory_order_relaxed);
-}
+uint64_t dmm::crashReportsWritten() { return ReportsWritten; }
 
 #if DMM_HAVE_CRASH_SIGNALS
 
@@ -162,8 +161,7 @@ void dmm::writeCrashReport(int Fd, const char *Reason) {
   }
   W.put(']');
 
-  // The crashing thread's open spans, outermost first. The handler
-  // runs on the faulting thread, so this is that thread's stack.
+  // The open spans, outermost first.
   W.str(",\"span_stack\":[");
   if (FlightRecorder *R = FlightRecorder::active()) {
     const char *Names[FlightRecorder::kMaxSpanDepth];
@@ -176,53 +174,43 @@ void dmm::writeCrashReport(int Fd, const char *Reason) {
   }
   W.put(']');
 
-  // The tail of every thread's ring (newest kCrashTailEvents entries,
-  // oldest first). Entries carry global sequence numbers so consumers
-  // can interleave threads; rings of still-running threads may hold
-  // a torn entry — texts are bounded and NUL-terminated regardless.
+  // The ring's newest kCrashTailEvents entries, oldest first. A signal
+  // that interrupted record() leaves its half-written entry past the
+  // head, in a slot older than this tail (kCrashTailEvents < capacity).
   W.str(",\"flight_recorder\":[");
-  bool FirstEvent = true;
   if (FlightRecorder *R = FlightRecorder::active()) {
-    size_t Threads = R->threadCount();
-    for (size_t T = 0; T < Threads; ++T) {
-      uint64_t Head = R->ringHead(T);
-      uint64_t Retained = Head < R->capacity() ? Head : R->capacity();
-      if (Retained > FlightRecorder::kCrashTailEvents)
-        Retained = FlightRecorder::kCrashTailEvents;
-      const FlightEvent *Entries = R->ringEntries(T);
-      for (uint64_t I = Head - Retained; I < Head; ++I) {
-        const FlightEvent &E = Entries[I % R->capacity()];
-        char Text[sizeof(E.Text)];
-        memcpy(Text, E.Text, sizeof(Text));
-        Text[sizeof(Text) - 1] = '\0';
-        if (!FirstEvent)
-          W.put(',');
-        FirstEvent = false;
-        W.str("{\"seq\":");
-        W.uint(E.Seq);
-        W.str(",\"ts_ns\":");
-        W.uint(E.TimeNanos);
-        W.str(",\"thread\":");
-        W.uint(E.Thread);
-        W.str(",\"kind\":\"");
-        W.str(flightEventKindName(E.Kind));
-        W.str("\",\"level\":\"");
-        // Span markers carry no level; an empty string keeps the field
-        // present without implying severity.
-        if (E.Kind == FlightEventKind::Log)
-          W.str(levelNameForCrash(E.Level));
-        W.str("\",\"text\":");
-        W.quoted(Text);
-        W.put('}');
-      }
+    uint64_t Head = R->eventsRecorded();
+    uint64_t First = R->eventsDropped();
+    if (Head - First > FlightRecorder::kCrashTailEvents)
+      First = Head - FlightRecorder::kCrashTailEvents;
+    for (uint64_t I = First; I < Head; ++I) {
+      const FlightEvent &E = R->event(I);
+      if (I != First)
+        W.put(',');
+      W.str("{\"seq\":");
+      W.uint(E.Seq);
+      W.str(",\"ts_ns\":");
+      W.uint(E.TimeNanos);
+      W.str(",\"thread\":");
+      W.uint(E.Thread);
+      W.str(",\"kind\":\"");
+      W.str(flightEventKindName(E.Kind));
+      W.str("\",\"level\":\"");
+      // Span markers carry no level; an empty string keeps the field
+      // present without implying severity.
+      if (E.Kind == FlightEventKind::Log)
+        W.str(levelNameForCrash(E.Level));
+      W.str("\",\"text\":");
+      W.quoted(E.Text);
+      W.put('}');
     }
   }
   W.put(']');
 
-  // Counter snapshot: only the async-signal-safe diagnostic atomics.
-  // The Telemetry registry's counter map is mutex-guarded and heap-
-  // backed, so it is deliberately NOT read here.
-  const std::atomic<uint64_t> *Counts = Logger::countsForCrash();
+  // Counter snapshot: only the async-signal-safe diagnostic counters.
+  // The Telemetry registry's counter map is heap-backed and may be
+  // mid-update, so it is deliberately NOT read here.
+  const uint64_t *Counts = Logger::countsForCrash();
   W.str(",\"counters\":{");
   for (unsigned L = 0; L < kNumLogLevels; ++L) {
     if (L)
@@ -230,7 +218,7 @@ void dmm::writeCrashReport(int Fd, const char *Reason) {
     W.str("\"log_");
     W.str(logLevelName(static_cast<LogLevel>(L)));
     W.str("\":");
-    W.uint(Counts[L].load(std::memory_order_relaxed));
+    W.uint(Counts[L]);
   }
   uint64_t Recorded = 0, Dropped = 0;
   if (FlightRecorder *R = FlightRecorder::active()) {
@@ -282,7 +270,7 @@ bool dumpCrashReport(const char *Reason) {
   if (Fd >= 0) {
     writeCrashReport(Fd, Reason);
     ::close(Fd);
-    ReportsWritten.fetch_add(1, std::memory_order_relaxed);
+    ++ReportsWritten;
   }
 
   SafeWriter Err(2);
@@ -333,9 +321,10 @@ void crashSignalHandler(int Sig) {
 
 void dmm::installCrashHandler(int Argc, const char *const *Argv,
                               const char *Tool, const char *Version) {
-  static std::atomic_flag Installed = ATOMIC_FLAG_INIT;
-  if (Installed.test_and_set())
+  static bool Installed = false;
+  if (Installed)
     return;
+  Installed = true;
   InstallArgc = Argc;
   InstallArgv = Argv;
   copyBounded(ToolName, Tool, sizeof(ToolName));

@@ -9,14 +9,14 @@
 /// SIGABRT, SIGFPE, SIGILL and std::terminate that dump a
 /// `dmm-crash-<pid>.json` report before the process dies. The report
 /// carries everything a post-mortem needs and nothing that requires a
-/// live process: the crashing thread's open-span stack, the tail of
-/// every thread's flight-recorder ring (telemetry/FlightRecorder.h),
-/// the async-signal-safe diagnostic counters (per-level log counts,
-/// recorder totals), argv, and the tool version.
+/// live process: the open-span stack, the tail of the flight-recorder
+/// ring (telemetry/FlightRecorder.h), the async-signal-safe diagnostic
+/// counters (per-level log counts, recorder totals), argv, and the
+/// tool version.
 ///
 /// The handler allocates nothing, takes no locks, and uses only
 /// async-signal-safe calls (open/write/close plus reads of plain
-/// atomics and the preallocated ring memory); the JSON is emitted
+/// counters and the static ring); the JSON is emitted
 /// through a small fixed-buffer writer. The signal handlers run on an
 /// alternate stack (sigaltstack), so a host stack overflow is reported
 /// too. After the dump the original signal is re-raised with default

@@ -6,14 +6,16 @@
 
 #include "telemetry/FlightRecorder.h"
 
-#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
-#include <mutex>
 
 using namespace dmm;
 
-std::atomic<FlightRecorder *> FlightRecorder::Active{nullptr};
+FlightRecorder *FlightRecorder::Active = nullptr;
+// Constant-initialized: zero pages in .bss until the ring first writes
+// them, and never destroyed, so a crash handler can walk it at exit.
+constinit FlightRecorder FlightRecorder::Instance;
 
 const char *dmm::flightEventKindName(FlightEventKind Kind) {
   switch (Kind) {
@@ -27,80 +29,33 @@ const char *dmm::flightEventKindName(FlightEventKind Kind) {
   return "log";
 }
 
-/// One thread's state: a single-writer event ring plus its open-span
-/// stack. The owning thread is the only writer; Head's release store
-/// publishes each completed entry.
-struct FlightRecorder::Ring {
-  std::atomic<uint64_t> Head{0};
-  std::atomic<uint32_t> SpanDepth{0};
-  FlightEvent *Entries = nullptr;
-  const char *SpanNames[kMaxSpanDepth] = {};
-};
-
 namespace {
 
-constexpr size_t MyThreadIndexNone = static_cast<size_t>(-1);
-
-/// The calling thread's ring within the installed recorder. A thread
-/// keeps its slot for the recorder's (= process's) lifetime.
-thread_local FlightRecorder::Ring *MyRingTL = nullptr;
-thread_local size_t MyThreadIndexTL = MyThreadIndexNone;
+uint64_t steadyNowNanos() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 } // namespace
 
-FlightRecorder::FlightRecorder(size_t Cap)
-    : Capacity(Cap < 8 ? 8 : Cap),
-      EpochNanos(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now().time_since_epoch())
-                     .count()) {
-  Rings = new Ring[kMaxThreads];
-  // One contiguous block for all rings, zero-initialized, allocated
-  // before any signal handler could ever walk it.
-  FlightEvent *Block = new FlightEvent[kMaxThreads * Capacity]();
-  for (size_t I = 0; I < kMaxThreads; ++I)
-    Rings[I].Entries = Block + I * Capacity;
-}
-
-void FlightRecorder::install(size_t Capacity) {
-  static std::once_flag Once;
-  std::call_once(Once, [Capacity] {
-    // Leaked deliberately: the recorder must stay valid for signal
-    // handlers until the very end of the process.
-    Active.store(new FlightRecorder(Capacity), std::memory_order_release);
-  });
+void FlightRecorder::install() {
+  if (Active)
+    return;
+  Instance.EpochNanos = steadyNowNanos();
+  Active = &Instance;
 }
 
 uint64_t FlightRecorder::nowNanos() const {
-  uint64_t Now = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now().time_since_epoch())
-                     .count();
+  uint64_t Now = steadyNowNanos();
   return Now >= EpochNanos ? Now - EpochNanos : 0;
-}
-
-FlightRecorder::Ring *FlightRecorder::myRing() {
-  if (MyRingTL)
-    return MyRingTL;
-  uint32_t Index = NextThread.fetch_add(1, std::memory_order_relaxed);
-  if (Index >= kMaxThreads)
-    return nullptr;
-  MyRingTL = &Rings[Index];
-  MyThreadIndexTL = Index;
-  return MyRingTL;
 }
 
 void FlightRecorder::record(FlightEventKind Kind, uint8_t Level,
                             const char *Text) {
-  Ring *R = myRing();
-  uint64_t Seq = NextSeq.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (!R) {
-    NoSlotDrops.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  uint64_t Head = R->Head.load(std::memory_order_relaxed);
-  FlightEvent &E = R->Entries[Head % Capacity];
-  E.Seq = Seq;
+  FlightEvent &E = Entries[Head % kCapacity];
+  E.Seq = Head + 1;
   E.TimeNanos = nowNanos();
-  E.Thread = static_cast<uint32_t>(MyThreadIndexTL);
   E.Kind = Kind;
   E.Level = Level;
   if (!Text)
@@ -108,92 +63,43 @@ void FlightRecorder::record(FlightEventKind Kind, uint8_t Level,
   size_t Len = strnlen(Text, sizeof(E.Text) - 1);
   memcpy(E.Text, Text, Len);
   E.Text[Len] = '\0';
-  R->Head.store(Head + 1, std::memory_order_release);
+  // A crash handler interrupting this thread must never see the new
+  // head before the entry it publishes.
+  std::atomic_signal_fence(std::memory_order_release);
+  ++Head;
 }
 
 void FlightRecorder::spanBegin(const char *Name) {
-  Ring *R = myRing();
-  if (R) {
-    uint32_t Depth = R->SpanDepth.load(std::memory_order_relaxed);
-    if (Depth < kMaxSpanDepth)
-      R->SpanNames[Depth] = Name;
-    R->SpanDepth.store(Depth + 1, std::memory_order_release);
-  }
+  if (SpanDepth < kMaxSpanDepth)
+    SpanNames[SpanDepth] = Name;
+  // record() fences the name store ahead of the depth that exposes it.
   record(FlightEventKind::SpanBegin, 0, Name);
+  ++SpanDepth;
 }
 
 void FlightRecorder::spanEnd() {
-  Ring *R = myRing();
   const char *Name = "";
-  if (R) {
-    uint32_t Depth = R->SpanDepth.load(std::memory_order_relaxed);
-    if (Depth > 0) {
-      R->SpanDepth.store(Depth - 1, std::memory_order_release);
-      if (Depth - 1 < kMaxSpanDepth && R->SpanNames[Depth - 1])
-        Name = R->SpanNames[Depth - 1];
-    }
+  if (SpanDepth > 0) {
+    --SpanDepth;
+    if (SpanDepth < kMaxSpanDepth && SpanNames[SpanDepth])
+      Name = SpanNames[SpanDepth];
   }
   record(FlightEventKind::SpanEnd, 0, Name);
 }
 
 size_t FlightRecorder::currentSpanStack(const char **Names,
                                         size_t Max) const {
-  const Ring *R = MyRingTL;
-  if (!R)
-    return 0;
-  uint32_t Depth = R->SpanDepth.load(std::memory_order_relaxed);
-  if (Depth > kMaxSpanDepth)
-    Depth = kMaxSpanDepth;
+  size_t Depth = SpanDepth < kMaxSpanDepth ? SpanDepth : kMaxSpanDepth;
   size_t N = 0;
-  for (uint32_t I = 0; I < Depth && N < Max; ++I)
-    if (R->SpanNames[I])
-      Names[N++] = R->SpanNames[I];
+  for (size_t I = 0; I < Depth && N < Max; ++I)
+    if (SpanNames[I])
+      Names[N++] = SpanNames[I];
   return N;
-}
-
-uint64_t FlightRecorder::eventsDropped() const {
-  uint64_t Dropped = NoSlotDrops.load(std::memory_order_relaxed);
-  size_t Threads = threadCount();
-  for (size_t I = 0; I < Threads; ++I) {
-    uint64_t Head = Rings[I].Head.load(std::memory_order_acquire);
-    if (Head > Capacity)
-      Dropped += Head - Capacity;
-  }
-  return Dropped;
-}
-
-size_t FlightRecorder::threadCount() const {
-  uint32_t N = NextThread.load(std::memory_order_acquire);
-  return N > kMaxThreads ? kMaxThreads : N;
-}
-
-uint64_t FlightRecorder::ringHead(size_t Thread) const {
-  return Rings[Thread].Head.load(std::memory_order_acquire);
-}
-
-const FlightEvent *FlightRecorder::ringEntries(size_t Thread) const {
-  return Rings[Thread].Entries;
-}
-
-size_t FlightRecorder::currentThreadIndex() const {
-  return MyRingTL ? MyThreadIndexTL : MyThreadIndexNone;
 }
 
 std::vector<FlightEvent> FlightRecorder::snapshot() const {
   std::vector<FlightEvent> Out;
-  size_t Threads = threadCount();
-  for (size_t I = 0; I < Threads; ++I) {
-    uint64_t Head = Rings[I].Head.load(std::memory_order_acquire);
-    uint64_t Retained = Head < Capacity ? Head : Capacity;
-    for (uint64_t J = Head - Retained; J < Head; ++J) {
-      FlightEvent E = Rings[I].Entries[J % Capacity];
-      E.Text[sizeof(E.Text) - 1] = '\0'; // Defensive against torn copies.
-      Out.push_back(E);
-    }
-  }
-  std::sort(Out.begin(), Out.end(),
-            [](const FlightEvent &A, const FlightEvent &B) {
-              return A.Seq < B.Seq;
-            });
+  for (uint64_t I = eventsDropped(); I < Head; ++I)
+    Out.push_back(event(I));
   return Out;
 }

@@ -84,7 +84,7 @@ bool fieldValueIsBare(const std::string &S) {
 } // namespace
 
 Logger::Logger()
-    : Level(static_cast<int>(defaultLevel())), Human(&std::cerr),
+    : Level(defaultLevel()), Human(&std::cerr),
       EpochNanos(steadyNowNanos()) {}
 
 Logger &Logger::instance() {
@@ -94,14 +94,11 @@ Logger &Logger::instance() {
   return *L;
 }
 
-const std::atomic<uint64_t> *Logger::countsForCrash() {
+const uint64_t *Logger::countsForCrash() {
   return instance().Counts;
 }
 
-void Logger::setHumanSink(std::ostream *OS) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  Human = OS;
-}
+void Logger::setHumanSink(std::ostream *OS) { Human = OS; }
 
 bool Logger::openJsonSink(const std::string &Path, std::string &Error) {
   auto File = std::make_unique<std::ofstream>(Path, std::ios::trunc);
@@ -109,19 +106,14 @@ bool Logger::openJsonSink(const std::string &Path, std::string &Error) {
     Error = "cannot open log file '" + Path + "'";
     return false;
   }
-  std::lock_guard<std::mutex> Lock(Mu);
   Json = std::move(File);
   return true;
 }
 
-void Logger::closeJsonSink() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  Json.reset();
-}
+void Logger::closeJsonSink() { Json.reset(); }
 
 void Logger::resetForTest() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  Level.store(static_cast<int>(defaultLevel()), std::memory_order_relaxed);
+  Level = defaultLevel();
   Human = &std::cerr;
   Json.reset();
 }
@@ -130,10 +122,9 @@ void Logger::emit(LogLevel L, const char *Msg, const LogField *Fields,
                   size_t NumFields) {
   if (!Msg)
     Msg = "";
-  Counts[static_cast<unsigned>(L)].fetch_add(1, std::memory_order_relaxed);
+  ++Counts[static_cast<unsigned>(L)];
   flightRecordLog(static_cast<uint8_t>(L), Msg);
 
-  std::lock_guard<std::mutex> Lock(Mu);
   if (Human) {
     std::ostream &OS = *Human;
     OS << logLevelLabel(L) << ": " << Msg;

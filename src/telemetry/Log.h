@@ -16,12 +16,11 @@
 /// prints this layer replaced, so scripts grepping stderr keep working.
 ///
 /// The level filter (default: warn, i.e. errors and warnings only) is
-/// one relaxed atomic load; disabled events build no fields and touch
-/// no locks. Sink writes are serialized by a mutex — log events are
-/// operational messages, not per-expression tracing, so contention is
-/// irrelevant. Every emitted event also lands in the flight recorder
-/// (telemetry/FlightRecorder.h) and bumps a per-level atomic counter;
-/// both feed crash reports and the stats v3 "diagnostics" section.
+/// one load and a compare; disabled events build no fields. The logger
+/// belongs to the process's one thread and takes no locks. Every
+/// emitted event also lands in the flight recorder
+/// (telemetry/FlightRecorder.h) and bumps a per-level counter; both
+/// feed crash reports and the stats v3 "diagnostics" section.
 ///
 /// Configure with --log-level=LEVEL / --log-json=FILE or the
 /// DMM_LOG_LEVEL environment variable (flag wins).
@@ -31,11 +30,9 @@
 #ifndef DMM_TELEMETRY_LOG_H
 #define DMM_TELEMETRY_LOG_H
 
-#include <atomic>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -100,16 +97,10 @@ public:
   /// is Warn and the default human sink is std::cerr.
   static Logger &instance();
 
-  void setLevel(LogLevel L) {
-    Level.store(static_cast<int>(L), std::memory_order_relaxed);
-  }
-  LogLevel level() const {
-    return static_cast<LogLevel>(Level.load(std::memory_order_relaxed));
-  }
-  /// The entire disabled-event cost: one relaxed load and a compare.
-  bool enabled(LogLevel L) const {
-    return static_cast<int>(L) <= Level.load(std::memory_order_relaxed);
-  }
+  void setLevel(LogLevel L) { Level = L; }
+  LogLevel level() const { return Level; }
+  /// The entire disabled-event cost: one load and a compare.
+  bool enabled(LogLevel L) const { return L <= Level; }
 
   /// Redirects the human-readable sink (default std::cerr); null
   /// silences it. The stream must outlive subsequent events.
@@ -128,12 +119,12 @@ public:
 
   /// Events emitted (post-filter) at \p L since process start.
   uint64_t count(LogLevel L) const {
-    return Counts[static_cast<unsigned>(L)].load(std::memory_order_relaxed);
+    return Counts[static_cast<unsigned>(L)];
   }
 
-  /// The per-level counter array — plain atomics, readable from the
-  /// async-signal-safe crash handler.
-  static const std::atomic<uint64_t> *countsForCrash();
+  /// The per-level counter array (kNumLogLevels entries), readable from
+  /// the async-signal-safe crash handler.
+  static const uint64_t *countsForCrash();
 
   /// Restores defaults (level Warn unless DMM_LOG_LEVEL is set, human
   /// sink std::cerr, no JSONL sink). Counters keep accumulating — they
@@ -143,9 +134,8 @@ public:
 private:
   Logger();
 
-  std::atomic<int> Level;
-  std::atomic<uint64_t> Counts[kNumLogLevels] = {};
-  std::mutex Mu; ///< Serializes sink writes and sink reconfiguration.
+  LogLevel Level;
+  uint64_t Counts[kNumLogLevels] = {};
   std::ostream *Human;
   std::unique_ptr<std::ostream> Json;
   uint64_t EpochNanos; ///< steady_clock epoch for JSONL timestamps.

@@ -39,34 +39,34 @@
 
 namespace {
 
-/// Per-thread frame stack. Plain zero-initialized storage: the
-/// allocation hooks may run before any constructor and after any
-/// destructor, so this must need neither.
-struct ThreadState {
+/// The frame stack. Plain zero-initialized storage: the allocation
+/// hooks may run before any constructor and after any destructor, so
+/// this must need neither.
+struct FrameStack {
   int Depth;
   int64_t Cur[dmm::memacct::kMaxDepth];
   int64_t Peak[dmm::memacct::kMaxDepth];
 };
 
-thread_local ThreadState TS;
+FrameStack Stack;
 
 #if DMM_MEMACCT_ENABLED
 
 inline void charge(int64_t Bytes) {
-  for (int I = 0; I != TS.Depth; ++I) {
-    TS.Cur[I] += Bytes;
-    if (TS.Cur[I] > TS.Peak[I])
-      TS.Peak[I] = TS.Cur[I];
+  for (int I = 0; I != Stack.Depth; ++I) {
+    Stack.Cur[I] += Bytes;
+    if (Stack.Cur[I] > Stack.Peak[I])
+      Stack.Peak[I] = Stack.Cur[I];
   }
 }
 
 inline void onAlloc(void *P) {
-  if (TS.Depth && P)
+  if (Stack.Depth && P)
     charge(static_cast<int64_t>(malloc_usable_size(P)));
 }
 
 inline void onFree(void *P) {
-  if (TS.Depth && P)
+  if (Stack.Depth && P)
     charge(-static_cast<int64_t>(malloc_usable_size(P)));
 }
 
@@ -77,21 +77,21 @@ inline void onFree(void *P) {
 bool dmm::memacct::available() { return DMM_MEMACCT_ENABLED != 0; }
 
 bool dmm::memacct::push() {
-  if (TS.Depth >= kMaxDepth)
+  if (Stack.Depth >= kMaxDepth)
     return false;
-  TS.Cur[TS.Depth] = 0;
-  TS.Peak[TS.Depth] = 0;
-  ++TS.Depth;
+  Stack.Cur[Stack.Depth] = 0;
+  Stack.Peak[Stack.Depth] = 0;
+  ++Stack.Depth;
   return true;
 }
 
 dmm::memacct::Frame dmm::memacct::pop() {
   Frame F;
-  if (TS.Depth == 0)
+  if (Stack.Depth == 0)
     return F;
-  --TS.Depth;
-  F.NetBytes = TS.Cur[TS.Depth];
-  F.PeakBytes = TS.Peak[TS.Depth];
+  --Stack.Depth;
+  F.NetBytes = Stack.Cur[Stack.Depth];
+  F.PeakBytes = Stack.Peak[Stack.Depth];
   return F;
 }
 

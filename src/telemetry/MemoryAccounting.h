@@ -7,20 +7,19 @@
 /// \file
 /// Counting-allocator layer for per-span memory accounting: the
 /// implementation file replaces the global operator new/delete with
-/// versions that, when the calling thread has at least one accounting
-/// frame open, charge each allocation's usable size to every open frame
-/// on that thread. A Span (telemetry/Telemetry.h) pushes a frame while
-/// it is open and reads back net and peak heap bytes when it closes.
+/// versions that, when at least one accounting frame is open, charge
+/// each allocation's usable size to every open frame. A Span
+/// (telemetry/Telemetry.h) pushes a frame while it is open and reads
+/// back net and peak heap bytes when it closes.
 ///
-/// Accounting is strictly per thread: an allocation is charged to the
-/// frames of the thread that performed it. Frees are credited the same
-/// way, so a frame's net can go negative when it frees memory allocated
-/// before it opened — that is real information (the span released
-/// memory), not an error. Frames nest up to a fixed depth; spans deeper
-/// than that report zero memory.
+/// The process runs on one thread, so there is one frame stack. Frees
+/// are credited the same way as allocations, so a frame's net can go
+/// negative when it frees memory allocated before it opened — that is
+/// real information (the span released memory), not an error. Frames
+/// nest up to a fixed depth; spans deeper than that report zero memory.
 ///
-/// The disabled-path cost (no frame open on the thread) is one
-/// thread-local integer test per allocation. On platforms without
+/// The disabled-path cost (no frame open) is one integer test per
+/// allocation. On platforms without
 /// malloc_usable_size (non-glibc) — or when configured with
 /// -DDMM_ENABLE_MEMACCT=OFF — the layer compiles to no-ops and every
 /// span reports zero bytes. Check available(); it is also surfaced as
@@ -43,12 +42,11 @@ struct Frame {
   int64_t PeakBytes = 0;
 };
 
-/// Maximum nesting of accounting frames per thread.
+/// Maximum nesting of accounting frames.
 inline constexpr int kMaxDepth = 64;
 
-/// Opens an accounting frame on the calling thread. Returns false (and
-/// opens nothing) when the per-thread depth limit is reached; the
-/// matching pop() must then be skipped.
+/// Opens an accounting frame. Returns false (and opens nothing) when
+/// the depth limit is reached; the matching pop() must then be skipped.
 bool push();
 
 /// Closes the innermost frame and returns its totals.

@@ -24,9 +24,6 @@ Telemetry *Telemetry::Active = nullptr;
 
 namespace {
 
-/// The calling thread's innermost open span.
-thread_local uint64_t CurrentSpanTL = 0;
-
 uint64_t threadCpuNanos() {
 #if DMM_HAVE_THREAD_CPU_CLOCK
   struct timespec TS;
@@ -49,7 +46,9 @@ Telemetry::Telemetry()
   Counters["telemetry.memacct.enabled"] = memacct::available() ? 1 : 0;
 }
 
-uint64_t Telemetry::currentSpanId() { return CurrentSpanTL; }
+uint64_t Telemetry::currentSpanId() {
+  return Active ? Active->CurrentSpan : 0;
+}
 
 uint64_t Telemetry::nowNanos() const {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -58,7 +57,6 @@ uint64_t Telemetry::nowNanos() const {
 }
 
 void Telemetry::setSpanLimit(size_t Limit) {
-  std::lock_guard<std::mutex> Lock(Mu);
   SpanLimit = Limit;
 }
 
@@ -69,17 +67,11 @@ void Telemetry::count(const char *Name, uint64_t Delta) {
 }
 
 void Telemetry::addCounter(const std::string &Name, uint64_t Delta) {
-  std::lock_guard<std::mutex> Lock(Mu);
   Counters[Name] += Delta;
 }
 
 uint64_t Telemetry::beginSpan(const char *Name, uint64_t Parent,
                               uint64_t StartNanos, unsigned &DepthOut) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  // A stale parent id (from a previous registry on this thread) cannot
-  // resolve here; treat it as a root.
-  if (Parent > Spans.size())
-    Parent = 0;
   DepthOut = Parent ? Spans[Parent - 1].Depth + 1 : 0;
 
   // First-activation aggregate entry, so phases() order is stable.
@@ -107,7 +99,6 @@ void Telemetry::endSpan(
     int64_t MemNetBytes, int64_t MemPeakBytes, unsigned Depth,
     std::vector<std::pair<std::string, uint64_t>> IntArgs,
     std::vector<std::pair<std::string, std::string>> StrArgs) {
-  std::lock_guard<std::mutex> Lock(Mu);
   if (Id != 0 && Id <= Spans.size()) {
     SpanRecord &R = Spans[Id - 1];
     R.DurNanos = DurNanos;
@@ -130,7 +121,6 @@ void Telemetry::endSpan(
 }
 
 void Telemetry::merge(const Telemetry &Other) {
-  std::lock_guard<std::mutex> Lock(Mu);
   const uint64_t Offset = Spans.size();
   for (const SpanRecord &S : Other.Spans) {
     if (Spans.size() >= SpanLimit) {
@@ -172,7 +162,6 @@ const PhaseStat *Telemetry::phase(const std::string &Name) const {
 }
 
 uint64_t Telemetry::counter(const std::string &Name) const {
-  std::lock_guard<std::mutex> Lock(Mu);
   auto It = Counters.find(Name);
   return It == Counters.end() ? 0 : It->second;
 }
@@ -189,10 +178,10 @@ Span::Span(const char *Name) : T(Telemetry::Active), Name(Name) {
   if (!T)
     return;
   StartNanos = T->nowNanos();
-  Id = T->beginSpan(Name, CurrentSpanTL, StartNanos, Depth);
-  SavedParent = CurrentSpanTL;
+  SavedParent = T->CurrentSpan;
+  Id = T->beginSpan(Name, SavedParent, StartNanos, Depth);
   if (Id)
-    CurrentSpanTL = Id;
+    T->CurrentSpan = Id;
   MemPushed = memacct::push();
   CpuStart = threadCpuNanos();
 }
@@ -206,7 +195,7 @@ Span::~Span() {
     F = memacct::pop();
   const uint64_t End = T->nowNanos();
   uint64_t CpuEnd = threadCpuNanos();
-  CurrentSpanTL = SavedParent;
+  T->CurrentSpan = SavedParent;
   T->endSpan(Id, Name, End > StartNanos ? End - StartNanos : 0,
              CpuEnd > CpuStart ? CpuEnd - CpuStart : 0, F.NetBytes,
              F.PeakBytes, Depth, std::move(IntArgs), std::move(StrArgs));

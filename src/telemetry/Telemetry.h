@@ -18,14 +18,14 @@
 /// TelemetryScope, a Span or Telemetry::count() call costs a load and a
 /// branch.
 ///
-/// Spans form a tree. Each thread tracks its innermost open span; a new
-/// Span attaches to it as a child. While a span is open, allocations on
-/// its thread are charged to it (telemetry/MemoryAccounting.h):
+/// Spans form a tree. Each registry tracks its innermost open span; a
+/// new Span attaches to it as a child. While a span is open, every
+/// allocation is charged to it (telemetry/MemoryAccounting.h):
 /// completed spans report net and peak heap bytes, inclusive of child
-/// spans on the same thread.
+/// spans.
 ///
-/// The registry's central state is mutex-guarded, so spans and counters
-/// may be recorded from any thread.
+/// The pipeline runs on one thread, and so does the registry: it takes
+/// no locks, and recording from a second thread is not supported.
 ///
 /// Span names are part of the tool's observable interface (benches and
 /// tests grep for them): "lex", "parse", "sema", "callgraph",
@@ -42,7 +42,6 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -83,6 +82,8 @@ struct SpanRecord {
 class Telemetry {
 public:
   Telemetry();
+  Telemetry(const Telemetry &) = delete; ///< Active points at it.
+  Telemetry &operator=(const Telemetry &) = delete;
 
   /// The installed process-wide sink, or null (telemetry off).
   static Telemetry *active() { return Active; }
@@ -91,7 +92,7 @@ public:
   /// null test is the entire disabled-path cost.
   static void count(const char *Name, uint64_t Delta = 1);
 
-  /// The calling thread's innermost open span id (0 if none).
+  /// The active registry's innermost open span id (0 if none).
   static uint64_t currentSpanId();
 
   void addCounter(const std::string &Name, uint64_t Delta);
@@ -152,7 +153,7 @@ private:
   static Telemetry *Active;
 
   std::chrono::steady_clock::time_point Epoch;
-  mutable std::mutex Mu; ///< Guards all fields below.
+  uint64_t CurrentSpan = 0; ///< Innermost open span; Span restores it.
   std::vector<PhaseStat> Phases;
   std::map<std::string, size_t> PhaseIndex;
   std::map<std::string, uint64_t> Counters;
@@ -178,7 +179,7 @@ private:
 
 /// RAII span: records the enclosed interval (wall and thread-cpu time,
 /// net/peak heap bytes) into the active registry under \p Name, as a
-/// child of the thread's current span. \p Name must outlive the span
+/// child of the registry's current span. \p Name must outlive the span
 /// (string literals only). Attach attributes with arg() before the
 /// span closes.
 class Span {

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Covers the structured logger (level parsing, the human and JSONL
-/// sink formats, per-level counters), the per-thread flight recorder
-/// (ring wrap-around, span markers, the open-span stack), and the
+/// sink formats, per-level counters), the flight recorder's one ring
+/// (wrap-around, span markers, the open-span stack), and the
 /// crash-report writer validated through the tool's own strict JSON
 /// parser, including a real host stack overflow in a death test.
 ///
@@ -164,20 +164,26 @@ TEST(FlightRecorder, RecordsAndWrapsRings) {
   ASSERT_NE(R, nullptr);
 
   const uint64_t Before = R->eventsRecorded();
-  // Overfill the calling thread's ring no matter what capacity the
-  // first install picked (tests share the process-wide recorder).
+  // Overfill the ring (tests share the process-wide recorder).
   const size_t N = R->capacity() + 50;
   for (size_t I = 0; I != N; ++I)
     R->record(FlightEventKind::Log, 0, "wrap-test-event");
   EXPECT_EQ(R->eventsRecorded(), Before + N);
   EXPECT_GE(R->eventsDropped(), uint64_t(50));
+  // One ring: everything beyond its capacity was overwritten.
+  EXPECT_EQ(R->eventsDropped(), R->eventsRecorded() - R->capacity());
 
-  // The snapshot holds at most capacity entries per thread, sorted by
-  // sequence number, and the newest event is retained.
+  // The snapshot holds exactly capacity entries with consecutive
+  // sequence numbers, and the newest event is retained.
   std::vector<FlightEvent> Events = R->snapshot();
   ASSERT_FALSE(Events.empty());
+  EXPECT_EQ(Events.size(), R->capacity());
   for (size_t I = 1; I < Events.size(); ++I)
     EXPECT_LT(Events[I - 1].Seq, Events[I].Seq);
+  for (size_t I = 1; I < Events.size(); ++I)
+    EXPECT_EQ(Events[I].Seq, Events[I - 1].Seq + 1);
+  for (const FlightEvent &E : Events)
+    EXPECT_EQ(E.Thread, 0u);
   EXPECT_EQ(std::string(Events.back().Text), "wrap-test-event");
   EXPECT_EQ(Events.back().Seq, Before + N);
 }
@@ -293,10 +299,18 @@ TEST(CrashReport, WriteCrashReportEmitsValidJson) {
   ASSERT_NE(Events, nullptr);
   ASSERT_TRUE(Events->isArray());
   ASSERT_FALSE(Events->array().empty());
+  EXPECT_LE(Events->array().size(), FlightRecorder::kCrashTailEvents);
   bool SawBreadcrumb = false;
+  double PrevSeq = 0;
   for (const json::Value &E : Events->array()) {
     EXPECT_TRUE(E.get("seq") && E.get("seq")->isNumber());
     EXPECT_TRUE(E.get("kind") && E.get("kind")->isString());
+    // One ring, oldest first: sequence numbers strictly increase and
+    // every entry comes from thread 0.
+    EXPECT_GT(E.getNumber("seq"), PrevSeq);
+    PrevSeq = E.getNumber("seq");
+    EXPECT_TRUE(E.get("thread") && E.get("thread")->isNumber());
+    EXPECT_EQ(E.getNumber("thread"), 0.0);
     SawBreadcrumb =
         SawBreadcrumb || E.getString("text") == "pre-crash breadcrumb";
   }
