@@ -7,8 +7,6 @@
 #include "analysis/ProgramStats.h"
 
 #include "ast/ASTContext.h"
-#include "ast/ASTWalker.h"
-#include "ast/Expr.h"
 #include "support/SourceManager.h"
 
 using namespace dmm;
@@ -18,51 +16,23 @@ static void addUsedClass(const ClassDecl *CD,
                          std::set<const ClassDecl *> &Used) {
   if (!CD || !CD->isComplete() || !Used.insert(CD).second)
     return;
-  auto VisitFields = [&](const ClassDecl *Cls) {
-    for (const FieldDecl *F : Cls->fields()) {
-      const Type *Ty = F->type();
-      if (const auto *AT = dyn_cast<ArrayType>(Ty))
-        Ty = AT->element();
-      if (const ClassDecl *Member = Ty->asClassDecl())
-        addUsedClass(Member, Used);
-    }
-  };
-  VisitFields(CD);
+  for (const FieldDecl *F : CD->fields()) {
+    const Type *Ty = F->type();
+    if (const auto *AT = dyn_cast<ArrayType>(Ty))
+      Ty = AT->element();
+    if (const ClassDecl *Member = Ty->asClassDecl())
+      addUsedClass(Member, Used);
+  }
   // Base subobjects are constructed along with CD.
   for (const BaseSpecifier &BS : CD->bases())
     addUsedClass(BS.Base, Used);
 }
 
-static void addVarClass(const VarDecl *V, std::set<const ClassDecl *> &Used) {
-  const Type *Ty = V->type()->nonReferenceType();
-  if (const auto *AT = dyn_cast<ArrayType>(Ty))
-    Ty = AT->element();
-  if (V->type()->isReference())
-    return;
-  if (const ClassDecl *CD = Ty->asClassDecl())
-    addUsedClass(CD, Used);
-}
-
 std::set<const ClassDecl *> dmm::computeUsedClasses(const ASTContext &Ctx) {
   std::set<const ClassDecl *> Used;
-
-  for (const VarDecl *GV : Ctx.globals())
-    addVarClass(GV, Used);
-
-  for (const FunctionDecl *FD : Ctx.functions()) {
-    forEachExprInFunction(FD, [&](const Expr *E) {
-      if (const auto *N = dyn_cast<NewExpr>(E))
-        if (const ClassDecl *CD = N->allocType()->asClassDecl())
-          addUsedClass(CD, Used);
-    });
-    if (!FD->body())
-      continue;
-    forEachStmtPreorder(FD->body(), [&](const Stmt *S) {
-      if (const auto *DS = dyn_cast<DeclStmt>(S))
-        for (const VarDecl *V : DS->vars())
-          addVarClass(V, Used);
-    });
-  }
+  for (const ClassDecl *CD : Ctx.classes())
+    if (CD->isInstantiated())
+      addUsedClass(CD, Used);
 
   // Library classes are excluded from the application's statistics.
   std::set<const ClassDecl *> Result;

@@ -51,8 +51,9 @@ struct ProgramStats {
 };
 
 /// Classes for which a constructor call occurs anywhere in the program
-/// text (syntactic, like the paper's Table 1 "used classes" count),
-/// closed over member-object classes. Library classes are excluded.
+/// text (syntactic, like the paper's Table 1 "used classes" count): the
+/// ones Sema marked instantiated, closed over member-object and base
+/// classes. Library classes are excluded.
 std::set<const ClassDecl *> computeUsedClasses(const ASTContext &Ctx);
 
 /// Computes the full characteristics row. \p UserFileIDs are the

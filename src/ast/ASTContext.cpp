@@ -36,30 +36,21 @@ void ASTContext::registerDecl(Decl *D) {
 }
 
 const Type *ASTContext::classType(const ClassDecl *CD) {
-  auto It = ClassTypes.find(CD);
-  if (It != ClassTypes.end())
-    return It->second;
-  const ClassType *T = Alloc.create<ClassType>(CD);
-  ClassTypes[CD] = T;
-  return T;
+  if (!CD->TypeForDecl)
+    CD->TypeForDecl = Alloc.create<ClassType>(CD);
+  return CD->TypeForDecl;
 }
 
 const PointerType *ASTContext::pointerType(const Type *Pointee) {
-  auto It = PointerTypes.find(Pointee);
-  if (It != PointerTypes.end())
-    return It->second;
-  const PointerType *T = Alloc.create<PointerType>(Pointee);
-  PointerTypes[Pointee] = T;
-  return T;
+  if (!Pointee->PointerTo)
+    Pointee->PointerTo = Alloc.create<PointerType>(Pointee);
+  return Pointee->PointerTo;
 }
 
 const ReferenceType *ASTContext::referenceType(const Type *Pointee) {
-  auto It = ReferenceTypes.find(Pointee);
-  if (It != ReferenceTypes.end())
-    return It->second;
-  const ReferenceType *T = Alloc.create<ReferenceType>(Pointee);
-  ReferenceTypes[Pointee] = T;
-  return T;
+  if (!Pointee->ReferenceTo)
+    Pointee->ReferenceTo = Alloc.create<ReferenceType>(Pointee);
+  return Pointee->ReferenceTo;
 }
 
 const ArrayType *ASTContext::arrayType(const Type *Element, uint64_t Size) {

@@ -7,7 +7,9 @@
 /// \file
 /// Owns every AST node for a compilation (arena-allocated) and uniques
 /// types so that pointer equality is type equality. Also maintains dense
-/// registries of classes and functions for whole-program iteration.
+/// registries of classes and functions for whole-program iteration, and
+/// the program's one name table: the SymbolTable and what each symbol
+/// is bound to.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +20,7 @@
 #include "ast/Expr.h"
 #include "ast/Stmt.h"
 #include "ast/Type.h"
+#include "lexer/SymbolTable.h"
 #include "support/Arena.h"
 
 #include <map>
@@ -27,6 +30,25 @@
 #include <vector>
 
 namespace dmm {
+
+/// What one symbol denotes. The parser fills in classes and free
+/// functions as it declares them, and Sema adds the builtins and global
+/// variables; the other fields are scratch state of the pass that is
+/// running.
+struct NameBinding {
+  ClassDecl *Class = nullptr; ///< Forward declarations included.
+  /// The function, builtin or global variable of this name. A builtin
+  /// replaces a user function; a global variable replaces whatever was
+  /// there, after a "redefinition of global" error.
+  Decl *Global = nullptr;
+  /// The class whose body declared a member of this name last (the
+  /// parser's duplicate-member check).
+  const ClassDecl *MemberOf = nullptr;
+  /// The innermost visible local variable of this name and the depth of
+  /// its block; Sema keeps the ones it shadows on its scope stack.
+  VarDecl *Local = nullptr;
+  unsigned LocalDepth = 0;
+};
 
 /// The allocation and uniquing context for one program's AST.
 class ASTContext {
@@ -52,7 +74,7 @@ public:
   /// Creates a node that is arena-owned but not registered in the
   /// class/function/field indices. Used for the parser's scratch decls
   /// (re-parsed parameter lists of out-of-line definitions), which must
-  /// not shadow the real declarations during Sema.
+  /// not become functions of the program.
   template <typename T, typename... Args> T *createDetached(Args &&...A) {
     return Alloc.create<T>(std::forward<Args>(A)...);
   }
@@ -80,6 +102,8 @@ public:
   /// @}
 
   /// \name Derived types (uniqued)
+  /// A class, pointer or reference type is cached on its ClassDecl or
+  /// pointee; the rest are looked up in tables.
   /// @{
   const Type *classType(const ClassDecl *CD);
   const PointerType *pointerType(const Type *Pointee);
@@ -89,6 +113,17 @@ public:
                                              const Type *Pointee);
   const FunctionType *functionType(const Type *Result,
                                    std::vector<const Type *> Params);
+  /// @}
+
+  /// \name Names
+  /// @{
+  SymbolTable &symbols() { return Symbols; }
+  const SymbolTable &symbols() const { return Symbols; }
+  NameBinding &binding(SymbolID S) {
+    if (S >= Bindings.size())
+      Bindings.resize(Symbols.size());
+    return Bindings[S];
+  }
   /// @}
 
   /// The root declaration.
@@ -112,6 +147,8 @@ private:
   void registerDecl(Decl *D);
 
   Arena Alloc;
+  SymbolTable Symbols;
+  std::vector<NameBinding> Bindings; ///< By SymbolID, grown on demand.
 
   BuiltinType VoidTy;
   BuiltinType BoolTy;
@@ -120,9 +157,6 @@ private:
   BuiltinType DoubleTy;
   BuiltinType NullPtrTy;
 
-  std::map<const ClassDecl *, const ClassType *> ClassTypes;
-  std::map<const Type *, const PointerType *> PointerTypes;
-  std::map<const Type *, const ReferenceType *> ReferenceTypes;
   std::map<std::pair<const Type *, uint64_t>, const ArrayType *> ArrayTypes;
   std::map<std::pair<const ClassDecl *, const Type *>,
            const MemberPointerType *>

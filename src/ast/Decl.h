@@ -119,6 +119,11 @@ public:
   bool isLibrary() const { return Library; }
   void setLibrary(bool B = true) { Library = B; }
 
+  /// True once Sema has seen an object of this class created in some
+  /// function (`new`, a local) or as a global.
+  bool isInstantiated() const { return Instantiated; }
+  void setInstantiated() const { Instantiated = true; }
+
   void addBase(BaseSpecifier B) { Bases.push_back(B); }
   const std::vector<BaseSpecifier> &bases() const { return Bases; }
 
@@ -143,9 +148,12 @@ public:
   static bool classof(const Decl *D) { return D->kind() == Kind::Class; }
 
 private:
+  friend class ASTContext; // Uniques the class type through TypeForDecl.
   TagKind Tag;
   bool Complete = false;
   bool Library = false;
+  mutable bool Instantiated = false;
+  mutable const ClassType *TypeForDecl = nullptr;
   std::vector<BaseSpecifier> Bases;
   std::vector<FieldDecl *> Fields;
   std::vector<MethodDecl *> Methods;

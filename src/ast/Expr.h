@@ -12,8 +12,9 @@
 /// and SizeofExpr — exactly the cases of paper Figure 2.
 ///
 /// Every expression is trivially destructible, so the arena never runs a
-/// destructor for one: names are views into the SourceManager's buffers,
-/// string bytes and argument lists are arena arrays.
+/// destructor for one: a name is a SymbolID or a view into the
+/// SourceManager's buffers, string bytes and argument lists are arena
+/// arrays.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +22,7 @@
 #define DMM_AST_EXPR_H
 
 #include "ast/Type.h"
+#include "lexer/Token.h"
 #include "support/Casting.h"
 #include "support/SourceLocation.h"
 
@@ -175,10 +177,11 @@ public:
 /// A use of a named variable or function.
 class DeclRefExpr : public Expr {
 public:
-  DeclRefExpr(std::string_view Name, SourceLocation Loc)
+  DeclRefExpr(SymbolID Name, SourceLocation Loc)
       : Expr(Kind::DeclRef, Loc), Name(Name) {}
 
-  std::string_view declName() const { return Name; }
+  /// The referenced name; ASTContext::symbols() spells it.
+  SymbolID declName() const { return Name; }
 
   /// The referenced VarDecl or FunctionDecl; null until resolved by Sema.
   Decl *referent() const { return Referent; }
@@ -187,7 +190,7 @@ public:
   static bool classof(const Expr *E) { return E->kind() == Kind::DeclRef; }
 
 private:
-  std::string_view Name;
+  SymbolID Name;
   Decl *Referent = nullptr;
 };
 
@@ -202,7 +205,7 @@ public:
 class MemberExpr : public Expr {
 public:
   MemberExpr(Expr *Base, bool IsArrow, std::string_view MemberName,
-             std::string_view Qualifier, SourceLocation Loc)
+             SymbolID Qualifier, SourceLocation Loc)
       : Expr(Kind::Member, Loc), Base(Base), Arrow(IsArrow),
         MemberName(MemberName), Qualifier(Qualifier) {}
 
@@ -210,9 +213,9 @@ public:
   bool isArrow() const { return Arrow; }
   std::string_view memberName() const { return MemberName; }
 
-  /// Spelled qualifier for `e.C::m` forms; empty when unqualified.
-  std::string_view qualifier() const { return Qualifier; }
-  bool isQualified() const { return !Qualifier.empty(); }
+  /// The qualifier of `e.C::m` forms; kNoSymbol when unqualified.
+  SymbolID qualifier() const { return Qualifier; }
+  bool isQualified() const { return Qualifier != kNoSymbol; }
 
   /// The member found by Lookup (a FieldDecl or MethodDecl); null until
   /// Sema runs. The declaring class may be a base of the base
@@ -226,7 +229,7 @@ private:
   Expr *Base;
   bool Arrow;
   std::string_view MemberName;
-  std::string_view Qualifier;
+  SymbolID Qualifier;
   Decl *Member = nullptr;
 };
 
@@ -234,12 +237,12 @@ private:
 /// offset of member m within class Z is computed").
 class MemberPointerConstantExpr : public Expr {
 public:
-  MemberPointerConstantExpr(std::string_view ClassName,
-                            std::string_view MemberName, SourceLocation Loc)
+  MemberPointerConstantExpr(SymbolID ClassName, std::string_view MemberName,
+                            SourceLocation Loc)
       : Expr(Kind::MemberPointerConstant, Loc), ClassName(ClassName),
         MemberName(MemberName) {}
 
-  std::string_view className() const { return ClassName; }
+  SymbolID className() const { return ClassName; }
   std::string_view memberName() const { return MemberName; }
 
   /// The member resolved by Lookup; null until Sema runs.
@@ -251,7 +254,7 @@ public:
   }
 
 private:
-  std::string_view ClassName;
+  SymbolID ClassName;
   std::string_view MemberName;
   FieldDecl *Member = nullptr;
 };

@@ -189,7 +189,7 @@ void SourcePrinter::printExpr(const Expr *E) {
     emit("nullptr");
     return;
   case Expr::Kind::DeclRef:
-    emit(cast<DeclRefExpr>(E)->declName());
+    emit(Symbols->spelling(cast<DeclRefExpr>(E)->declName()));
     return;
   case Expr::Kind::This:
     emit("this");
@@ -199,7 +199,7 @@ void SourcePrinter::printExpr(const Expr *E) {
     Paren(ME->base());
     emit(ME->isArrow() ? "->" : ".");
     if (ME->isQualified()) {
-      emit(ME->qualifier());
+      emit(Symbols->spelling(ME->qualifier()));
       emit("::");
     }
     emit(ME->memberName());
@@ -208,7 +208,7 @@ void SourcePrinter::printExpr(const Expr *E) {
   case Expr::Kind::MemberPointerConstant: {
     const auto *MPC = cast<MemberPointerConstantExpr>(E);
     emit("&");
-    emit(MPC->className());
+    emit(Symbols->spelling(MPC->className()));
     emit("::");
     emit(MPC->memberName());
     return;
@@ -580,6 +580,7 @@ void SourcePrinter::printFunctionBody(const FunctionDecl *FD,
 
 std::string SourcePrinter::print(const ASTContext &Ctx) {
   Out.clear();
+  Symbols = &Ctx.symbols();
 
   // Forward declarations so pointer members may reference any class.
   for (const ClassDecl *CD : Ctx.classes()) {

@@ -87,6 +87,7 @@ private:
   void indent(unsigned Levels);
 
   std::string Out;
+  const SymbolTable *Symbols = nullptr; ///< The printed program's names.
 };
 
 } // namespace dmm

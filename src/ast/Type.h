@@ -23,7 +23,10 @@
 
 namespace dmm {
 
+class ASTContext;
 class ClassDecl;
+class PointerType;
+class ReferenceType;
 
 /// Base of the type hierarchy. Uniqued; compare with pointer equality.
 class Type {
@@ -67,7 +70,10 @@ protected:
   ~Type() = default;
 
 private:
+  friend class ASTContext; // Uniques T* and T& through these.
   Kind K;
+  mutable const PointerType *PointerTo = nullptr;
+  mutable const ReferenceType *ReferenceTo = nullptr;
 };
 
 /// The builtin scalar types.

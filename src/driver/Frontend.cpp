@@ -36,7 +36,7 @@ std::unique_ptr<Compilation> dmm::compileProgram(std::vector<SourceFile> Files,
     for (const auto &[ID, IsLibrary] : Buffers) {
       Span FileSpan("lex.file");
       FileSpan.arg("file", std::string(C->SM.bufferName(ID)));
-      Lexer Lex(C->SM, ID, C->Diags);
+      Lexer Lex(C->SM, ID, C->Diags, C->Ctx->symbols());
       Lexed.push_back(Lex.lexAll());
       FileSpan.arg("tokens", Lexed.back().size());
       TotalTokens += Lexed.back().size();

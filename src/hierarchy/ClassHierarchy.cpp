@@ -14,9 +14,8 @@ using namespace dmm;
 
 const std::vector<const ClassDecl *> ClassHierarchy::Empty;
 
-ClassHierarchy::ClassHierarchy(const ASTContext &Ctx)
-    : Classes(Ctx.classes()) {
-  for (const ClassDecl *CD : Classes)
+ClassHierarchy::ClassHierarchy(const ASTContext &Ctx) {
+  for (const ClassDecl *CD : Ctx.classes())
     for (const BaseSpecifier &BS : CD->bases())
       Subclasses[BS.Base].push_back(CD);
 }

@@ -88,8 +88,6 @@ public:
     return CD->destructor();
   }
 
-  const std::vector<ClassDecl *> &allClasses() const { return Classes; }
-
 private:
   void collectBases(const ClassDecl *CD,
                     std::vector<const ClassDecl *> &Out,
@@ -100,7 +98,6 @@ private:
   void lookupVisible(const ClassDecl *CD, std::string_view Name,
                      std::unordered_set<Decl *> &Out) const;
 
-  std::vector<ClassDecl *> Classes;
   std::unordered_map<const ClassDecl *, std::vector<const ClassDecl *>>
       Subclasses;
   static const std::vector<const ClassDecl *> Empty;

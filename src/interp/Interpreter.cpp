@@ -764,8 +764,8 @@ Storage *Interpreter::evalLValue(const Expr *E) {
         fail("object has no storage for member '" + Field->name() + "'");
       return FS;
     }
-    fail("cannot take the location of '" + std::string(DRE->declName()) +
-         "'");
+    fail("cannot take the location of '" +
+         std::string(Ctx.symbols().spelling(DRE->declName())) + "'");
   }
   case Expr::Kind::Member: {
     const auto *ME = cast<MemberExpr>(E);

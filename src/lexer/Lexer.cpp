@@ -6,6 +6,7 @@
 
 #include "lexer/Lexer.h"
 
+#include "lexer/SymbolTable.h"
 #include "support/Diagnostics.h"
 #include "support/SourceManager.h"
 
@@ -17,7 +18,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <string>
-#include <unordered_map>
 
 using namespace dmm;
 
@@ -107,45 +107,10 @@ const char *dmm::tokenKindName(TokenKind Kind) {
   return "unknown token";
 }
 
-static const std::unordered_map<std::string_view, TokenKind> &keywordTable() {
-  static const std::unordered_map<std::string_view, TokenKind> Table = {
-      {"class", TokenKind::KwClass},
-      {"struct", TokenKind::KwStruct},
-      {"union", TokenKind::KwUnion},
-      {"public", TokenKind::KwPublic},
-      {"private", TokenKind::KwPrivate},
-      {"protected", TokenKind::KwProtected},
-      {"virtual", TokenKind::KwVirtual},
-      {"volatile", TokenKind::KwVolatile},
-      {"const", TokenKind::KwConst},
-      {"void", TokenKind::KwVoid},
-      {"bool", TokenKind::KwBool},
-      {"char", TokenKind::KwChar},
-      {"int", TokenKind::KwInt},
-      {"double", TokenKind::KwDouble},
-      {"if", TokenKind::KwIf},
-      {"else", TokenKind::KwElse},
-      {"while", TokenKind::KwWhile},
-      {"for", TokenKind::KwFor},
-      {"break", TokenKind::KwBreak},
-      {"continue", TokenKind::KwContinue},
-      {"return", TokenKind::KwReturn},
-      {"new", TokenKind::KwNew},
-      {"delete", TokenKind::KwDelete},
-      {"this", TokenKind::KwThis},
-      {"sizeof", TokenKind::KwSizeof},
-      {"static_cast", TokenKind::KwStaticCast},
-      {"reinterpret_cast", TokenKind::KwReinterpretCast},
-      {"true", TokenKind::KwTrue},
-      {"false", TokenKind::KwFalse},
-      {"nullptr", TokenKind::KwNullptr},
-  };
-  return Table;
-}
-
 Lexer::Lexer(const SourceManager &SM, uint32_t FileID,
-             DiagnosticsEngine &Diags)
-    : Diags(Diags), Text(SM.bufferText(FileID)), FileID(FileID) {}
+             DiagnosticsEngine &Diags, SymbolTable &Symbols)
+    : Diags(Diags), Symbols(Symbols), Text(SM.bufferText(FileID)),
+      FileID(FileID) {}
 
 char Lexer::peek(unsigned LookAhead) const {
   size_t Index = Pos + LookAhead;
@@ -197,6 +162,12 @@ void Lexer::skipTrivia() {
 Token Lexer::makeToken(TokenKind Kind, uint32_t Begin) {
   Token T;
   T.Kind = Kind;
+  if (Pos - Begin > Token::MaxLength) {
+    Diags.error(SourceLocation(FileID, Begin),
+                "token longer than " + std::to_string(Token::MaxLength) +
+                    " bytes");
+    T.Kind = TokenKind::Unknown;
+  }
   T.Length = Pos - Begin;
   T.Loc = SourceLocation(FileID, Begin);
   return T;
@@ -207,9 +178,10 @@ Token Lexer::lexIdentifierOrKeyword() {
   while (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_')
     ++Pos;
   Token T = makeToken(TokenKind::Identifier, Begin);
-  auto It = keywordTable().find(T.text(Text));
-  if (It != keywordTable().end())
-    T.Kind = It->second;
+  if (T.is(TokenKind::Identifier)) {
+    T.Sym = Symbols.intern(T.text(Text));
+    T.Kind = SymbolTable::tokenKind(T.Sym);
+  }
   return T;
 }
 

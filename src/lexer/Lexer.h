@@ -8,9 +8,10 @@
 /// Hand-written lexer for the MiniC++ subset. Produces a stream of Tokens;
 /// comments and whitespace are skipped. Malformed literals are reported via
 /// the DiagnosticsEngine and yield Unknown tokens, which the parser treats
-/// as hard errors. Tokens carry no payload: the static decoders below turn
-/// a literal's spelling into its value, and the lexer runs the same
-/// decoders to validate each literal as it lexes it.
+/// as hard errors. Identifiers and keywords are interned in a SymbolTable
+/// as they are lexed. Tokens carry no other payload: the static decoders
+/// below turn a literal's spelling into its value, and the lexer runs the
+/// same decoders to validate each literal as it lexes it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,12 +28,15 @@ namespace dmm {
 
 class DiagnosticsEngine;
 class SourceManager;
+class SymbolTable;
 
 /// Converts one source buffer into tokens.
 class Lexer {
 public:
   /// \param FileID buffer to lex, previously registered with \p SM.
-  Lexer(const SourceManager &SM, uint32_t FileID, DiagnosticsEngine &Diags);
+  /// \param Symbols interns the buffer's identifiers.
+  Lexer(const SourceManager &SM, uint32_t FileID, DiagnosticsEngine &Diags,
+        SymbolTable &Symbols);
 
   /// Lexes and returns the next token; returns EndOfFile forever at the end.
   Token lex();
@@ -78,6 +82,7 @@ private:
   void lexEscape();
 
   DiagnosticsEngine &Diags;
+  SymbolTable &Symbols;
   std::string_view Text;
   uint32_t FileID;
   uint32_t Pos = 0;

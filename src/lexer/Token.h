@@ -7,11 +7,12 @@
 /// \file
 /// Token kinds and the Token value type produced by the Lexer.
 ///
-/// A Token is 16 bytes and trivially copyable: kind, length and location.
-/// It owns no text. Its spelling is the [offset, offset + length) slice
-/// of its SourceManager buffer, and literal payloads (int, double, char,
-/// string) are decoded from that spelling when the parser needs them,
-/// by the Lexer's decoders.
+/// A Token is 16 bytes and trivially copyable: kind, length, symbol and
+/// location. It owns no text. Its spelling is the [offset, offset +
+/// length) slice of its SourceManager buffer; an identifier or keyword
+/// also carries its SymbolID, so the parser never hashes a name. Literal
+/// payloads (int, double, char, string) are decoded from the spelling
+/// when the parser needs them, by the Lexer's decoders.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +26,10 @@
 #include <type_traits>
 
 namespace dmm {
+
+/// A dense index into the SymbolTable: one per distinct spelling.
+using SymbolID = uint32_t;
+inline constexpr SymbolID kNoSymbol = UINT32_MAX;
 
 /// All token kinds of the MiniC++ subset.
 enum class TokenKind : uint8_t {
@@ -120,8 +125,12 @@ const char *tokenKindName(TokenKind Kind);
 
 /// A lexed token. Its text lives in the SourceManager buffer of Loc.
 struct Token {
+  /// The longest token the lexer accepts; a longer one is an error.
+  static constexpr uint32_t MaxLength = (1u << 24) - 1;
+
   TokenKind Kind = TokenKind::Unknown;
-  uint32_t Length = 0; ///< Bytes of spelling, starting at Loc.
+  uint32_t Length : 24 = 0; ///< Bytes of spelling, starting at Loc.
+  SymbolID Sym = kNoSymbol; ///< An identifier's or keyword's symbol.
   SourceLocation Loc;
 
   /// The token's spelling within \p Buffer, the text of Loc's buffer.
@@ -138,7 +147,8 @@ struct Token {
   }
 };
 
-static_assert(sizeof(Token) <= 16, "a token is kind, length and location");
+static_assert(sizeof(Token) <= 16,
+              "a token is kind, length, symbol and location");
 static_assert(std::is_trivially_copyable_v<Token>,
               "a token owns nothing; its text is in the SourceManager");
 

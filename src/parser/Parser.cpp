@@ -108,7 +108,7 @@ long long Parser::intValue(const Token &T) const {
 }
 
 bool Parser::isTypeName(const Token &T) const {
-  return T.is(TokenKind::Identifier) && ClassNames.contains(text(T));
+  return T.is(TokenKind::Identifier) && lookupClass(T);
 }
 
 bool Parser::startsType(unsigned At) const {
@@ -129,19 +129,10 @@ bool Parser::startsType(unsigned At) const {
   }
 }
 
-ClassDecl *Parser::lookupClass(std::string_view Name) const {
-  auto It = ClassNames.find(Name);
-  return It == ClassNames.end() ? nullptr : It->second;
+ClassDecl *Parser::lookupClass(const Token &T) const {
+  return Ctx.binding(T.Sym).Class;
 }
 
-ClassDecl *Parser::getOrCreateClass(TagKind Tag, const std::string &Name,
-                                    SourceLocation Loc) {
-  if (ClassDecl *Existing = lookupClass(Name))
-    return Existing;
-  ClassDecl *CD = Ctx.create<ClassDecl>(Tag, Name, Loc);
-  ClassNames.emplace(Name, CD);
-  return CD;
-}
 
 //===----------------------------------------------------------------------===//
 // Types
@@ -160,7 +151,7 @@ const Type *Parser::parseType() {
   case TokenKind::KwInt: Ty = Ctx.intType(); break;
   case TokenKind::KwDouble: Ty = Ctx.doubleType(); break;
   case TokenKind::Identifier: {
-    ClassDecl *CD = lookupClass(text(cur()));
+    ClassDecl *CD = lookupClass(cur());
     if (!CD) {
       Diags.error(cur().Loc,
                   "unknown type name '" + std::string(text(cur())) + "'");
@@ -186,7 +177,7 @@ const Type *Parser::parseType() {
     // Member-pointer suffix: `int A::* pm`.
     if (cur().is(TokenKind::Identifier) && tok(1).is(TokenKind::ColonColon) &&
         tok(2).is(TokenKind::Star)) {
-      ClassDecl *CD = lookupClass(text(cur()));
+      ClassDecl *CD = lookupClass(cur());
       if (!CD) {
         Diags.error(cur().Loc, "unknown class name '" +
                                    std::string(text(cur())) +
@@ -207,15 +198,13 @@ const Type *Parser::parseType() {
   return Ty;
 }
 
-const Type *Parser::parseDeclarator(const Type *Ty, std::string &Name,
-                                    SourceLocation &NameLoc) {
+const Type *Parser::parseDeclarator(const Type *Ty, const Token *&Name) {
   // Function-pointer declarator: `(*name)(param-types)`.
   if (cur().is(TokenKind::LParen) && tok(1).is(TokenKind::Star)) {
     consume(); // (
     consume(); // *
     if (cur().is(TokenKind::Identifier)) {
-      Name = text(cur());
-      NameLoc = cur().Loc;
+      Name = &cur();
       consume();
     }
     expect(TokenKind::RParen, "after function pointer name");
@@ -237,8 +226,7 @@ const Type *Parser::parseDeclarator(const Type *Ty, std::string &Name,
   }
 
   if (cur().is(TokenKind::Identifier)) {
-    Name = text(cur());
-    NameLoc = cur().Loc;
+    Name = &cur();
     consume();
   }
 
@@ -303,7 +291,7 @@ void Parser::parseTopLevelDecl() {
     // `C::C(...)` or `C::~C(...)` out-of-line special members.
     if (tok(1).is(TokenKind::ColonColon) &&
         (tok(2).is(TokenKind::Tilde) ||
-         (tok(2).is(TokenKind::Identifier) && text(tok(2)) == text(cur())))) {
+         (tok(2).is(TokenKind::Identifier) && tok(2).Sym == cur().Sym))) {
       parseOutOfLineMember(/*ReturnTy=*/nullptr);
       break;
     }
@@ -339,17 +327,20 @@ void Parser::parseClass(TagKind Tag) {
     Diags.error(cur().Loc, "expected class name");
     return;
   }
-  std::string Name(text(cur()));
-  SourceLocation Loc = cur().Loc;
+  const Token &Name = cur();
   consume();
 
-  ClassDecl *CD = getOrCreateClass(Tag, Name, Loc);
+  ClassDecl *CD = lookupClass(Name);
+  if (!CD) {
+    CD = Ctx.create<ClassDecl>(Tag, std::string(text(Name)), Name.Loc);
+    Ctx.binding(Name.Sym).Class = CD;
+  }
 
   if (tryConsume(TokenKind::Semi))
     return; // Forward declaration.
 
   if (CD->isComplete()) {
-    Diags.error(Loc, "redefinition of '" + Name + "'");
+    Diags.error(Name.Loc, "redefinition of '" + CD->name() + "'");
     synchronize();
     return;
   }
@@ -375,7 +366,7 @@ void Parser::parseClass(TagKind Tag) {
         return;
       }
       BS.Loc = cur().Loc;
-      BS.Base = lookupClass(text(cur()));
+      BS.Base = lookupClass(cur());
       if (!BS.Base) {
         Diags.error(cur().Loc,
                     "unknown base class '" + std::string(text(cur())) + "'");
@@ -388,6 +379,12 @@ void Parser::parseClass(TagKind Tag) {
 
   if (!expect(TokenKind::LBrace, "to begin class body"))
     return;
+  // Members of a body that an earlier buffer abandoned as "nesting too
+  // deep" are declared already.
+  for (const Decl *D : CD->fields())
+    Ctx.binding(Ctx.symbols().intern(D->name())).MemberOf = CD;
+  for (const Decl *D : CD->methods())
+    Ctx.binding(Ctx.symbols().intern(D->name())).MemberOf = CD;
   parseClassBody(CD);
   CD->setComplete();
   Ctx.translationUnit()->addDecl(CD);
@@ -472,17 +469,19 @@ void Parser::parseMember(ClassDecl *CD) {
 
   // Method: `T name ( ... )`.
   if (cur().is(TokenKind::Identifier) && tok(1).is(TokenKind::LParen)) {
-    std::string Name(text(cur()));
-    SourceLocation Loc = cur().Loc;
+    const Token &Name = cur();
     consume();
-    if (CD->findMethod(Name) || CD->findField(Name)) {
-      Diags.error(Loc, "redeclaration of member '" + Name + "' (MiniC++ has "
-                       "no overloading)");
+    if (Ctx.binding(Name.Sym).MemberOf == CD) {
+      Diags.error(Name.Loc, "redeclaration of member '" +
+                                std::string(text(Name)) +
+                                "' (MiniC++ has no overloading)");
       return;
     }
-    auto *M = Ctx.create<MethodDecl>(Name, Ty, CD, IsVirtual, Loc);
+    auto *M = Ctx.create<MethodDecl>(std::string(text(Name)), Ty, CD,
+                                     IsVirtual, Name.Loc);
     parseParamList(M);
     CD->addMethod(M);
+    Ctx.binding(Name.Sym).MemberOf = CD;
     if (tryConsume(TokenKind::Semi))
       return;
     // Pure virtual: `= 0 ;`.
@@ -501,23 +500,24 @@ void Parser::parseMember(ClassDecl *CD) {
   // Data member(s): `T name [N]? (, name...)* ;` (function-pointer
   // members also come through parseDeclarator).
   do {
-    std::string Name;
-    SourceLocation NameLoc = cur().Loc;
-    const Type *FieldTy = parseDeclarator(Ty, Name, NameLoc);
+    const Token *Name = nullptr;
+    const Type *FieldTy = parseDeclarator(Ty, Name);
     if (!FieldTy)
       return;
-    if (Name.empty()) {
+    if (!Name) {
       Diags.error(cur().Loc, "expected data member name");
       return;
     }
-    if (CD->findField(Name) || CD->findMethod(Name)) {
-      Diags.error(NameLoc, "duplicate member '" + Name + "'");
+    if (Ctx.binding(Name->Sym).MemberOf == CD) {
+      Diags.error(Name->Loc,
+                  "duplicate member '" + std::string(text(*Name)) + "'");
       return;
     }
     auto *F = Ctx.create<FieldDecl>(
-        Name, FieldTy, IsVolatile, CD,
-        static_cast<unsigned>(CD->fields().size()), NameLoc);
+        std::string(text(*Name)), FieldTy, IsVolatile, CD,
+        static_cast<unsigned>(CD->fields().size()), Name->Loc);
     CD->addField(F);
+    Ctx.binding(Name->Sym).MemberOf = CD;
   } while (tryConsume(TokenKind::Comma));
   expect(TokenKind::Semi, "after data member declaration");
 }
@@ -553,12 +553,14 @@ void Parser::parseParamList(FunctionDecl *FD) {
       const Type *Ty = parseType();
       if (!Ty)
         return;
-      std::string Name;
-      SourceLocation NameLoc = cur().Loc;
-      const Type *ParamTy = parseDeclarator(Ty, Name, NameLoc);
+      SourceLocation Loc = cur().Loc; // An unnamed parameter's location.
+      const Token *Name = nullptr;
+      const Type *ParamTy = parseDeclarator(Ty, Name);
       if (!ParamTy)
         return;
-      FD->addParam(Ctx.create<ParamDecl>(Name, ParamTy, NameLoc));
+      FD->addParam(Name ? Ctx.create<ParamDecl>(std::string(text(*Name)),
+                                                ParamTy, Name->Loc)
+                        : Ctx.create<ParamDecl>("", ParamTy, Loc));
     } while (tryConsume(TokenKind::Comma));
   }
   expect(TokenKind::RParen, "to end parameter list");
@@ -566,9 +568,10 @@ void Parser::parseParamList(FunctionDecl *FD) {
 
 void Parser::parseOutOfLineMember(const Type *ReturnTy) {
   assert(cur().is(TokenKind::Identifier) && "caller checked class name");
-  std::string ClassName(text(cur()));
-  SourceLocation ClassLoc = cur().Loc;
-  ClassDecl *CD = lookupClass(ClassName);
+  const Token &ClassTok = cur();
+  std::string ClassName(text(ClassTok));
+  SourceLocation ClassLoc = ClassTok.Loc;
+  ClassDecl *CD = lookupClass(ClassTok);
   consume();
   expect(TokenKind::ColonColon, "in out-of-line member definition");
   if (!CD) {
@@ -579,7 +582,7 @@ void Parser::parseOutOfLineMember(const Type *ReturnTy) {
   if (!ReturnTy) {
     // Constructor or destructor definition.
     if (tryConsume(TokenKind::Tilde)) {
-      if (cur().isNot(TokenKind::Identifier) || text(cur()) != ClassName) {
+      if (cur().isNot(TokenKind::Identifier) || cur().Sym != ClassTok.Sym) {
         Diags.error(cur().Loc, "destructor name must match class name");
         return;
       }
@@ -602,7 +605,7 @@ void Parser::parseOutOfLineMember(const Type *ReturnTy) {
       return;
     }
     // Constructor.
-    assert(cur().is(TokenKind::Identifier) && text(cur()) == ClassName &&
+    assert(cur().is(TokenKind::Identifier) && cur().Sym == ClassTok.Sym &&
            "caller checked constructor name");
     SourceLocation Loc = cur().Loc;
     consume();
@@ -679,15 +682,15 @@ void Parser::parseFunctionOrGlobal(const Type *Ty) {
   if (cur().is(TokenKind::Identifier) && tok(1).is(TokenKind::LParen) &&
       (tok(2).is(TokenKind::RParen) || startsType(2))) {
     std::string Name(text(cur()));
+    SymbolID Sym = cur().Sym;
     SourceLocation Loc = cur().Loc;
     consume();
-    auto It = FunctionNames.find(Name);
-    FunctionDecl *FD = nullptr;
-    if (It != FunctionNames.end()) {
-      FD = It->second;
+    // While parsing, only free functions are bound as globals.
+    auto *FD = static_cast<FunctionDecl *>(Ctx.binding(Sym).Global);
+    if (FD) {
       // Re-parse params into a detached scratch decl and adopt its
-      // names (a registered scratch would shadow FD in Sema's global
-      // scope).
+      // names (a registered scratch would be one more function of the
+      // program).
       auto *Scratch = Ctx.createDetached<FunctionDecl>(Name, Ty, Loc);
       parseParamList(Scratch);
       if (Scratch->params().size() != FD->params().size())
@@ -697,7 +700,7 @@ void Parser::parseFunctionOrGlobal(const Type *Ty) {
     } else {
       FD = Ctx.create<FunctionDecl>(Name, Ty, Loc);
       parseParamList(FD);
-      FunctionNames[Name] = FD;
+      Ctx.binding(Sym).Global = FD;
       Ctx.translationUnit()->addDecl(FD);
     }
     if (tryConsume(TokenKind::Semi))
@@ -712,35 +715,7 @@ void Parser::parseFunctionOrGlobal(const Type *Ty) {
     return;
   }
 
-  // Global variable(s).
-  do {
-    std::string Name;
-    SourceLocation NameLoc = cur().Loc;
-    const Type *VarTy = parseDeclarator(Ty, Name, NameLoc);
-    if (!VarTy)
-      return;
-    if (Name.empty()) {
-      Diags.error(cur().Loc, "expected variable name");
-      return;
-    }
-    auto *V = Ctx.create<VarDecl>(Name, VarTy, NameLoc);
-    V->setGlobal();
-    if (tryConsume(TokenKind::Equal))
-      V->setInit(parseAssign());
-    else if (tryConsume(TokenKind::LParen)) {
-      std::vector<Expr *> Args;
-      if (cur().isNot(TokenKind::RParen)) {
-        do
-          Args.push_back(parseAssign());
-        while (tryConsume(TokenKind::Comma));
-      }
-      expect(TokenKind::RParen, "after constructor arguments");
-      V->setCtorArgs(std::move(Args));
-    }
-    Ctx.registerGlobal(V);
-    Ctx.translationUnit()->addDecl(V);
-  } while (tryConsume(TokenKind::Comma));
-  expect(TokenKind::Semi, "after variable declaration");
+  parseVars(Ty, /*IsGlobal=*/true);
 }
 
 //===----------------------------------------------------------------------===//
@@ -816,24 +791,25 @@ Stmt *Parser::parseDeclStmt() {
   auto *DS = Ctx.create<DeclStmt>(Loc);
   if (Ty) {
     size_t First = PendingVars.size();
-    parseLocalVars(Ty);
+    parseVars(Ty, /*IsGlobal=*/false);
     DS->setVars(takePending(PendingVars, First));
   }
   return DS;
 }
 
-void Parser::parseLocalVars(const Type *Ty) {
+void Parser::parseVars(const Type *Ty, bool IsGlobal) {
   do {
-    std::string Name;
-    SourceLocation NameLoc = cur().Loc;
-    const Type *VarTy = parseDeclarator(Ty, Name, NameLoc);
+    const Token *Name = nullptr;
+    const Type *VarTy = parseDeclarator(Ty, Name);
     if (!VarTy)
       return;
-    if (Name.empty()) {
+    if (!Name) {
       Diags.error(cur().Loc, "expected variable name");
       return;
     }
-    auto *V = Ctx.create<VarDecl>(Name, VarTy, NameLoc);
+    auto *V = Ctx.create<VarDecl>(std::string(text(*Name)), VarTy, Name->Loc);
+    if (IsGlobal)
+      V->setGlobal();
     if (tryConsume(TokenKind::Equal))
       V->setInit(parseAssign());
     else if (tryConsume(TokenKind::LParen)) {
@@ -846,9 +822,15 @@ void Parser::parseLocalVars(const Type *Ty) {
       expect(TokenKind::RParen, "after constructor arguments");
       V->setCtorArgs(std::move(Args));
     }
-    PendingVars.push_back(V);
+    if (!IsGlobal) {
+      PendingVars.push_back(V);
+    } else {
+      Ctx.registerGlobal(V);
+      Ctx.translationUnit()->addDecl(V);
+    }
   } while (tryConsume(TokenKind::Comma));
-  expect(TokenKind::Semi, "after declaration");
+  expect(TokenKind::Semi,
+         IsGlobal ? "after variable declaration" : "after declaration");
 }
 
 Stmt *Parser::parseIfStmt() {
@@ -1039,7 +1021,7 @@ Expr *Parser::parseUnary() {
     if (cur().is(TokenKind::Identifier) && tok(1).is(TokenKind::ColonColon) &&
         tok(2).is(TokenKind::Identifier) && isTypeName(cur()) &&
         tok(3).isNot(TokenKind::LParen)) {
-      std::string_view ClassName = text(cur());
+      SymbolID ClassName = cur().Sym;
       consume();
       consume();
       std::string_view MemberName = text(cur());
@@ -1122,13 +1104,14 @@ Expr *Parser::parsePostfix() {
         return E;
       }
       std::string_view Name = text(cur());
+      SymbolID First = cur().Sym;
       consume();
-      std::string_view Qualifier;
+      SymbolID Qualifier = kNoSymbol;
       if (cur().is(TokenKind::ColonColon) &&
           tok(1).is(TokenKind::Identifier)) {
         // Qualified access `e.C::m`: the first identifier was the
         // qualifier.
-        Qualifier = Name;
+        Qualifier = First;
         consume(); // ::
         Name = text(cur());
         consume();
@@ -1191,7 +1174,7 @@ Expr *Parser::parseNew() {
   case TokenKind::KwInt: Ty = Ctx.intType(); consume(); break;
   case TokenKind::KwDouble: Ty = Ctx.doubleType(); consume(); break;
   case TokenKind::Identifier: {
-    ClassDecl *CD = lookupClass(text(cur()));
+    ClassDecl *CD = lookupClass(cur());
     if (!CD) {
       Diags.error(cur().Loc,
                   "unknown type '" + std::string(text(cur())) + "' in new");
@@ -1264,7 +1247,7 @@ Expr *Parser::parsePrimary() {
     return E;
   }
   case TokenKind::Identifier: {
-    std::string_view Name = text(cur());
+    SymbolID Name = cur().Sym;
     consume();
     return Ctx.create<DeclRefExpr>(Name, Loc);
   }

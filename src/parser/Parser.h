@@ -9,6 +9,8 @@
 /// it resolves class names (needed to disambiguate declarations from
 /// expressions and casts from parenthesized expressions) but leaves
 /// variable references, member lookups, and types of expressions to Sema.
+/// It binds each class and free function to its symbol in the
+/// ASTContext, where Sema finds them.
 ///
 /// Classes must be declared (at least forward-declared) before their names
 /// are used as types; functions called before their definition need a
@@ -22,11 +24,9 @@
 
 #include "ast/ASTContext.h"
 #include "lexer/Token.h"
-#include "support/StringMap.h"
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -100,9 +100,8 @@ private:
   /// True if a type starts at lookahead \p At (builtin keyword or known
   /// class name).
   bool startsType(unsigned At = 0) const;
-  ClassDecl *lookupClass(std::string_view Name) const;
-  ClassDecl *getOrCreateClass(TagKind Tag, const std::string &Name,
-                              SourceLocation Loc);
+  /// The class that identifier \p T names so far; null if none.
+  ClassDecl *lookupClass(const Token &T) const;
   /// @}
 
   /// \name Declarations
@@ -128,10 +127,9 @@ private:
   const Type *parseType();
   /// Parses optional declarator suffixes for a variable of base type
   /// \p Ty named at the current token: function-pointer form
-  /// `(*name)(params)` or `name[N]` arrays. Emits the variable name in
-  /// \p Name. Returns the final type.
-  const Type *parseDeclarator(const Type *Ty, std::string &Name,
-                              SourceLocation &NameLoc);
+  /// `(*name)(params)` or `name[N]` arrays. Points \p Name at the
+  /// variable's name token, if it has one. Returns the final type.
+  const Type *parseDeclarator(const Type *Ty, const Token *&Name);
   /// @}
 
   /// \name Statements
@@ -139,8 +137,9 @@ private:
   Stmt *parseStmt();
   CompoundStmt *parseCompoundStmt();
   Stmt *parseDeclStmt();
-  /// Parses `name [= init | (args)], ... ;` into PendingVars.
-  void parseLocalVars(const Type *Ty);
+  /// Parses `name [= init | (args)], ... ;` into PendingVars, or into
+  /// the translation unit's globals.
+  void parseVars(const Type *Ty, bool IsGlobal);
   Stmt *parseIfStmt();
   Stmt *parseWhileStmt();
   Stmt *parseForStmt();
@@ -183,13 +182,6 @@ private:
   std::vector<Expr *> PendingExprs;
   std::vector<Stmt *> PendingStmts;
   std::vector<VarDecl *> PendingVars;
-
-  /// Class names visible so far (forward declarations included).
-  StringMap<ClassDecl *> ClassNames;
-
-  /// Free-function names seen so far (prototypes and definitions), used
-  /// to merge a definition into its earlier prototype.
-  StringMap<FunctionDecl *> FunctionNames;
 };
 
 static_assert(Parser::kMaxNestingDepth <= UINT16_MAX,

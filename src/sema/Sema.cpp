@@ -20,26 +20,22 @@ bool Sema::run() {
   unsigned ErrorsBefore = Diags.errorCount();
 
   CH = std::make_unique<ClassHierarchy>(Ctx);
-  for (ClassDecl *CD : Ctx.classes()) {
-    ClassByName[CD->name()] = CD;
+  for (ClassDecl *CD : Ctx.classes())
     if (!CD->isComplete() && !CD->isLibrary())
       Diags.warning(CD->location(), "class '" + CD->name() +
                                         "' is declared but never defined; "
                                         "treating it as a library class");
-  }
 
   computeVirtualFlags();
+  // The parser bound the free functions; the builtins replace those of
+  // their names, then the global variables are bound.
   createBuiltins();
-
-  // Global scope: functions then global variables.
-  for (FunctionDecl *FD : Ctx.functions())
-    if (FD->kind() == Decl::Kind::Function)
-      GlobalScope[FD->name()] = FD;
   for (VarDecl *GV : Ctx.globals()) {
-    if (GlobalScope.count(GV->name()))
+    NameBinding &B = Ctx.binding(Ctx.symbols().intern(GV->name()));
+    if (B.Global)
       Diags.error(GV->location(),
                   "redefinition of global '" + GV->name() + "'");
-    GlobalScope[GV->name()] = GV;
+    B.Global = GV;
   }
 
   // Global variable initializers are checked in a file-level context.
@@ -55,9 +51,8 @@ bool Sema::run() {
     checkFunction(FD);
 
   // main().
-  auto It = GlobalScope.find("main");
-  if (It != GlobalScope.end())
-    MainFn = dyn_cast<FunctionDecl>(It->second);
+  MainFn = dyn_cast_or_null<FunctionDecl>(
+      Ctx.binding(Ctx.symbols().intern("main")).Global);
   if (!MainFn || !MainFn->isDefined())
     Diags.error(SourceLocation(), "program has no defined 'main' function");
 
@@ -85,8 +80,7 @@ void Sema::createBuiltins() {
         Ctx.create<FunctionDecl>(S.Name, Ctx.voidType(), SourceLocation());
     FD->setBuiltinKind(S.Kind);
     FD->addParam(Ctx.create<ParamDecl>("value", S.ParamTy, SourceLocation()));
-    GlobalScope[S.Name] = FD;
-    Builtins.push_back(FD);
+    Ctx.binding(Ctx.symbols().intern(S.Name)).Global = FD;
   }
 }
 
@@ -103,9 +97,11 @@ void Sema::computeVirtualFlags() {
   }
 }
 
-ClassDecl *Sema::findClassByName(std::string_view Name) const {
-  auto It = ClassByName.find(Name);
-  return It == ClassByName.end() ? nullptr : It->second;
+const FunctionType *Sema::functionTypeOf(const FunctionDecl *FD) {
+  std::vector<const Type *> Params;
+  for (const ParamDecl *P : FD->params())
+    Params.push_back(P->type());
+  return Ctx.functionType(FD->returnType(), std::move(Params));
 }
 
 ConstructorDecl *Sema::findCtorByArity(const ClassDecl *CD,
@@ -120,28 +116,32 @@ ConstructorDecl *Sema::findCtorByArity(const ClassDecl *CD,
 // Scopes
 //===----------------------------------------------------------------------===//
 
-void Sema::pushScope() { Scopes.emplace_back(); }
+void Sema::pushScope() { BlockStarts.push_back(ShadowStack.size()); }
 
 void Sema::popScope() {
-  assert(!Scopes.empty() && "scope underflow");
-  Scopes.pop_back();
+  assert(!BlockStarts.empty() && "scope underflow");
+  while (ShadowStack.size() > BlockStarts.back()) {
+    const Shadowed &S = ShadowStack.back();
+    NameBinding &B = Ctx.binding(S.Name);
+    B.Local = S.Local;
+    B.LocalDepth = S.Depth;
+    ShadowStack.pop_back();
+  }
+  BlockStarts.pop_back();
 }
 
 void Sema::declareLocal(VarDecl *V) {
-  assert(!Scopes.empty() && "no active scope");
-  auto &Top = Scopes.back();
-  if (!Top.emplace(V->name(), V).second)
+  assert(!BlockStarts.empty() && "no active scope");
+  SymbolID Name = Ctx.symbols().intern(V->name());
+  NameBinding &B = Ctx.binding(Name);
+  if (B.Local && B.LocalDepth == BlockStarts.size()) {
     Diags.error(V->location(),
                 "redefinition of variable '" + V->name() + "'");
-}
-
-VarDecl *Sema::lookupLocal(std::string_view Name) const {
-  for (auto It = Scopes.rbegin(), E = Scopes.rend(); It != E; ++It) {
-    auto Found = It->find(Name);
-    if (Found != It->end())
-      return Found->second;
+    return;
   }
-  return nullptr;
+  ShadowStack.push_back({Name, B.Local, B.LocalDepth});
+  B.Local = V;
+  B.LocalDepth = static_cast<unsigned>(BlockStarts.size());
 }
 
 //===----------------------------------------------------------------------===//
@@ -170,6 +170,7 @@ void Sema::checkVarInit(VarDecl *V) {
   }
   if (V->type()->isReference())
     return; // References bind; no construction.
+  CD->setInstantiated();
 
   ConstructorDecl *Ctor = findCtorByArity(CD, V->ctorArgs().size());
   if (!Ctor && !V->ctorArgs().empty()) {
@@ -364,16 +365,11 @@ const Type *Sema::checkExpr(Expr *E) {
     break;
   case Expr::Kind::MemberPointerConstant: {
     auto *MPC = cast<MemberPointerConstantExpr>(E);
-    ClassDecl *CD = findClassByName(MPC->className());
-    if (!CD) {
-      Diags.error(E->location(),
-                  "unknown class '" + std::string(MPC->className()) + "'");
-      Ty = Ctx.intType();
-      break;
-    }
+    ClassDecl *CD = Ctx.binding(MPC->className()).Class;
+    assert(CD && "the parser makes `&C::m` only when C names a class");
     FieldDecl *F = CH->lookupField(CD, MPC->memberName());
     if (!F) {
-      Diags.error(E->location(), "class '" + std::string(MPC->className()) +
+      Diags.error(E->location(), "class '" + CD->name() +
                                      "' has no data member '" +
                                      std::string(MPC->memberName()) + "'");
       Ty = Ctx.intType();
@@ -470,6 +466,8 @@ const Type *Sema::checkExpr(Expr *E) {
     for (Expr *Arg : N->ctorArgs())
       checkExpr(Arg);
     if (const ClassDecl *CD = N->allocType()->asClassDecl()) {
+      if (CurFunction) // computeUsedClasses counts `new` in functions only.
+        CD->setInstantiated();
       if (!CD->isComplete()) {
         Diags.error(E->location(),
                     "allocation of incomplete type '" + CD->name() + "'");
@@ -515,10 +513,11 @@ const Type *Sema::checkExpr(Expr *E) {
 }
 
 const Type *Sema::checkDeclRef(DeclRefExpr *E) {
-  std::string_view Name = E->declName();
+  const NameBinding &B = Ctx.binding(E->declName());
+  std::string_view Name = Ctx.symbols().spelling(E->declName());
 
   // Locals and parameters.
-  if (VarDecl *V = lookupLocal(Name)) {
+  if (VarDecl *V = B.Local) {
     E->setReferent(V);
     E->setLValue();
     return V->type()->nonReferenceType();
@@ -539,26 +538,18 @@ const Type *Sema::checkDeclRef(DeclRefExpr *E) {
     }
     if (MethodDecl *M = CH->lookupMethod(CurClass, Name)) {
       E->setReferent(M);
-      std::vector<const Type *> Params;
-      for (const ParamDecl *P : M->params())
-        Params.push_back(P->type());
-      return Ctx.functionType(M->returnType(), std::move(Params));
+      return functionTypeOf(M);
     }
   }
 
   // Globals and functions.
-  auto It = GlobalScope.find(Name);
-  if (It != GlobalScope.end()) {
-    E->setReferent(It->second);
-    if (auto *GV = dyn_cast<VarDecl>(It->second)) {
+  if (Decl *G = B.Global) {
+    E->setReferent(G);
+    if (auto *GV = dyn_cast<VarDecl>(G)) {
       E->setLValue();
       return GV->type()->nonReferenceType();
     }
-    auto *FD = cast<FunctionDecl>(It->second);
-    std::vector<const Type *> Params;
-    for (const ParamDecl *P : FD->params())
-      Params.push_back(P->type());
-    return Ctx.functionType(FD->returnType(), std::move(Params));
+    return functionTypeOf(cast<FunctionDecl>(G));
   }
 
   Diags.error(E->location(),
@@ -592,10 +583,11 @@ const Type *Sema::checkMember(MemberExpr *E) {
   // a base of, or equal to, the object's class).
   const ClassDecl *LookupClass = BaseClass;
   if (E->isQualified()) {
-    ClassDecl *Q = findClassByName(E->qualifier());
+    ClassDecl *Q = Ctx.binding(E->qualifier()).Class;
     if (!Q) {
       Diags.error(E->location(),
-                  "unknown class '" + std::string(E->qualifier()) +
+                  "unknown class '" +
+                      std::string(Ctx.symbols().spelling(E->qualifier())) +
                       "' in qualified member access");
       return Ctx.intType();
     }
@@ -620,10 +612,7 @@ const Type *Sema::checkMember(MemberExpr *E) {
   }
   if (MethodDecl *M = CH->lookupMethod(LookupClass, E->memberName())) {
     E->setMember(M);
-    std::vector<const Type *> Params;
-    for (const ParamDecl *P : M->params())
-      Params.push_back(P->type());
-    return Ctx.functionType(M->returnType(), std::move(Params));
+    return functionTypeOf(M);
   }
 
   Diags.error(E->location(), "no member named '" +

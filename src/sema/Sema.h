@@ -24,10 +24,8 @@
 
 #include "ast/ASTContext.h"
 #include "hierarchy/ClassHierarchy.h"
-#include "support/StringMap.h"
 
 #include <memory>
-#include <string_view>
 #include <vector>
 
 namespace dmm {
@@ -48,14 +46,11 @@ public:
   /// The program's `main` function; null if missing (diagnosed).
   FunctionDecl *mainFunction() const { return MainFn; }
 
-  /// The compiler-provided builtins (created by run()).
-  const std::vector<FunctionDecl *> &builtins() const { return Builtins; }
-
 private:
   void createBuiltins();
   void computeVirtualFlags();
 
-  ClassDecl *findClassByName(std::string_view Name) const;
+  const FunctionType *functionTypeOf(const FunctionDecl *FD);
   ConstructorDecl *findCtorByArity(const ClassDecl *CD, size_t Arity) const;
 
   /// Resolves constructor selection for a variable declaration (local or
@@ -66,11 +61,12 @@ private:
   void resolveCtorInitializers(ConstructorDecl *Ctor);
 
   /// \name Scopes
+  /// A block binds its locals in NameBinding::Local and restores what
+  /// they shadowed when it ends.
   /// @{
   void pushScope();
   void popScope();
   void declareLocal(VarDecl *V);
-  VarDecl *lookupLocal(std::string_view Name) const;
   /// @}
 
   /// \name Statement / expression checking
@@ -91,12 +87,12 @@ private:
   DiagnosticsEngine &Diags;
   std::unique_ptr<ClassHierarchy> CH;
 
-  StringMap<ClassDecl *> ClassByName;
-  StringMap<Decl *> GlobalScope;
-  std::vector<FunctionDecl *> Builtins;
   FunctionDecl *MainFn = nullptr;
 
-  std::vector<StringMap<VarDecl *>> Scopes;
+  /// A local binding that a declaration in an open block replaced.
+  struct Shadowed { SymbolID Name; VarDecl *Local; unsigned Depth; };
+  std::vector<Shadowed> ShadowStack;
+  std::vector<size_t> BlockStarts; ///< ShadowStack size at each open block.
   ClassDecl *CurClass = nullptr;
   FunctionDecl *CurFunction = nullptr;
 };

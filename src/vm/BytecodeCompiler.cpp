@@ -1236,7 +1236,8 @@ uint16_t Compiler::place(const Expr *E, uint16_t Dst) {
       return R;
     }
     return emitFail("cannot take the location of '" +
-                        std::string(DRE->declName()) + "'",
+                        std::string(Ctx.symbols().spelling(DRE->declName())) +
+                        "'",
                     target(Dst));
   }
   case Expr::Kind::Member: {

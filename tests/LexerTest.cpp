@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "lexer/Lexer.h"
+#include "lexer/SymbolTable.h"
 #include "support/Diagnostics.h"
 #include "support/SourceManager.h"
 
@@ -28,7 +29,8 @@ std::vector<Token> lexAll(const std::string &Text, unsigned *Errors = nullptr) {
   uint32_t ID = SM.addBuffer("test.mcc", Text);
   LastBuffer = SM.bufferText(ID);
   DiagnosticsEngine Diags(SM);
-  Lexer L(SM, ID, Diags);
+  SymbolTable Symbols;
+  Lexer L(SM, ID, Diags, Symbols);
   auto Tokens = L.lexAll();
   if (Errors)
     *Errors = Diags.errorCount();
@@ -58,7 +60,8 @@ std::string lexDiagnostics(const std::string &Text) {
   SourceManager SM;
   uint32_t ID = SM.addBuffer("test.mcc", Text);
   DiagnosticsEngine Diags(SM);
-  Lexer(SM, ID, Diags).lexAll();
+  SymbolTable Symbols;
+  Lexer(SM, ID, Diags, Symbols).lexAll();
   std::string Out;
   for (const Diagnostic &D : Diags.diagnostics())
     Out += std::to_string(D.Loc.offset()) + ": " + D.Message + "\n";
@@ -110,7 +113,8 @@ TEST(Lexer, OutOfRangeIntegerLiteralIsAnError) {
     SourceManager SM;
     uint32_t ID = SM.addBuffer("test.mcc", Text);
     DiagnosticsEngine Diags(SM);
-    Lexer L(SM, ID, Diags);
+    SymbolTable Symbols;
+    Lexer L(SM, ID, Diags, Symbols);
     L.lexAll();
     ASSERT_EQ(Diags.errorCount(), 1u) << Text;
     EXPECT_EQ(Diags.diagnostics()[0].Message,
@@ -239,7 +243,8 @@ TEST(Lexer, LocationsTrackLinesAndColumns) {
   SourceManager SM;
   uint32_t ID = SM.addBuffer("t.mcc", "ab\n  cd\n");
   DiagnosticsEngine Diags(SM);
-  Lexer L(SM, ID, Diags);
+  SymbolTable Symbols;
+  Lexer L(SM, ID, Diags, Symbols);
   Token T1 = L.lex();
   Token T2 = L.lex();
   PresumedLoc P1 = SM.presumedLoc(T1.Loc);
@@ -262,10 +267,78 @@ TEST(Lexer, EOFIsSticky) {
   SourceManager SM;
   uint32_t ID = SM.addBuffer("t.mcc", "x");
   DiagnosticsEngine Diags(SM);
-  Lexer L(SM, ID, Diags);
+  SymbolTable Symbols;
+  Lexer L(SM, ID, Diags, Symbols);
   L.lex();
   EXPECT_EQ(L.lex().Kind, TokenKind::EndOfFile);
   EXPECT_EQ(L.lex().Kind, TokenKind::EndOfFile);
+}
+
+TEST(Lexer, TokenLongerThanTheLengthFieldIsAnError) {
+  unsigned Errors = 0;
+  std::string Long = "\"" + std::string(Token::MaxLength, 'x') + "\"";
+  auto Tokens = lexAll(Long + " a", &Errors);
+  EXPECT_EQ(Errors, 1u);
+  EXPECT_EQ(Tokens[0].Kind, TokenKind::Unknown);
+  EXPECT_EQ(Tokens[1].Kind, TokenKind::Identifier);
+}
+
+TEST(SymbolTable, EveryKeywordMapsToItsTokenKind) {
+  SymbolTable Symbols;
+  EXPECT_EQ(SymbolTable::NumKeywords, 30u);
+  for (auto K = static_cast<uint8_t>(TokenKind::KwClass);
+       K <= static_cast<uint8_t>(TokenKind::KwNullptr); ++K) {
+    std::string Quoted = tokenKindName(static_cast<TokenKind>(K));
+    SymbolID ID = Symbols.intern(Quoted.substr(1, Quoted.size() - 2));
+    EXPECT_LT(ID, SymbolTable::NumKeywords) << Quoted;
+    EXPECT_EQ(SymbolTable::tokenKind(ID), static_cast<TokenKind>(K));
+  }
+  EXPECT_EQ(Symbols.size(), SymbolTable::NumKeywords);
+  EXPECT_EQ(SymbolTable::tokenKind(Symbols.intern("classy")),
+            TokenKind::Identifier);
+}
+
+TEST(SymbolTable, OneSpellingGetsOneIDAcrossBuffers) {
+  SourceManager SM;
+  DiagnosticsEngine Diags(SM);
+  SymbolTable Symbols;
+  uint32_t A = SM.addBuffer("a.mcc", "foo bar foo");
+  uint32_t B = SM.addBuffer("b.mcc", "bar foo baz");
+  auto TA = Lexer(SM, A, Diags, Symbols).lexAll();
+  auto TB = Lexer(SM, B, Diags, Symbols).lexAll();
+  EXPECT_EQ(TA[0].Sym, TA[2].Sym);
+  EXPECT_EQ(TA[0].Sym, TB[1].Sym);
+  EXPECT_EQ(TA[1].Sym, TB[0].Sym);
+  EXPECT_NE(TA[0].Sym, TA[1].Sym);
+  EXPECT_EQ(Symbols.spelling(TB[2].Sym), "baz");
+  EXPECT_EQ(TA.back().Sym, kNoSymbol); // EndOfFile names nothing.
+}
+
+TEST(SymbolTable, IDsAreDense) {
+  SymbolTable Symbols;
+  // Enough spellings to grow the bucket array several times.
+  for (unsigned I = 0; I != 5000; ++I) {
+    std::string Name = "name" + std::to_string(I);
+    SymbolID ID = Symbols.intern(Name);
+    EXPECT_EQ(ID, SymbolTable::NumKeywords + I);
+    EXPECT_EQ(Symbols.size(), ID + 1);
+  }
+  for (unsigned I = 0; I != 5000; ++I)
+    ASSERT_EQ(Symbols.spelling(SymbolTable::NumKeywords + I),
+              "name" + std::to_string(I));
+  EXPECT_EQ(Symbols.intern("name0"), SymbolTable::NumKeywords);
+}
+
+TEST(SymbolTable, SynthesizedNameInternsToItsTokensID) {
+  SourceManager SM;
+  DiagnosticsEngine Diags(SM);
+  SymbolTable Symbols;
+  uint32_t ID = SM.addBuffer("t.mcc", "main print_int value");
+  auto Tokens = Lexer(SM, ID, Diags, Symbols).lexAll();
+  // Sema interns `main` and the builtins' names from string literals.
+  EXPECT_EQ(Symbols.intern("main"), Tokens[0].Sym);
+  EXPECT_EQ(Symbols.intern(std::string("print_") + "int"), Tokens[1].Sym);
+  EXPECT_EQ(Symbols.intern("value"), Tokens[2].Sym);
 }
 
 } // namespace

@@ -350,4 +350,53 @@ TEST(Sema, IndirectCallArityIsChecked) {
   EXPECT_NE(Err.find("indirect call expects 1"), std::string::npos);
 }
 
+// A name resolves to a local (innermost block first), then to a member
+// of the enclosing class through implicit `this`, then to a global. An
+// inner block's local shadows only until the block ends. A user
+// function named like a builtin is accepted, but the name stays bound to
+// the builtin. The program prints which binding each use took, on both
+// engines.
+TEST(Sema, NameResolutionOrder) {
+  auto C = compileOK(R"(
+    int v = 1;
+    void print_int(int x) { print_char('U'); }
+    class K {
+    public:
+      int v;
+      int member() { return v; }
+      int local() { int v = 3; return v; }
+      int shadow() {
+        int v = 4;
+        { int v = 5; print_int(v); }
+        return v;
+      }
+    };
+    int global() { return v; }
+    int param(int v) { int v = 6; return v; }
+    int main() {
+      K k;
+      k.v = 2;
+      print_int(global());
+      print_int(k.member());
+      print_int(k.local());
+      print_int(k.shadow());
+      print_int(param(0));
+      return 0;
+    }
+  )");
+  for (EngineKind E : {EngineKind::Tree, EngineKind::Vm}) {
+    ExecResult R = runWithOK(*C, E);
+    EXPECT_EQ(R.Output, "1\n2\n3\n5\n4\n6\n") << engineName(E);
+  }
+  const Expr *Call = findExpr(*C, "main", [](const Expr *E) {
+    return isa<CallExpr>(E);
+  });
+  ASSERT_NE(Call, nullptr);
+  const auto *Callee = dyn_cast_or_null<FunctionDecl>(
+      cast<DeclRefExpr>(cast<CallExpr>(Call)->callee())->referent());
+  ASSERT_NE(Callee, nullptr);
+  EXPECT_EQ(Callee->name(), "print_int");
+  EXPECT_TRUE(Callee->isBuiltin());
+}
+
 } // namespace
